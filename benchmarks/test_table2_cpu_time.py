@@ -3,18 +3,30 @@
 The paper's claim: URACAM — which evaluates every cluster for every
 operation — is the most expensive scheduler (2-7x slower than GP/Fixed on
 the authors' machine); the partition-guided schemes mostly evaluate one
-cluster per operation.  We assert the *direction* (URACAM slowest); the
-exact ratio depends on how much of the runtime the partitioner itself
-costs in this pure-Python implementation.
+cluster per operation.  The tier-1 test asserts that claim on counted,
+host-independent work: the candidate slots the engine evaluated.  The
+timing-bearing artifact (CPU seconds per benchmark) is only regenerated
+under ``-m bench``, so an ordinary test run never rewrites ``results/``.
 """
 
+import pytest
 from conftest import save_artifact
 
 from repro.eval.figures import table2
 from repro.machine.presets import four_cluster, two_cluster
 
 
-def test_table2_cpu_time(benchmark, suite, results_dir):
+def test_table2_cpu_time(suite):
+    # URACAM must do the most work on the stressed 4-cluster machines,
+    # where it evaluates every cluster for every operation.
+    result = table2(suite, [four_cluster(32), four_cluster(64)])
+    for config in result.configs:
+        scans = result.slot_scans[config]
+        assert scans["uracam"] > scans["gp"], (config, scans)
+
+
+@pytest.mark.bench
+def test_table2_cpu_time_artifact(benchmark, suite, results_dir):
     machines = [
         two_cluster(32),
         two_cluster(64),
@@ -25,11 +37,3 @@ def test_table2_cpu_time(benchmark, suite, results_dir):
         table2, args=(suite, machines), rounds=1, iterations=1
     )
     save_artifact(results_dir, "table2_cpu_time.txt", result.render())
-
-    # URACAM must be the most time-consuming approach on the stressed
-    # 4-cluster machines, where it evaluates 4x the placements.  (Wall-time
-    # measurement is noisy; allow a 10% band.)
-    for config in result.configs:
-        if config.startswith("4-cluster"):
-            per = result.seconds[config]
-            assert per["uracam"] > per["gp"] * 0.9

@@ -78,15 +78,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from typing import List, Optional
 
 from .errors import ReproError
 from .ir.serialize import load as load_loop
 from .ir.stats import describe
-from .machine.config import MachineConfig
 from .machine.presets import table1_configurations
-from .machine.spec import parse_machine_spec
 from .schedule.expand import render_kernel
 from .service import (
     MACHINES,
@@ -104,23 +101,6 @@ from .workloads.spec import (
     make_extended_benchmark,
     suite_for_tier,
 )
-
-
-def parse_machine(spec: str) -> MachineConfig:
-    """Deprecated: use :func:`repro.machine.parse_machine_spec`.
-
-    Thin shim over the canonical parser (which also backs the service
-    façade's :data:`~repro.service.MACHINES` registry); kept so old
-    scripts keep running, with a :class:`DeprecationWarning`.
-    """
-    warnings.warn(
-        "repro.cli.parse_machine() is deprecated; use "
-        "repro.machine.parse_machine_spec() or the "
-        "repro.service.MACHINES registry",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return parse_machine_spec(spec)
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
@@ -273,29 +253,17 @@ def _cache_stats_line(service) -> str:
     return "  ".join(parts)
 
 
-def _suite_engine_options(args: argparse.Namespace):
-    """EngineOptions for a suite command, or None when all-defaults.
+def _verify_engine_options(args: argparse.Namespace):
+    """EngineOptions for ``evaluate --verify``, or None for the defaults.
 
-    Folds ``--verify`` (evaluate only) and the ``--no-array-kernels`` /
-    ``--no-warm-start`` A/B knobs into one explicit options object —
-    requests reject ``verify`` and ``options`` together, so the paranoid
-    flags must ride in the same EngineOptions as the kernel toggles.
-    Returns None when nothing deviates from the defaults, keeping
-    default invocations' request fingerprints (and store keys) stable.
+    None keeps default invocations' request fingerprints (and store
+    keys) stable.
     """
+    if not args.verify:
+        return None
     from .schedule.engine import EngineOptions
 
-    verify = getattr(args, "verify", False)
-    array_kernels = getattr(args, "array_kernels", True)
-    warm_start = getattr(args, "ii_warm_start", True)
-    if not verify and array_kernels and warm_start:
-        return None
-    return EngineOptions(
-        verify_pressure=verify,
-        validate_schedules=verify,
-        array_kernels=array_kernels,
-        ii_warm_start=warm_start,
-    )
+    return EngineOptions(verify_pressure=True, validate_schedules=True)
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
@@ -306,7 +274,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     # --verify is the paranoid end-to-end mode: incremental-vs-reference
     # pressure cross-checks inside the engine, plus a full_recheck
     # validation of every schedule before it is reported.
-    options = _suite_engine_options(args)
+    options = _verify_engine_options(args)
     with _service_for(args) as service:
         if args.bus_latency == 2:
             panel = figure3_panel(
@@ -366,7 +334,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from .eval.figures import table2
 
     suite = _pick_suite(args)
-    options = _suite_engine_options(args)
     if args.profile and args.jobs != 1:
         # cProfile only sees the driving process; worker-pool scheduling
         # would profile IPC plumbing instead of the schedulers.
@@ -381,9 +348,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         cpu_count = os.cpu_count() or 1
         oversubscribed = jobs > cpu_count
         if oversubscribed:
-            # The per-loop timers measure elapsed time, so more workers than
-            # cores inflates every number through contention: annotate instead
-            # of letting the artifact silently report a "slowdown".
+            # More workers than cores inflates the suite wall clock through
+            # contention: annotate instead of letting the artifact silently
+            # report a "slowdown".
             print(
                 f"warning: --jobs {jobs} oversubscribes this host "
                 f"({cpu_count} CPU{'s' if cpu_count != 1 else ''}); parallel "
@@ -399,7 +366,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
             profiler = cProfile.Profile()
             profiler.enable()
-            result = table2(suite, [machine], service=service, options=options)
+            result = table2(suite, [machine], service=service)
             profiler.disable()
             wall_seconds = _time.perf_counter() - started
             stats = pstats.Stats(profiler)
@@ -425,7 +392,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 "top": entries[:_PROFILE_TOP],
             }
         else:
-            result = table2(suite, [machine], service=service, options=options)
+            result = table2(suite, [machine], service=service)
             wall_seconds = _time.perf_counter() - started
         stats_line = (
             _cache_stats_line(service) if (args.store or args.daemon) else None
@@ -443,7 +410,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     print(f"suite wall clock: {wall_seconds:.2f}s (jobs={jobs})")
     if args.json:
         payload = {
-            "schema": "repro-bench-cli/v5",
+            "schema": "repro-bench-cli/v6",
             "machine": config,
             "suite": args.suite,
             "benchmarks": len(suite),
@@ -451,10 +418,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             "jobs": jobs,
             "cpu_count": os.cpu_count(),
             "oversubscribed": oversubscribed,
-            "engine_options": {
-                "array_kernels": getattr(args, "array_kernels", True),
-                "ii_warm_start": getattr(args, "ii_warm_start", True),
-            },
             "cpu_seconds_per_benchmark": dict(per),
             "wall_seconds": wall_seconds,
             # What the fault-tolerance layer had to do during the run
@@ -757,15 +720,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "wire-fault plan injected at this client's end "
                        "(refused connects, dropped/garbled replies, "
                        "stalls) to exercise the wire retry layer")
-        p.add_argument("--no-array-kernels", dest="array_kernels",
-                       action="store_false",
-                       help="force the pure dict/list reference hot path "
-                       "instead of the flat-array kernels (results are "
-                       "bit-identical under either; A/B smoke knob)")
-        p.add_argument("--no-warm-start", dest="ii_warm_start",
-                       action="store_false",
-                       help="disable II-search warm-start seeding "
-                       "(results are bit-identical under either)")
 
     p_eval = sub.add_parser("evaluate", help="run a figure panel")
     p_eval.add_argument("--clusters", type=int, default=2, choices=(2, 4))

@@ -247,10 +247,16 @@ def table1_report() -> str:
 
 @dataclass
 class Table2Result:
-    """Average scheduling CPU time per algorithm per configuration."""
+    """Average scheduling CPU time per algorithm per configuration.
+
+    ``slot_scans`` is the same comparison in counted, host-independent
+    work: the (cluster, cycle) candidate slots the engine evaluated,
+    summed over every II attempt of every modulo-scheduled loop.
+    """
 
     configs: List[str]
     seconds: Dict[str, Dict[str, float]]  # config -> scheduler -> seconds
+    slot_scans: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
     def slowdown(self, config: str, of: str = "uracam", over: str = "gp") -> float:
         base = self.seconds[config][over]
@@ -285,11 +291,8 @@ def table2(
     Every (machine, scheduler) combination is one
     :class:`~repro.service.requests.EvaluationRequest` and the whole
     batch goes through one service session (one shared worker pool);
-    each loop's scheduling time is still measured inside its worker.
-    Note the per-loop timer is elapsed time (``perf_counter``), so
-    oversubscribing the host (more workers than spare cores) inflates
-    the reported seconds through contention — compare timing tables at
-    matching ``jobs`` values.
+    each loop's scheduling time is still measured inside its worker, as
+    the CPU time (``process_time``) of the process that scheduled it.
     """
     from ..service import EvaluationRequest, ReproService
 
@@ -320,12 +323,21 @@ def table2(
         if owns_service:
             service.close()
     seconds: Dict[str, Dict[str, float]] = {m.name: {} for m in machines}
+    slot_scans: Dict[str, Dict[str, int]] = {m.name: {} for m in machines}
     for response in responses:
         result = response.result
         seconds[result.machine][result.scheduler] = (
             result.total_cpu_seconds / max(1, len(suite))
         )
-    return Table2Result(configs=[m.name for m in machines], seconds=seconds)
+        slot_scans[result.machine][result.scheduler] = sum(
+            outcome.schedule.stats.feas_cache_scans
+            for bench in result.per_benchmark.values()
+            for outcome in bench.outcomes
+            if outcome.is_modulo
+        )
+    return Table2Result(
+        configs=[m.name for m in machines], seconds=seconds, slot_scans=slot_scans
+    )
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,10 @@ validator and the exports.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Dict, Iterable, List, Sequence
+
+from ..schedule.drivers import ii_offsets
 
 
 def aggregate_ipc(
@@ -112,31 +115,21 @@ def ii_search_stats(outcomes: Iterable) -> Dict[str, object]:
 
     ``attempts`` counts every engine attempt across all II searches;
     ``per_ii_attempts`` histograms them by the II tried (JSON-friendly
-    string keys).  The ``warm_start`` block reports pruned slots adopted
-    from a previous same-II attempt (``seeded``) and window slots skipped
-    because of an adopted prune (``hits``) — both stay zero under the
-    stock strictly-escalating II search, which is the honest signal that
-    cross-II seeding is disabled for soundness.
+    string keys), replayed from each schedule's final II and attempt
+    count along the driver's fixed escalation (:func:`ii_offsets`).
     """
     attempts = 0
-    per_ii: Dict[str, int] = {}
-    seeded = hits = 0
+    per_ii: Dict[int, int] = {}
     for outcome in outcomes:
         if not outcome.is_modulo:
             continue
-        stats = outcome.schedule.stats
-        attempts += stats.ii_attempts
-        for ii in stats.ii_trace:
-            key = str(ii)
-            per_ii[key] = per_ii.get(key, 0) + 1
-        seeded += stats.warm_start_seeded
-        hits += stats.warm_start_hits
+        schedule = outcome.schedule
+        tried = list(islice(ii_offsets(), schedule.stats.ii_attempts))
+        attempts += len(tried)
+        start_ii = schedule.ii - tried[-1]
+        for offset in tried:
+            per_ii[start_ii + offset] = per_ii.get(start_ii + offset, 0) + 1
     return {
         "attempts": attempts,
-        "per_ii_attempts": dict(sorted(per_ii.items(), key=lambda kv: int(kv[0]))),
-        "warm_start": {
-            "seeded": seeded,
-            "hits": hits,
-            "hit_rate": hits / seeded if seeded else 0.0,
-        },
+        "per_ii_attempts": {str(ii): per_ii[ii] for ii in sorted(per_ii)},
     }

@@ -6,8 +6,8 @@ this module fans the same per-loop work items out over a ``spawn``-safe
 back **in suite order**, so results are bit-identical to the sequential
 path regardless of worker count, chunk size, completion order — or how
 many times a chunk had to be retried (scheduling is fully deterministic;
-only the measured ``cpu_seconds`` are wall-clock noise, exactly as they
-are between two sequential runs).
+only the measured ``cpu_seconds`` are timing noise, exactly as they are
+between two sequential runs).
 
 Entry points:
 

@@ -30,9 +30,9 @@ class OpClass(enum.Enum):
         return self.value
 
 
-# Dense per-member index (0..len-1, definition order).  The flat-array
-# reservation kernels (repro.schedule.arraykernels) address their
-# per-(cluster, class) rows as ``cluster * len(OpClass) + op_class.index``;
+# Dense per-member index (0..len-1, definition order).  The reservation
+# table (repro.schedule.mrt) addresses its flat per-(cluster, class) rows
+# as ``cluster * len(OpClass) + op_class.index``;
 # a plain attribute read here avoids Enum.__hash__ (a Python-level
 # function) on the engine's innermost resource probe.
 for _index, _member in enumerate(OpClass):

@@ -10,7 +10,9 @@ matchers:
   maximal matching with at least half the optimal weight, and is what the
   library uses by default.
 * :func:`exact_matching` — an exact maximum-weight matching via the blossom
-  algorithm (networkx's implementation), standing in for LEDA.
+  algorithm (networkx's implementation), standing in for LEDA.  networkx is
+  an optional dependency (the ``exact-matching`` extra), imported only when
+  this matcher runs.
 
 Both operate on an abstract edge list so they are reusable on any graph, and
 both are deterministic: ties are broken by the (sorted) endpoint labels.
@@ -19,8 +21,6 @@ both are deterministic: ties are broken by the (sorted) endpoint labels.
 from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, List, Set, Tuple
-
-import networkx as nx
 
 #: An undirected weighted edge: (endpoint, endpoint, weight).
 Edge = Tuple[Hashable, Hashable, float]
@@ -67,7 +67,17 @@ def exact_matching(edges: Iterable[Edge]) -> Set[Tuple[Hashable, Hashable]]:
     Semantics match :func:`greedy_matching`; use this to reproduce the
     paper's LEDA-based coarsening exactly.  Cost grows cubically with the
     graph size, which is irrelevant for loop-body-sized graphs.
+
+    Raises:
+        ImportError: networkx is not installed.
     """
+    try:
+        import networkx as nx
+    except ImportError as error:
+        raise ImportError(
+            "exact_matching needs networkx; install it with "
+            "`pip install networkx` (or the `exact-matching` extra)"
+        ) from error
     graph = nx.Graph()
     for u, v, w in _normalized(edges):
         graph.add_edge(u, v, weight=w)

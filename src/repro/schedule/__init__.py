@@ -1,7 +1,6 @@
 """Modulo scheduling: engine, policies, drivers, fallback, validation."""
 
 from .analysis_core import ScheduleAnalysis
-from .arraykernels import ArrayReservationTable, ArrayScheduleAnalysis
 from .expand import ExpandedSchedule, expand, render_kernel
 from .drivers import (
     SCHEDULERS,
@@ -19,7 +18,6 @@ from .engine import (
     ClusterPolicy,
     EngineOptions,
     FixedClusterPolicy,
-    IISearchState,
     SchedulingEngine,
 )
 from .lifetimes import LiveSegment, max_live, pressure_by_cycle, register_cycles
@@ -35,8 +33,6 @@ from .values import BusTransfer, Use, ValueState, segments_of_value, value_segme
 
 __all__ = [
     "AllClustersPolicy",
-    "ArrayReservationTable",
-    "ArrayScheduleAnalysis",
     "AssignedFirstPolicy",
     "AuxOp",
     "BaseScheduler",
@@ -51,7 +47,6 @@ __all__ = [
     "FixedPartitionScheduler",
     "FUSlot",
     "GPScheduler",
-    "IISearchState",
     "ListSchedule",
     "LiveSegment",
     "MeritVector",

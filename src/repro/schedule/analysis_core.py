@@ -4,8 +4,8 @@ One :class:`ScheduleAnalysis` session owns everything the register model
 of the paper needs: the *value ledger* (producer uid ->
 :class:`~repro.schedule.values.ValueState`), the per-value
 :class:`~repro.schedule.lifetimes.LiveSegment` lists derived from it, the
-per-cluster pressure ring (``counts[cluster][m]`` — live values at each of
-the II kernel cycles) and the running register-cycle totals.  Every
+per-cluster pressure rings (live values at each of the II kernel cycles,
+laid out as one flat list) and the running register-cycle totals.  Every
 consumer of the MaxLives register model goes through this session:
 
 * the **scheduling engine** creates one per attempt and maintains it by
@@ -42,11 +42,40 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .lifetimes import (
     LiveSegment,
-    add_segment_to_ring,
     pressure_by_cycle,
     register_cycles,
 )
 from .values import ValueState, segments_of_value, value_segments
+
+
+def add_segment_flat(
+    ring: List[int], base: int, birth: int, length: int, ii: int, sign: int
+) -> None:
+    """:func:`~repro.schedule.lifetimes.add_segment_to_ring` on a flat ring.
+
+    Operates on ``ring[base : base + ii]`` and adds exactly what the
+    reference adds: ``sign * (length // ii)`` to every kernel cycle, plus
+    ``sign`` to the ``length % ii`` cycles starting at ``birth % ii``.
+    The remainder run is split at the ring's wrap point instead of paying
+    the reference's per-element modulo — same cells, same totals.
+    """
+    whole, rem = divmod(length, ii)
+    if whole:
+        add = sign * whole
+        for m in range(base, base + ii):
+            ring[m] += add
+    if rem:
+        start = base + birth % ii
+        end = start + rem
+        top = base + ii
+        if end <= top:
+            for m in range(start, end):
+                ring[m] += sign
+        else:
+            for m in range(start, top):
+                ring[m] += sign
+            for m in range(base, end - ii):
+                ring[m] += sign
 
 
 class ScheduleAnalysis:
@@ -54,9 +83,11 @@ class ScheduleAnalysis:
 
     Maintains, by exact-inverse integer deltas:
 
-    * ``counts[cluster][m]`` — the per-cluster pressure ring (exactly
+    * the per-cluster pressure rings (exactly
       :func:`~repro.schedule.lifetimes.pressure_by_cycle` of the tracked
-      values);
+      values), stored flat: cluster ``c``'s ring is
+      ``_ring[c * II : (c + 1) * II]``, and :attr:`counts` materializes the
+      reference's list-of-lists shape;
     * ``reg_cycles[cluster]`` — running register-cycle totals (exactly
       :func:`~repro.schedule.lifetimes.register_cycles`);
     * a per-value cache of the :class:`LiveSegment` lists currently folded
@@ -76,7 +107,7 @@ class ScheduleAnalysis:
     ) -> None:
         self.ii = ii
         self.num_clusters = num_clusters
-        self._init_rings()
+        self._ring: List[int] = [0] * (num_clusters * ii)
         #: Running register-cycle totals per cluster.
         self.reg_cycles: List[int] = [0] * num_clusters
         # producer uid -> the segment list currently folded into the rings.
@@ -100,16 +131,14 @@ class ScheduleAnalysis:
         """Build a session from a raw value ledger (the reference path)."""
         return cls(ii, num_clusters, values=dict(values))
 
-    def _init_rings(self) -> None:
-        """Allocate the pressure-ring storage.
-
-        Split out of ``__init__`` so a subclass with a different ring
-        layout (the flat-array kernels) can swap the storage without
-        touching the ledger bookkeeping.
-        """
-        #: counts[cluster][m] — live values at kernel cycle ``m``.
-        self.counts: List[List[int]] = [
-            [0] * self.ii for _ in range(self.num_clusters)
+    @property
+    def counts(self) -> List[List[int]]:
+        """``counts[cluster][m]`` — live values at kernel cycle ``m`` (copies)."""
+        ii = self.ii
+        ring = self._ring
+        return [
+            ring[cluster * ii : (cluster + 1) * ii]
+            for cluster in range(self.num_clusters)
         ]
 
     # ------------------------------------------------------------------
@@ -117,10 +146,13 @@ class ScheduleAnalysis:
     # ------------------------------------------------------------------
     def _apply(self, segments: Iterable[LiveSegment], sign: int) -> None:
         ii = self.ii
+        ring = self._ring
+        reg_cycles = self.reg_cycles
         for seg in segments:
             length = seg.length
-            add_segment_to_ring(self.counts[seg.cluster], seg.birth, length, ii, sign)
-            self.reg_cycles[seg.cluster] += sign * length
+            cluster = seg.cluster
+            add_segment_flat(ring, cluster * ii, seg.birth, length, ii, sign)
+            reg_cycles[cluster] += sign * length
 
     # ------------------------------------------------------------------
     # Ledger maintenance
@@ -193,16 +225,15 @@ class ScheduleAnalysis:
         ii = self.ii
         delta = [0] * self.num_clusters
         rows: Dict[int, List[int]] = {}
-        counts = self.counts
+        ring = self._ring
         for segments, sign in changes:
             for seg in segments:
                 cluster = seg.cluster
                 row = rows.get(cluster)
                 if row is None:
-                    row = counts[cluster][:]
-                    rows[cluster] = row
+                    row = rows[cluster] = ring[cluster * ii : (cluster + 1) * ii]
                 length = seg.length
-                add_segment_to_ring(row, seg.birth, length, ii, sign)
+                add_segment_flat(row, 0, seg.birth, length, ii, sign)
                 delta[cluster] += sign * length
         for cluster in range(self.num_clusters):
             row = rows.get(cluster)
@@ -216,18 +247,21 @@ class ScheduleAnalysis:
     # ------------------------------------------------------------------
     def peaks(self) -> List[int]:
         """MaxLives per cluster of the tracked state."""
-        return [max(row) if row else 0 for row in self.counts]
+        ii = self.ii
+        ring = self._ring
+        return [
+            max(ring[cluster * ii : (cluster + 1) * ii])
+            for cluster in range(self.num_clusters)
+        ]
 
     #: Alias matching the reference function's name.
     max_live = peaks
 
     def fits(self, registers: Sequence[int]) -> bool:
         """True if every cluster's peak is within its register file."""
-        counts = self.counts
-        for cluster in range(self.num_clusters):
-            if max(counts[cluster], default=0) > registers[cluster]:
-                return False
-        return True
+        return all(
+            peak <= registers[cluster] for cluster, peak in enumerate(self.peaks())
+        )
 
     # ------------------------------------------------------------------
     # Reference rebuild and cross-checks
@@ -241,7 +275,7 @@ class ScheduleAnalysis:
         return (
             self.ii == other.ii
             and self.num_clusters == other.num_clusters
-            and self.counts == other.counts
+            and self._ring == other._ring
             and self.reg_cycles == other.reg_cycles
             and set(self._segments) == set(other._segments)
         )

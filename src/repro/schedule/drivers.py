@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Union
+from typing import Dict, Iterator, Optional, Union
 
 from ..ir.loop import Loop
 from ..machine.config import MachineConfig
@@ -36,7 +36,6 @@ from .engine import (
     ClusterPolicy,
     EngineOptions,
     FixedClusterPolicy,
-    IISearchState,
     SchedulingEngine,
 )
 from .listsched import ListSchedule, list_schedule
@@ -68,6 +67,25 @@ class ScheduleOutcome:
         return self.schedule.execution_cycles()
 
 
+def ii_offsets() -> Iterator[int]:
+    """Offsets from the MII of the IIs the II search tries, in order.
+
+    The step doubles after every three consecutive failures
+    (1,1,2,2,2,4,...), keeping pathological register-bound loops from
+    costing dozens of near-identical attempts.  (Deviation from the
+    paper's implicit II+1 search; affects all three algorithms equally.)
+    A schedule's final II and attempt count therefore determine every
+    II its search tried.
+    """
+    offset, step, failures = 0, 1, 0
+    while True:
+        yield offset
+        failures += 1
+        if failures % 3 == 0:
+            step *= 2
+        offset += step
+
+
 class BaseScheduler:
     """Common II-search loop shared by the three algorithms."""
 
@@ -96,47 +114,29 @@ class BaseScheduler:
     # -- driver -------------------------------------------------------------
     def schedule(self, loop: Loop) -> ScheduleOutcome:
         """Schedule ``loop``; never fails (falls back to list scheduling)."""
-        started = _time.perf_counter()
+        started = _time.process_time()
         start_ii = mii(loop, self.machine)
         self._prepare(loop, start_ii)
         attempts = 0
         schedule: AnySchedule
         found: Optional[ModuloSchedule] = None
-        ii = start_ii
-        step = 1
-        consecutive_failures = 0
+        offsets = ii_offsets()
+        ii = start_ii + next(offsets)
         feas_hits = feas_scans = 0
-        warm_seeded = warm_hits = 0
-        ii_trace = []
-        search = IISearchState() if self.options.ii_warm_start else None
         while ii <= start_ii + self.max_ii_span:
             policy = self._policy(loop, ii)
             engine = SchedulingEngine(
-                loop, self.machine, ii, policy, self._engine_options(loop),
-                search=search,
+                loop, self.machine, ii, policy, self._engine_options(loop)
             )
             attempts += 1
-            ii_trace.append(ii)
             found = engine.attempt()
             # Candidate-feasibility cache telemetry survives failed
             # attempts (where most of the spill-round rescanning happens).
             feas_hits += engine.stats.feas_cache_hits
             feas_scans += engine.stats.feas_cache_scans
-            warm_seeded += engine.stats.warm_start_seeded
-            warm_hits += engine.stats.warm_start_hits
             if found is not None:
                 break
-            if search is not None:
-                search.absorb(engine)
-            # Escalate geometrically on stubborn loops: after every three
-            # consecutive failures the II step doubles (1,1,2,2,2,4,...),
-            # keeping pathological register-bound loops from costing dozens
-            # of near-identical attempts.  (Deviation from the paper's
-            # implicit II+1 search; affects all three algorithms equally.)
-            consecutive_failures += 1
-            if consecutive_failures % 3 == 0:
-                step *= 2
-            next_ii = ii + step
+            next_ii = start_ii + next(offsets)
             self._on_failure(loop, ii, next_ii)
             ii = next_ii
         if found is not None:
@@ -147,9 +147,6 @@ class BaseScheduler:
             )
             found.stats.feas_cache_hits = feas_hits
             found.stats.feas_cache_scans = feas_scans
-            found.stats.ii_trace = tuple(ii_trace)
-            found.stats.warm_start_seeded = warm_seeded
-            found.stats.warm_start_hits = warm_hits
             if self.options.validate_schedules:
                 # Paranoid end-to-end mode (CLI --verify): rebuild the
                 # lifetime analysis from the raw ledger and cross-check it
@@ -158,7 +155,7 @@ class BaseScheduler:
             schedule = found
         else:
             schedule = list_schedule(loop, self.machine)
-        elapsed = _time.perf_counter() - started
+        elapsed = _time.process_time() - started
         return ScheduleOutcome(
             loop=loop,
             machine=self.machine,

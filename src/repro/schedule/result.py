@@ -38,7 +38,7 @@ the default for the property-test suite, opt-in for sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from ..errors import ValidationError
 from ..ir.loop import Loop
@@ -90,14 +90,6 @@ class ScheduleStats:
     #: never exported, so artifacts stay bit-identical.
     feas_cache_hits: int = 0
     feas_cache_scans: int = 0
-    #: II-search telemetry (purely observational, never exported): the
-    #: exact sequence of IIs attempted, and the warm-start counters —
-    #: pruned slots adopted from a previous same-II attempt
-    #: (``warm_start_seeded``) vs. window slots actually skipped because
-    #: of an adopted prune (``warm_start_hits``).
-    ii_trace: Tuple[int, ...] = ()
-    warm_start_seeded: int = 0
-    warm_start_hits: int = 0
 
 
 @dataclass

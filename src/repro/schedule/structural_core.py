@@ -247,18 +247,8 @@ class StructuralAnalysis:
         placements: Optional[Dict[int, PlacementRow]] = None,
     ) -> None:
         self.ii = ii
-        # Handed-over rows may be array-backed (``array('q')``, bytearray,
-        # numpy) when the engine ran on the flat-array kernels; normalize
-        # to plain int lists here so ``matches``/``verify`` compare equal
-        # to the reference sweeps and exports never see array scalars.
-        self.fu_rows = {
-            key: row if type(row) is list else [int(x) for x in row]
-            for key, row in fu_rows.items()
-        }
-        self.bus_rows = {
-            bus: row if type(row) is list else [int(x) for x in row]
-            for bus, row in bus_rows.items()
-        }
+        self.fu_rows = fu_rows
+        self.bus_rows = bus_rows
         self.dep_edges = dep_edges
         self.dep_error = dep_error
         self.bus_error = bus_error

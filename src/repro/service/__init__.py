@@ -13,9 +13,7 @@ request/response contracts and one long-lived session object:
   metadata;
 * :class:`~repro.service.registry.SchedulerRegistry` /
   :class:`~repro.service.registry.MachineRegistry` — pluggable name
-  lookups with structured unknown-name errors (these replace the bare
-  ``SCHEDULERS`` dict and the CLI-private machine parser, which survive
-  as deprecation shims);
+  lookups with structured unknown-name errors;
 * :class:`~repro.service.session.ReproService` — the session that owns
   the worker pool, resolves the registries, memoizes responses by
   request fingerprint and exposes ``schedule()`` / ``evaluate()`` plus

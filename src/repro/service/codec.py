@@ -111,9 +111,6 @@ class StoredStats:
     ii_attempts: int = 0
     feas_cache_hits: int = 0
     feas_cache_scans: int = 0
-    ii_trace: Tuple[int, ...] = ()
-    warm_start_seeded: int = 0
-    warm_start_hits: int = 0
 
 
 @dataclass(frozen=True)
@@ -465,9 +462,6 @@ def _encode_outcome(outcome) -> Dict[str, Any]:
             ii_attempts=stats.ii_attempts,
             feas_cache_hits=stats.feas_cache_hits,
             feas_cache_scans=stats.feas_cache_scans,
-            ii_trace=list(stats.ii_trace),
-            warm_start_seeded=stats.warm_start_seeded,
-            warm_start_hits=stats.warm_start_hits,
         )
     else:
         entry["length"] = schedule.length
@@ -492,9 +486,6 @@ def _decode_outcome(entry: Dict[str, Any]) -> StoredOutcome:
                     ii_attempts=entry["ii_attempts"],
                     feas_cache_hits=entry.get("feas_cache_hits", 0),
                     feas_cache_scans=entry.get("feas_cache_scans", 0),
-                    ii_trace=tuple(entry.get("ii_trace", ())),
-                    warm_start_seeded=entry.get("warm_start_seeded", 0),
-                    warm_start_hits=entry.get("warm_start_hits", 0),
                 ),
             )
         else:

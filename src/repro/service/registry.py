@@ -44,8 +44,8 @@ class RegistryError(ReproError, KeyError):
     Structured: ``name`` is the offending key, ``kind`` the registry's
     entry kind (``"scheduler"`` or ``"machine"``) and ``alternatives``
     the sorted known names, so programmatic callers need not parse the
-    message.  Also a ``KeyError``, so callers of the deprecated
-    dict-based lookups keep catching what they always caught.
+    message.  Also a ``KeyError``, so callers written against plain
+    dict lookups keep catching what they always caught.
     """
 
     def __init__(self, kind: str, name: str, alternatives: List[str]) -> None:

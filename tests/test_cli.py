@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main, parse_machine
+from repro.cli import build_parser, main
 from repro.errors import ReproError
 from repro.machine.spec import parse_machine_spec
 
@@ -39,11 +39,6 @@ class TestParseMachineSpec:
             parse_machine_spec("2")
         with pytest.raises(ReproError):
             parse_machine_spec("2x32x1x1x9")
-
-    def test_cli_shim_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning):
-            machine = parse_machine("2x32")
-        assert machine == parse_machine_spec("2x32")
 
 
 class TestCommands:
@@ -123,15 +118,13 @@ class TestCommands:
         )
         assert code == 0
         payload = json.loads(path.read_text())
-        assert payload["schema"] == "repro-bench-cli/v5"
+        assert payload["schema"] == "repro-bench-cli/v6"
         assert payload["suite"] == "paper"
         # A local (non-daemon) run records no wire transport block.
         assert payload["wire"] is None
         assert payload["jobs"] == 1
         assert payload["oversubscribed"] is False
-        assert payload["engine_options"] == {
-            "array_kernels": True, "ii_warm_start": True,
-        }
+        assert "engine_options" not in payload
         assert "profile" not in payload
         assert payload["wall_seconds"] > 0
         assert set(payload["cpu_seconds_per_benchmark"]) == {
@@ -166,15 +159,13 @@ class TestCommands:
         cumtimes = [entry["cumtime"] for entry in profile["top"]]
         assert cumtimes == sorted(cumtimes, reverse=True)
 
-    def test_evaluate_no_array_kernels_matches_default(self, capsys):
+    def test_evaluate_verify_matches_default(self, capsys):
+        # The paranoid mode cross-checks every commit and re-validates
+        # every schedule from scratch; it must not change a single byte.
         argv = ["evaluate", "--programs", "1", "--format", "csv"]
         assert main(argv) == 0
         default = capsys.readouterr().out
-        assert main(argv + ["--no-array-kernels"]) == 0
-        assert capsys.readouterr().out == default
-        assert main(argv + ["--no-warm-start"]) == 0
-        assert capsys.readouterr().out == default
-        assert main(argv + ["--no-array-kernels", "--no-warm-start"]) == 0
+        assert main(argv + ["--verify"]) == 0
         assert capsys.readouterr().out == default
 
     def test_bench_warns_when_jobs_oversubscribe_host(self, tmp_path, capsys):

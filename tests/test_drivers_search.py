@@ -1,10 +1,17 @@
 """Tests of the II-search driver behaviour (stepping, recompute guard)."""
 
+from itertools import islice
+
 import pytest
 
 from repro.ir.builder import LoopBuilder
 from repro.machine.presets import four_cluster, two_cluster, unified
-from repro.schedule.drivers import BaseScheduler, GPScheduler, UracamScheduler
+from repro.schedule.drivers import (
+    BaseScheduler,
+    GPScheduler,
+    UracamScheduler,
+    ii_offsets,
+)
 from repro.schedule.engine import EngineOptions
 from repro.schedule.mii import mii
 from repro.workloads.generator import LoopShape, generate_loop
@@ -83,6 +90,29 @@ class TestIISearch:
         outcome = scheduler.schedule(loop)
         assert not outcome.is_modulo
         assert outcome.ipc() > 0
+
+
+def test_ii_search_escalates_strictly():
+    """The search never revisits an II, and a schedule's final II and
+    attempt count replay exactly the IIs its driver tried."""
+    assert list(islice(ii_offsets(), 8)) == [0, 1, 2, 4, 6, 8, 12, 16]
+    shape = LoopShape(
+        40, mem_ratio=0.3, depth_bias=0.35, recurrences=1, trip_count=150
+    )
+    escalated = 0
+    for seed in range(3):
+        scheduler = _CountingScheduler(four_cluster(16))
+        outcome = scheduler.schedule(generate_loop("escalate", shape, seed))
+        if not outcome.is_modulo:
+            continue
+        tried = scheduler.tried
+        assert tried == sorted(set(tried))
+        assert len(tried) == outcome.schedule.stats.ii_attempts
+        assert tried[-1] == outcome.schedule.ii
+        start = tried[-1] - list(islice(ii_offsets(), len(tried)))[-1]
+        assert tried == [start + o for o in islice(ii_offsets(), len(tried))]
+        escalated += len(tried) > 1
+    assert escalated
 
 
 class TestGPRecomputeGuard:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.eval.metrics import aggregate_ipc, arithmetic_mean, percent_gain, speedup
 from repro.eval.report import format_bar_chart, format_table
-from repro.eval.runner import make_scheduler, run_benchmark, run_suite
+from repro.eval.runner import run_benchmark, run_suite
 from repro.machine.presets import two_cluster, unified
 from repro.service import SCHEDULERS
 from repro.workloads.spec import Benchmark, make_benchmark
@@ -42,18 +42,6 @@ class TestMetrics:
 class TestRunner:
     def make_mini_benchmark(self):
         return Benchmark(name="mini", loops=(daxpy(), stencil5()))
-
-    def test_make_scheduler_shim_warns_but_works(self):
-        # The legacy entry point survives as a deprecation shim over the
-        # service registry: same result, plus a DeprecationWarning.
-        with pytest.warns(DeprecationWarning):
-            s = make_scheduler("gp", two_cluster(64))
-        assert s.name == "gp"
-
-    def test_make_scheduler_shim_unknown_still_keyerror(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(KeyError):
-                make_scheduler("nope", two_cluster(64))
 
     def test_run_benchmark_collects_all_loops(self):
         result = run_benchmark(
@@ -125,3 +113,28 @@ class TestFigureHelpers:
         panel = figure2_panel(2, 64, suite=[mini])
         assert set(panel.series) == {"unified", "uracam", "fixed-partition", "gp"}
         assert all(v[0] > 0 for v in panel.series.values())
+
+
+def test_ii_search_stats_aggregation():
+    from repro.eval.metrics import ii_search_stats
+    from repro.machine.presets import four_cluster
+    from repro.schedule.drivers import GPScheduler
+    from repro.workloads.generator import LoopShape, generate_loop
+
+    shape = LoopShape(
+        40, mem_ratio=0.3, depth_bias=0.35, recurrences=1, trip_count=150
+    )
+    outcomes = [
+        GPScheduler(four_cluster(16)).schedule(generate_loop("iis", shape, seed))
+        for seed in range(3)
+    ]
+    stats = ii_search_stats(outcomes)
+    modulo = [o for o in outcomes if o.is_modulo]
+    assert stats["attempts"] == sum(
+        o.schedule.stats.ii_attempts for o in modulo
+    )
+    assert sum(stats["per_ii_attempts"].values()) == stats["attempts"]
+    # Every search ends at the II its schedule landed on.
+    for outcome in modulo:
+        assert str(outcome.schedule.ii) in stats["per_ii_attempts"]
+    assert set(stats) == {"attempts", "per_ii_attempts"}

@@ -1,0 +1,99 @@
+"""Golden schedule digests: the engine's output is pinned bit for bit.
+
+Each digest is the sha256 of a canonical text rendering of every
+schedule in one (workload, scheduler) cell: the II, the sorted
+placements, the sorted auxiliary operations and the bus transfers.
+The digests were recorded before the engine's reservation table and
+pressure session were collapsed onto a single flat-list layout, so any
+refactor of the hot path that changes a single placement fails here.
+A *deliberate* schedule change must re-record them and say why.
+
+Workloads:
+
+* every paper-suite loop on the 4x32 Table-1 machine;
+* eight seeded spill-heavy loops on a halved 2-cluster register file
+  (``two_cluster(16)``), which drives the spill transformation and
+  communication through memory.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from repro.machine.presets import four_cluster, two_cluster
+from repro.schedule.drivers import (
+    FixedPartitionScheduler,
+    GPScheduler,
+    UracamScheduler,
+)
+from repro.schedule.result import ModuloSchedule
+from repro.workloads.generator import LoopShape, generate_loop
+from repro.workloads.spec import spec_suite
+
+SCHEDULERS = {
+    cls.name: cls
+    for cls in (UracamScheduler, FixedPartitionScheduler, GPScheduler)
+}
+
+SPILL_SHAPE = LoopShape(
+    40, mem_ratio=0.3, depth_bias=0.35, recurrences=1, trip_count=150
+)
+
+GOLDEN = {
+    ("paper-4x32", "uracam"):
+        "907157d12aab7b4cfc7f604cafa0aa4bacf6d6aa61399d69fdb0f9b0cb13f644",
+    ("paper-4x32", "fixed-partition"):
+        "5dc959c4c777c1fe532bc77da4afdb41ec1239c172106a38cef20c54c7d2a78d",
+    ("paper-4x32", "gp"):
+        "97b18a84f5964a3d1351e733a0fea50e54494db162e1218471a865a11684c8ea",
+    ("spill-2x16", "uracam"):
+        "bfefdeee6570a52d1623ddaf4a5472d47114e93693dab9533b8a5cab498d099d",
+    ("spill-2x16", "fixed-partition"):
+        "1554575e303ecf1c66642b8300af682dc4bf9578f99f30df3f702209ae6bd001",
+    ("spill-2x16", "gp"):
+        "cbb8ca06edbcd6b2887ffb15a745023e409c263f467d4ceb957789ac72688818",
+}
+
+
+def _workload(name):
+    if name == "paper-4x32":
+        loops = [loop for bench in spec_suite() for loop in bench.loops]
+        return four_cluster(32), loops
+    loops = [generate_loop("golden-spill", SPILL_SHAPE, seed) for seed in range(8)]
+    return two_cluster(16), loops
+
+
+def schedule_record(schedule) -> str:
+    """Canonical one-line rendering of everything a schedule decides."""
+    if not isinstance(schedule, ModuloSchedule):
+        return f"list {sorted(schedule.placements.items())} {schedule.length}"
+    placements = sorted(
+        (uid, p.cluster, p.time) for uid, p in schedule.placements.items()
+    )
+    aux = sorted(
+        (a.kind, a.value_producer, a.cluster, a.time) for a in schedule.aux_ops
+    )
+    transfers = sorted(
+        (uid, t.slot.bus, t.slot.start, t.slot.length, t.dst_cluster)
+        for uid, value in schedule.values.items()
+        for t in value.transfers
+    )
+    return f"{schedule.ii} {placements} {aux} {transfers}"
+
+
+def digest(workload: str, scheduler: str) -> str:
+    machine, loops = _workload(workload)
+    sha = hashlib.sha256()
+    for loop in loops:
+        outcome = SCHEDULERS[scheduler](machine).schedule(loop)
+        sha.update(f"{loop.name}: {schedule_record(outcome.schedule)}\n".encode())
+    return sha.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "workload,scheduler", sorted(GOLDEN), ids=lambda part: str(part)
+)
+def test_golden_schedule_digest(workload, scheduler):
+    assert digest(workload, scheduler) == GOLDEN[(workload, scheduler)]

@@ -14,7 +14,8 @@ contracts enforced here:
 * a cached session that went stale against the raw schedule is caught
   by the full recheck (and by ``StructuralAnalysis.verify``);
 * the candidate-feasibility cache is behaviour-preserving: schedules
-  produced with the cache on and off are bit-identical.
+  produced with the cache pruning and with pruning disabled are
+  bit-identical.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from repro.schedule.drivers import (
     GPScheduler,
     UracamScheduler,
 )
-from repro.schedule.engine import EngineOptions
+from repro.schedule.engine import EngineOptions, SchedulingEngine
 from repro.schedule.mrt import BusSlot
 from repro.schedule.result import AuxOp, ModuloSchedule, Placed
 from repro.schedule.structural_core import StructuralAnalysis, placement_rows
@@ -375,16 +376,18 @@ def test_feasibility_cache_is_behaviour_preserving(
     Tight register files force spill rounds — exactly where the cache
     prunes — so this also exercises the invariance argument (a spill
     only adds FU reservations and never widens a dependence window).
+    Emptying the engine's spill-invariant reason set disables pruning.
     """
     machine = two_cluster(registers)
     cached = _outcome(
         shape, seed, scheduler_cls=scheduler_cls, machine=machine,
-        options=EngineOptions(feas_cache=True, verify_pressure=True),
+        options=EngineOptions(verify_pressure=True),
     )
-    plain = _outcome(
-        shape, seed, scheduler_cls=scheduler_cls, machine=machine,
-        options=EngineOptions(feas_cache=False),
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SchedulingEngine, "_SPILL_INVARIANT", frozenset())
+        plain = _outcome(
+            shape, seed, scheduler_cls=scheduler_cls, machine=machine,
+        )
     assert cached.is_modulo == plain.is_modulo
     if not cached.is_modulo:
         return

@@ -41,23 +41,28 @@ def effective_length(dep: Dependence, ii: int) -> int:
 # ----------------------------------------------------------------------
 # Recurrence-constrained minimum initiation interval
 # ----------------------------------------------------------------------
-def _has_positive_cycle(ddg: DataDependenceGraph, ii: int) -> bool:
-    """True if some dependence cycle has positive total effective length."""
-    dist: Dict[int, int] = {uid: 0 for uid in ddg.uids()}
-    n = ddg.num_operations
-    edges = list(ddg.edges())
+def _has_positive_cycle(
+    n: int, edges: List[Tuple[int, int, int, int]], ii: int
+) -> bool:
+    """True if some dependence cycle has positive total effective length.
+
+    ``edges`` holds ``(src index, dst index, latency, distance)`` of every
+    edge of a graph with ``n`` operations, in edge order.
+    """
+    relax = [(si, di, lat - ii * distance) for si, di, lat, distance in edges]
+    dist = [0] * n
     for iteration in range(n):
         changed = False
-        for dep in edges:
-            cand = dist[dep.src] + effective_length(dep, ii)
-            if cand > dist[dep.dst]:
-                dist[dep.dst] = cand
+        for si, di, length in relax:
+            cand = dist[si] + length
+            if cand > dist[di]:
+                dist[di] = cand
                 changed = True
         if not changed:
             return False
     # A relaxation in the n-th pass means an improving (positive) cycle.
-    for dep in edges:
-        if dist[dep.src] + effective_length(dep, ii) > dist[dep.dst]:
+    for si, di, length in relax:
+        if dist[si] + length > dist[di]:
             return True
     return False
 
@@ -80,14 +85,20 @@ def rec_mii(ddg: DataDependenceGraph) -> int:
     if ddg.num_operations == 0:
         result = 1
     else:
+        n = ddg.num_operations
+        index = {uid: i for i, uid in enumerate(ddg.uids())}
+        edges = [
+            (index[dep.src], index[dep.dst], dep.latency, dep.distance)
+            for dep in ddg.edges()
+        ]
         hi = max(1, sum(dep.latency for dep in ddg.edges()))
-        if not _has_positive_cycle(ddg, 1):
+        if not _has_positive_cycle(n, edges, 1):
             result = 1
         else:
             lo = 1  # known infeasible
             while hi - lo > 1:
                 mid = (lo + hi) // 2
-                if _has_positive_cycle(ddg, mid):
+                if _has_positive_cycle(n, edges, mid):
                     lo = mid
                 else:
                     hi = mid

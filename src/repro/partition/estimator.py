@@ -32,7 +32,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from operator import add
+from typing import (
+    Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
 from ..errors import PartitionError
 from ..ir.analysis import analyze
@@ -173,6 +176,15 @@ class PartitionEstimator:
             (self._index_of[src], self._index_of[dst], lat, distance, carries)
             for src, dst, lat, distance, carries in self._edges
         ]
+        # (src index, dst index, is back edge) per edge, for the longest-path
+        # sweeps.  A back edge's destination does not come after its source
+        # in topological order; the edges are sorted by source position, so
+        # a Bellman-Ford sweep in which no back edge relaxes has already
+        # reached the fixpoint.
+        self._sweep_edges: List[Tuple[int, int, bool]] = [
+            (self._index_of[src], self._index_of[dst], position[dst] <= position[src])
+            for src, dst, _l, _d, _c in self._edges
+        ]
         self._latency_arr = [self._op_latency[uid] for uid in self._uids]
         self._class_arr = [self._class_of[uid] for uid in self._uids]
         # ii -> per-edge base length (latency - ii*distance), reused across
@@ -295,6 +307,8 @@ class PartitionEstimator:
         cluster_class_counts: Optional[Sequence[Sequence[int]]],
         assignment: Optional[Assignment] = None,
         asg: Optional[List[int]] = None,
+        incumbent: Optional[Tuple[int, int, int]] = None,
+        live_floor: Optional[Callable[[int], Optional[int]]] = None,
     ) -> Optional[PartitionEstimate]:
         """Shared pricing tail of :meth:`estimate` and :meth:`estimate_preview`.
 
@@ -302,7 +316,15 @@ class PartitionEstimator:
         is only derived on bus overflow, and a callable ``cut_idx`` is only
         materialized when the critical path is actually computed (i.e. the
         candidate survived both prunes).
+
+        ``incumbent`` — a full ``(exec_time, -cut_slack, cut_edges)`` score
+        to beat — implies ``bound = incumbent[0]`` and lets the second prune
+        settle exec-time ties on the slack and cut count it already knows.
+        ``live_floor(ii)`` may return a further lower bound on the critical
+        path at a feasible ``ii`` (see :meth:`CommPreview.live_path_floor`).
         """
+        if incumbent is not None:
+            bound = incumbent[0]
         ii_bus = (
             math.ceil(ncomm * self._bus_latency / self._num_buses)
             if (self._clustered and ncomm)
@@ -343,12 +365,25 @@ class PartitionEstimator:
         if bound is not None:
             # Second exact prune with the tighter ii_est.  When ii_est is
             # provably feasible for any cut set (>= the all-cut recurrence
-            # MII) the uncut path *at ii_est* is a valid floor; otherwise
-            # the II could still rise and shrink the path, so only the
-            # global floor is sound.
+            # MII) the uncut path *at ii_est* is a valid floor, and so is a
+            # live floor; otherwise the II could still rise and shrink the
+            # path, so only the global floor is sound.
             if ii_est >= self._all_cut_mii():
-                floor = self._nocut_at(ii_est)
-                if floor is not None and trip * ii_est + floor > bound:
+                base = trip * ii_est
+
+                def loses(floor: Optional[int]) -> bool:
+                    # A candidate wins only with a score strictly below the
+                    # incumbent, and its exec time is at least base + floor
+                    # (a pressure penalty only raises it further).
+                    if floor is None:
+                        return False
+                    if incumbent is not None:
+                        return (base + floor, -slack_total, cut_count) >= incumbent
+                    return base + floor > bound
+
+                if loses(self._nocut_at(ii_est)):
+                    return None
+                if live_floor is not None and loses(live_floor(ii_est)):
                     return None
             else:
                 floor = self._path_floor()
@@ -387,11 +422,15 @@ class PartitionEstimator:
         preview: "CommPreview",
         bound: Optional[int] = None,
         cluster_class_counts: Optional[Sequence[Sequence[int]]] = None,
+        incumbent: Optional[Tuple[int, int, int]] = None,
     ) -> Optional[PartitionEstimate]:
         """Price a previewed move set without mutating any state.
 
         ``cluster_class_counts`` is required (there is no assignment to
-        recount from).
+        recount from).  With ``incumbent`` — the full score to beat — the
+        prunes are tie-aware and may use the live assignment's critical
+        path as a floor; None then means the candidate's full score is not
+        strictly below ``incumbent``.
         """
         if cluster_class_counts is None:
             raise PartitionError("estimate_preview requires cluster_class_counts")
@@ -403,7 +442,28 @@ class PartitionEstimator:
             cut_idx=preview.cut_for_path,
             bound=bound,
             cluster_class_counts=cluster_class_counts,
+            incumbent=incumbent,
+            live_floor=preview.live_path_floor,
         )
+
+    def max_ncomm(self, bound: int) -> float:
+        """The largest transfer count that survives the first bound prune.
+
+        A candidate with more transfers than this has ``exec_time > bound``
+        whatever else it does, so the refiner rejects it from its transfer
+        count alone, before building a preview.  Returns ``math.inf`` when
+        the prune cannot fire and -1 when it rejects every candidate.
+        """
+        floor = self._path_floor()
+        if floor is None:
+            return math.inf
+        trip = self.loop.trip_count - 1
+        if trip * self.ii + floor > bound:
+            return -1
+        if not self._clustered or trip <= 0:
+            return math.inf
+        # trip * max(ii, ceil(ncomm * lat / buses)) + floor <= bound
+        return (bound - floor) // trip * self._num_buses // self._bus_latency
 
     def _path_floor(self) -> Optional[int]:
         """The uncut critical path at an II no estimate can exceed.
@@ -486,33 +546,92 @@ class PartitionEstimator:
         no cut edges); the per-edge base lengths are cached per II across
         estimates.
         """
-        n = self._n
-        if not n:
+        if not self._n:
             return 0
+        dist = self._start_times(self._lengths(cut_idx, ii))
+        if dist is None:
+            return None
+        return max(map(add, dist, self._latency_arr))
+
+    def _lengths(self, cut_idx: Optional[Sequence[int]], ii: int) -> List[int]:
+        """Per-edge lengths at ``ii``, bus latency added on the cut edges."""
         base = self._length_cache.get(ii)
         if base is None:
             base = [lat - ii * distance for _si, _di, lat, distance, _c in self._iedges]
             self._length_cache[ii] = base
-        bus = self._bus_latency
         if not cut_idx:
-            lengths = base
-        else:
-            lengths = list(base)
-            for i in cut_idx:
-                lengths[i] += bus
-        iedges = self._iedges
-        dist = [0] * n
-        for _ in range(n + 1):
+            return base
+        lengths = list(base)
+        bus = self._bus_latency
+        for i in cut_idx:
+            lengths[i] += bus
+        return lengths
+
+    def _start_times(self, lengths: Sequence[int]) -> Optional[List[int]]:
+        """Bellman-Ford longest-path start times, or None on a positive cycle.
+
+        The first sweep follows the topological edge order, so unless a
+        back edge relaxes in it, it has already reached the fixpoint and
+        the confirming second sweep is skipped.
+        """
+        edges = self._sweep_edges
+        dist = [0] * self._n
+        back_relaxed = False
+        for (si, di, back), length in zip(edges, lengths):
+            cand = dist[si] + length
+            if cand > dist[di]:
+                dist[di] = cand
+                if back:
+                    back_relaxed = True
+        if not back_relaxed:
+            return dist
+        for _ in range(self._n):
             changed = False
-            for (si, di, _lat, _distance, _c), length in zip(iedges, lengths):
+            for (si, di, _back), length in zip(edges, lengths):
                 cand = dist[si] + length
                 if cand > dist[di]:
                     dist[di] = cand
                     changed = True
             if not changed:
-                latency_arr = self._latency_arr
-                return max(dist[i] + latency_arr[i] for i in range(n))
+                return dist
         return None
+
+    def _critical_cut(
+        self, cut_idx: Sequence[int], ii: int
+    ) -> Optional[Tuple[int, FrozenSet[int]]]:
+        """Critical path at ``ii`` and the cut edges lying on a critical path.
+
+        An edge ``u -> v`` is critical when ``dist[u] + len + tail[v]``
+        equals the path, ``tail[v]`` being the longest path from ``v``'s
+        start to the end of the iteration.  Returns None if ``ii`` is
+        infeasible for ``cut_idx``.
+        """
+        lengths = self._lengths(cut_idx, ii)
+        dist = self._start_times(lengths)
+        if dist is None:
+            return None
+        latency_arr = self._latency_arr
+        path = max(map(add, dist, latency_arr))
+        # The backward sweep walks the edges in reverse topological order of
+        # their sources, so (like the forward one) it settles in about one
+        # pass instead of depth-many.
+        edges = self._sweep_edges
+        backward = list(zip(edges, lengths))
+        backward.reverse()
+        tail = list(latency_arr)
+        changed = True
+        while changed:
+            changed = False
+            for (si, di, _back), length in backward:
+                cand = length + tail[di]
+                if cand > tail[si]:
+                    tail[si] = cand
+                    changed = True
+        critical = frozenset(
+            i for i in cut_idx
+            if dist[edges[i][0]] + lengths[i] + tail[edges[i][1]] == path
+        )
+        return path, critical
 
     # ------------------------------------------------------------------
     def comm_session(self, assignment: Assignment) -> "CommState":
@@ -568,6 +687,8 @@ class CommState:
         "cut",
         "slack_total",
         "pair_counts",
+        "_critical",
+        "_comm_mem",
     )
 
     def __init__(self, est: PartitionEstimator, assignment: Assignment) -> None:
@@ -577,6 +698,10 @@ class CommState:
         self.cut: Set[int] = set()
         self.slack_total = 0
         self.pair_counts: Dict[Tuple[int, int], int] = {}
+        # Derived views of the live assignment, dropped by every move:
+        # ii -> :meth:`critical_at`, and :meth:`derive_comm_mem`.
+        self._critical: Dict[int, Optional[Tuple[int, FrozenSet[int]]]] = {}
+        self._comm_mem: Optional[List[int]] = None
         asg = self.asg
         for i, si, di, slack in est._carry_edges:
             cs = asg[si]
@@ -608,14 +733,17 @@ class CommState:
         Derived on demand from the live pair set: the producer's cluster is
         read from the *current* assignment, so producer moves that keep a
         pair alive charge the right cluster (a running counter updated on
-        pair create/destroy would go stale).
+        pair create/destroy would go stale).  Cached until the next move;
+        returns a fresh list.
         """
-        mem = [0] * self.est.machine.num_clusters
-        asg = self.asg
-        for si, cd in self.pair_counts:
-            mem[asg[si]] += 1
-            mem[cd] += 1
-        return mem
+        if self._comm_mem is None:
+            mem = [0] * self.est.machine.num_clusters
+            asg = self.asg
+            for si, cd in self.pair_counts:
+                mem[asg[si]] += 1
+                mem[cd] += 1
+            self._comm_mem = mem
+        return list(self._comm_mem)
 
     # -- updates -------------------------------------------------------
     def records_for(self, uids: Sequence[int]) -> Tuple[Tuple[int, int, int, int], ...]:
@@ -631,6 +759,11 @@ class CommState:
             for record in est._incident_carry[index_of[uid]]:
                 affected[record[0]] = record
         return tuple(affected.values())
+
+    def index_set(self, uids: Sequence[int]) -> FrozenSet[int]:
+        """The uid indices of a group, as :meth:`preview_ncomm` takes them."""
+        index_of = self.est._index_of
+        return frozenset(index_of[uid] for uid in uids)
 
     def move_uids(
         self,
@@ -648,6 +781,8 @@ class CommState:
         asg = self.asg
         if records is None:
             records = self.records_for(uids)
+        self._critical.clear()
+        self._comm_mem = None
         for uid in uids:
             asg[index_of[uid]] = target
         edge_clusters = self.edge_clusters
@@ -721,6 +856,55 @@ class CommState:
             cut_removed, cut_added,
         )
 
+    def preview_ncomm(
+        self,
+        moves: Sequence[Tuple[FrozenSet[int], Sequence[Tuple[int, int, int, int]], int]],
+    ) -> int:
+        """The transfer count after ``moves``, and nothing else.
+
+        ``moves`` holds one ``(index_set, records, target_cluster)`` group
+        move, or two for a swap; ``index_set`` is the group's
+        :meth:`index_set`.  Equals ``preview_moves(...).ncomm`` at a
+        fraction of the cost: the refiner rejects most candidates on this
+        count alone (see :meth:`PartitionEstimator.max_ncomm`).
+        """
+        members, records, target = moves[0]
+        if len(moves) > 1:
+            other, other_records, other_target = moves[1]
+            records = {r[0]: r for r in (*records, *other_records)}.values()
+        else:
+            other, other_target = (), None
+        asg = self.asg
+        edge_clusters = self.edge_clusters
+        pair_counts = self.pair_counts
+        ncomm = len(pair_counts)
+        pair_delta: Dict[Tuple[int, int], int] = {}
+        for i, si, di, _slack in records:
+            old_cs, old_cd = edge_clusters[i]
+            new_cs = (
+                target if si in members
+                else other_target if si in other else asg[si]
+            )
+            new_cd = (
+                target if di in members
+                else other_target if di in other else asg[di]
+            )
+            if old_cs == new_cs and old_cd == new_cd:
+                continue
+            if old_cs != old_cd:
+                pair = (si, old_cd)
+                delta = pair_delta.get(pair, 0) - 1
+                pair_delta[pair] = delta
+                if pair_counts.get(pair, 0) + delta == 0:
+                    ncomm -= 1
+            if new_cs != new_cd:
+                pair = (si, new_cd)
+                delta = pair_delta.get(pair, 0)
+                if pair_counts.get(pair, 0) + delta == 0:
+                    ncomm += 1
+                pair_delta[pair] = delta + 1
+        return ncomm
+
     # -- queries -------------------------------------------------------
     @property
     def ncomm(self) -> int:
@@ -729,6 +913,15 @@ class CommState:
     @property
     def cut_count(self) -> int:
         return len(self.cut)
+
+    def critical_at(self, ii: int) -> Optional[Tuple[int, FrozenSet[int]]]:
+        """The live assignment's critical path at ``ii`` and its critical
+        cut edges (cached until the next move; None if ``ii`` is
+        infeasible for the live cut set)."""
+        critical = self._critical
+        if ii not in critical:
+            critical[ii] = self.est._critical_cut(self.cut, ii)
+        return critical[ii]
 
     def verify(self, assignment: Assignment) -> None:
         """Assert this state equals a fresh full-sweep derivation."""
@@ -740,6 +933,10 @@ class CommState:
             or self.pair_counts != fresh.pair_counts
             or self.edge_clusters != fresh.edge_clusters
             or self.derive_comm_mem() != fresh.derive_comm_mem()
+            or any(
+                cached != fresh.critical_at(ii)
+                for ii, cached in self._critical.items()
+            )
         ):
             raise AssertionError(
                 "delta-maintained CommState diverged from the full sweep"
@@ -793,21 +990,40 @@ class CommPreview:
         cut.update(self.cut_added)
         return cut
 
+    def live_path_floor(self, ii: int) -> Optional[int]:
+        """A floor on this preview's critical path at a feasible ``ii``.
+
+        If the move un-cuts no edge that lies on a critical path of the
+        live assignment, every such path keeps (or grows) its length, so
+        the live critical path bounds the preview's from below.  Returns
+        None when that does not hold.
+        """
+        live = self.state.critical_at(ii)
+        if live is None:
+            return None
+        path, critical = live
+        return path if critical.isdisjoint(self.cut_removed) else None
+
     def derive_comm_mem(self) -> List[int]:
-        """Per-cluster memory-route usage under this preview."""
+        """Per-cluster memory-route usage under this preview.
+
+        A delta over the live usage: only pairs in ``pair_delta`` can
+        change their charge.  That includes every live pair whose producer
+        changes cluster, because the producer's edge behind such a pair was
+        cut and changes its clusters, so the preview counted it down.
+        """
         state = self.state
         asg = state.asg
         over = self.over
-        pair_delta = self.pair_delta
-        mem = [0] * state.est.machine.num_clusters
-        for pair, count in state.pair_counts.items():
-            if count + pair_delta.get(pair, 0) > 0:
-                si, cd = pair
-                mem[over.get(si, asg[si])] += 1
-                mem[cd] += 1
-        for pair, delta in pair_delta.items():
-            if pair not in state.pair_counts and delta > 0:
-                si, cd = pair
+        pair_counts = state.pair_counts
+        mem = state.derive_comm_mem()
+        for pair, delta in self.pair_delta.items():
+            si, cd = pair
+            count = pair_counts.get(pair, 0)
+            if count:
+                mem[asg[si]] -= 1
+                mem[cd] -= 1
+            if count + delta > 0:
                 mem[over.get(si, asg[si])] += 1
                 mem[cd] += 1
         return mem

@@ -360,6 +360,9 @@ class PressureCommPreview:
     def cut_for_path(self):
         return self.base.cut_for_path()
 
+    def live_path_floor(self, ii: int) -> Optional[int]:
+        return self.base.live_path_floor(ii)
+
     # Pressure -----------------------------------------------------------
     def pressure_arrays(self) -> Tuple[List[int], List[int]]:
         if self._arrays is None:
@@ -459,9 +462,13 @@ class PressureAwareEstimator(PartitionEstimator):
             )
         return self._apply_penalty(base, excess)
 
-    def estimate_preview(self, preview, bound=None, cluster_class_counts=None):
+    def estimate_preview(self, preview, bound=None, cluster_class_counts=None,
+                         incumbent=None):
+        # As in estimate(): the penalty only raises exec_time, so every
+        # base prune (the tie-aware one included) stays exact.
         base = super().estimate_preview(
-            preview, bound=bound, cluster_class_counts=cluster_class_counts
+            preview, bound=bound, cluster_class_counts=cluster_class_counts,
+            incumbent=incumbent,
         )
         if base is None:
             return None

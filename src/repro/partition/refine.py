@@ -19,8 +19,12 @@ improve the partition induced by the coarser level:
    termination.
 
 The candidate evaluation loop is the partitioner's hot path; cluster loads
-are maintained incrementally and the uid-level assignment is mutated in
-place (and restored) around each trial estimate.
+are maintained incrementally and candidates are priced through
+mutation-free previews of a delta-maintained communication session.  Most
+candidates are rejected by exact bound prunes against the incumbent score
+before a preview is built, or before its critical path is computed.  An
+estimator without previews is priced by mutating the assignment in place
+(and restoring it) around each trial estimate.
 """
 
 from __future__ import annotations
@@ -69,12 +73,11 @@ class Refiner:
         self.max_swaps_per_group = max_swaps_per_group
         self._ddg = estimator.loop.ddg
         self._capacity = self._capacity_at(estimator.ii)
-        #: Capacity used by the cut-minimization move checks; re-derived each
-        #: round from the current partition's own implied II (see
-        #: :meth:`minimize_cut_impact`): when IIbus inflates the interval,
-        #: the extra slots make *gathering* moves feasible, which is exactly
-        #: the trade the estimator needs to be allowed to price.
-        self._cut_capacity = self._capacity
+        #: uid -> class index, shared by every level's group counts.
+        self._class_of = {
+            uid: _CLASS_INDEX[self._ddg.operation(uid).op_class]
+            for uid in self._ddg.uids()
+        }
 
     def _capacity_at(self, ii: int) -> List[List[int]]:
         """capacity[cluster][class index] — issue slots at this II."""
@@ -100,10 +103,11 @@ class Refiner:
     def _class_counts(self, level: Level) -> Dict[int, List[int]]:
         """Operations of each class (by class index) inside each group."""
         counts: Dict[int, List[int]] = {}
+        class_of = self._class_of
         for gid, uids in level.items():
             per = [0] * _N_CLASSES
             for uid in uids:
-                per[_CLASS_INDEX[self._ddg.operation(uid).op_class]] += 1
+                per[class_of[uid]] += 1
             counts[gid] = per
         return counts
 
@@ -208,7 +212,7 @@ class Refiner:
 
     def _move_fits(self, loads, class_counts, gid, source, target) -> bool:
         target_loads = loads[target]
-        cap = self._cut_capacity[target]
+        cap = self._capacity[target]
         for idx, count in enumerate(class_counts[gid]):
             if count and target_loads[idx] + count > cap[idx]:
                 return False
@@ -219,8 +223,8 @@ class Refiner:
         counts_o = class_counts[other]
         loads_g = loads[cl_g]
         loads_o = loads[cl_o]
-        cap_g = self._cut_capacity[cl_g]
-        cap_o = self._cut_capacity[cl_o]
+        cap_g = self._capacity[cl_g]
+        cap_o = self._capacity[cl_o]
         for idx in range(_N_CLASSES):
             delta_g = counts_g[idx]
             delta_o = counts_o[idx]
@@ -248,6 +252,12 @@ class Refiner:
             if cu != cv:
                 neighbour_clusters[gu].add(cv)
                 neighbour_clusters[gv].add(cu)
+        # Swap partners: the smallest groups of each cluster, in size order.
+        partners: List[List[int]] = [[] for _ in range(self.machine.num_clusters)]
+        for other in gids_by_size:
+            partners[groups[other]].append(other)
+        for row in partners:
+            del row[self.max_swaps_per_group:]
 
         candidates: List[_Candidate] = []
         for gid in sorted_gids:
@@ -258,18 +268,12 @@ class Refiner:
             for target in sorted(neighbours):
                 if self._move_fits(loads, class_counts, gid, source, target):
                     candidates.append(_Candidate(gid, target))
-                else:
-                    count = 0
-                    for other in gids_by_size:
-                        if groups[other] != target or other == gid:
-                            continue
-                        count += 1
-                        if self._swap_fits(
-                            loads, class_counts, gid, other, source, target
-                        ):
-                            candidates.append(_Candidate(gid, target, swap_with=other))
-                        if count >= self.max_swaps_per_group:
-                            break
+                    continue
+                for other in partners[target]:
+                    if self._swap_fits(
+                        loads, class_counts, gid, other, source, target
+                    ):
+                        candidates.append(_Candidate(gid, target, swap_with=other))
         return candidates
 
     def minimize_cut_impact(
@@ -295,8 +299,10 @@ class Refiner:
         loads = self._cluster_loads(level, groups, class_counts)
         comm = self.estimator.comm_session(assignment)
         # Per-group constants of this level: incident carry-edge records for
-        # the delta updates, and the candidate/swap orderings.
+        # the delta updates, member index sets for the transfer-count
+        # check, and the candidate/swap orderings.
         group_records = {gid: comm.records_for(uids) for gid, uids in level.items()}
+        group_members = {gid: comm.index_set(uids) for gid, uids in level.items()}
         sorted_gids = sorted(level)
         gids_by_size = sorted(level, key=lambda g: (len(level[g]), g))
         current = self._score(assignment, loads=loads, comm=comm)
@@ -330,31 +336,47 @@ class Refiner:
                 )
 
         use_preview = getattr(self.estimator, "supports_preview", False)
+        # exec-time bound -> estimator.max_ncomm(bound)
+        ncomm_caps: Dict[int, float] = {}
 
-        def preview_score(cand: _Candidate, bound: int):
-            """Score a candidate without mutating any state."""
-            moves = [
-                (level[cand.group], group_records[cand.group], cand.to_cluster)
-            ]
-            deltas = [(cand.group, groups[cand.group], cand.to_cluster)]
-            if cand.swap_with is not None:
-                src_g = groups[cand.group]
-                moves.append(
-                    (level[cand.swap_with], group_records[cand.swap_with], src_g)
+        def preview_score(cand: _Candidate, incumbent: Tuple[int, int, int]):
+            """Score a candidate without mutating any state.
+
+            Returns None when the candidate provably cannot beat
+            ``incumbent``: first from its transfer count alone, then from
+            the estimator's tie-aware bound prunes.
+            """
+            gid, target, other = cand.group, cand.to_cluster, cand.swap_with
+            src_g = groups[gid]
+            index_moves = [(group_members[gid], group_records[gid], target)]
+            if other is not None:
+                index_moves.append(
+                    (group_members[other], group_records[other], src_g)
                 )
-                deltas.append((cand.swap_with, groups[cand.swap_with], src_g))
+            cap = ncomm_caps.get(incumbent[0])
+            if cap is None:
+                cap = ncomm_caps[incumbent[0]] = self.estimator.max_ncomm(
+                    incumbent[0]
+                )
+            if comm.preview_ncomm(index_moves) > cap:
+                return None
+            moves = [(level[gid], group_records[gid], target)]
+            deltas = [(gid, src_g, target)]
+            if other is not None:
+                moves.append((level[other], group_records[other], src_g))
+                deltas.append((other, groups[other], src_g))
             loads_preview = [row[:] for row in loads]
-            for gid, source, target in deltas:
+            for moved, source, dest in deltas:
                 source_row = loads_preview[source]
-                target_row = loads_preview[target]
-                for idx, count in enumerate(class_counts[gid]):
+                target_row = loads_preview[dest]
+                for idx, count in enumerate(class_counts[moved]):
                     if count:
                         source_row[idx] -= count
                         target_row[idx] += count
             est = self.estimator.estimate_preview(
                 comm.preview_moves(moves),
-                bound=bound,
                 cluster_class_counts=loads_preview,
+                incumbent=incumbent,
             )
             if est is None:
                 return None
@@ -368,17 +390,18 @@ class Refiner:
             best: Optional[Tuple[Tuple[int, int, int], _Candidate]] = None
             for cand in candidates:
                 # A winner must beat both the incumbent partition and the
-                # best candidate so far; their exec time is an exact prune
-                # bound (best[0] <= current once any candidate won).
-                bound = best[0][0] if best is not None else current[0]
+                # best candidate so far (best[0] < current once any
+                # candidate won), so the lower of the two is an exact prune
+                # bound.
+                incumbent = best[0] if best is not None else current
                 if use_preview:
-                    score = preview_score(cand, bound)
+                    score = preview_score(cand, incumbent)
                 else:
                     # apply_candidate keeps the comm session in sync, so the
                     # trial estimate can use it instead of a full re-sweep.
                     recipe = apply_candidate(cand)
                     score = self._score(
-                        assignment, bound=bound, loads=loads, comm=comm
+                        assignment, bound=incumbent[0], loads=loads, comm=comm
                     )
                     undo(recipe)
                 if score is None:

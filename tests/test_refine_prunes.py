@@ -1,0 +1,282 @@
+"""The refiner's bound prunes are exact.
+
+The refiner rejects most candidate moves without pricing them fully:
+
+* from the would-be transfer count alone
+  (:meth:`CommState.preview_ncomm` against
+  :meth:`PartitionEstimator.max_ncomm`);
+* on the full ``(exec_time, -cut_slack, cut_edges)`` incumbent, with the
+  uncut path or the live assignment's critical path
+  (:meth:`CommState.critical_at`) as the path floor.
+
+Each piece is checked here against its from-scratch reference —
+``preview_moves``, ``_longest_path`` and a plain Bellman-Ford,
+``estimate(assignment)`` — and the partitions must equal those of the
+apply/undo path, which prunes on the plain exec-time bound only.  The
+loops are the paper suite plus three large (>= 150 operation)
+extended-tier bodies; every draw is seeded.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro.machine.presets import four_cluster
+from repro.partition.estimator import (
+    _CLASS_INDEX,
+    PartitionEstimator,
+    ii_bus_bound,
+)
+from repro.partition.partitioner import MultilevelPartitioner
+from repro.partition.pressure import PressureAwareEstimator
+from repro.schedule.mii import mii
+from repro.workloads.spec import make_extended_benchmark, spec_suite
+
+PAPER_LOOPS = [loop for bench in spec_suite() for loop in bench.loops]
+LARGE = {"applu": "applu_ext20", "hydro2d": "hydro2d_ext6", "fpppp": "fpppp_ext7"}
+LARGE_LOOPS = [
+    loop
+    for program, name in LARGE.items()
+    for loop in make_extended_benchmark(program).loops
+    if loop.name == name
+]
+LOOPS = PAPER_LOOPS[::4] + LARGE_LOOPS
+ESTIMATORS = (PartitionEstimator, PressureAwareEstimator)
+
+
+def _ids(loops):
+    return [loop.name for loop in loops]
+
+
+def _setup(loop, estimator_cls=PartitionEstimator, clusters_registers=32):
+    """Estimator at MII plus the partitioner's own (realistic) assignment."""
+    machine = four_cluster(clusters_registers)
+    ii = mii(loop, machine)
+    partitioner = MultilevelPartitioner(
+        machine, pressure_aware=estimator_cls is PressureAwareEstimator
+    )
+    assignment = dict(partitioner.partition(loop, ii).assignment)
+    return estimator_cls(loop, machine, ii), assignment
+
+
+def _random_moves(rng, uids, clusters, swap):
+    """One or two disjoint uid groups with target clusters."""
+    picked = rng.sample(uids, k=min(len(uids), rng.randrange(2, 9)))
+    if not swap or len(picked) < 2:
+        return [(picked, rng.randrange(clusters))]
+    cut = len(picked) // 2
+    return [
+        (picked[:cut], rng.randrange(clusters)),
+        (picked[cut:], rng.randrange(clusters)),
+    ]
+
+
+def _after(assignment, moves):
+    after = dict(assignment)
+    for uids, target in moves:
+        for uid in uids:
+            after[uid] = target
+    return after
+
+
+def _class_counts(loop, assignment, clusters):
+    counts = [[0] * len(_CLASS_INDEX) for _ in range(clusters)]
+    for uid in loop.ddg.uids():
+        counts[assignment[uid]][_CLASS_INDEX[loop.ddg.operation(uid).op_class]] += 1
+    return counts
+
+
+def _score(est):
+    return (est.exec_time, -est.cut_slack, est.cut_edges)
+
+
+# ----------------------------------------------------------------------
+# Transfer-count bound
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("loop", LOOPS, ids=_ids(LOOPS))
+def test_preview_ncomm_equals_preview_moves(loop):
+    estimator, assignment = _setup(loop)
+    comm = estimator.comm_session(assignment)
+    rng = random.Random(loop.name)
+    uids = loop.ddg.uids()
+    for step in range(40):
+        moves = _random_moves(rng, uids, 4, swap=step % 2 == 1)
+        records = [comm.records_for(group) for group, _target in moves]
+        full = comm.preview_moves(
+            [(group, recs, target) for (group, target), recs in zip(moves, records)]
+        )
+        lean = comm.preview_ncomm(
+            [
+                (comm.index_set(group), recs, target)
+                for (group, target), recs in zip(moves, records)
+            ]
+        )
+        assert lean == full.ncomm
+        # The preview's memory-route usage is a delta over the live one.
+        after = estimator.comm_session(_after(assignment, moves))
+        assert full.derive_comm_mem() == after.derive_comm_mem()
+        assert full.ncomm == after.ncomm
+        if step % 5 == 4:
+            # Move the live state too, so later previews start elsewhere.
+            group, target = moves[0]
+            comm.move_uids(group, target, records[0])
+            for uid in group:
+                assignment[uid] = target
+    comm.verify(assignment)
+
+
+@pytest.mark.parametrize("loop", LOOPS, ids=_ids(LOOPS))
+def test_max_ncomm_is_the_first_prune(loop):
+    estimator, assignment = _setup(loop)
+    machine = estimator.machine
+    trip = loop.trip_count - 1
+    floor = estimator._path_floor()
+    exec_time = estimator.estimate(assignment).exec_time
+    for bound in (exec_time - 7, exec_time - 1, exec_time, exec_time + 5):
+        cap = estimator.max_ncomm(bound)
+        for ncomm in range(0, 3 * machine.num_buses * estimator.ii + 8):
+            pruned = (
+                trip * max(estimator.ii, ii_bus_bound(ncomm, machine)) + floor
+                > bound
+            )
+            assert pruned == (ncomm > cap), (bound, ncomm, cap)
+
+
+# ----------------------------------------------------------------------
+# Live critical path
+# ----------------------------------------------------------------------
+def _reference_critical(estimator, cut, ii):
+    """Plain Bellman-Ford, forward and backward, until nothing changes."""
+    n = estimator._n
+    edges = [
+        (si, di, lat - ii * distance + (estimator._bus_latency if i in cut else 0))
+        for i, (si, di, lat, distance, _c) in enumerate(estimator._iedges)
+    ]
+    dist = [0] * n
+    changed = True
+    while changed:
+        changed = False
+        for si, di, length in edges:
+            if dist[si] + length > dist[di]:
+                dist[di] = dist[si] + length
+                changed = True
+    latency = estimator._latency_arr
+    path = max(d + lat for d, lat in zip(dist, latency))
+    tail = list(latency)
+    changed = True
+    while changed:
+        changed = False
+        for si, di, length in edges:
+            if length + tail[di] > tail[si]:
+                tail[si] = length + tail[di]
+                changed = True
+    critical = {
+        i for i in cut
+        if dist[edges[i][0]] + edges[i][2] + tail[edges[i][1]] == path
+    }
+    return path, critical
+
+
+@pytest.mark.parametrize("loop", LOOPS, ids=_ids(LOOPS))
+def test_critical_at_matches_longest_path(loop):
+    estimator, assignment = _setup(loop)
+    comm = estimator.comm_session(assignment)
+    rng = random.Random(loop.name)
+    uids = loop.ddg.uids()
+    floor_ii = max(estimator.ii, estimator._all_cut_mii())
+    for step in range(6):
+        # The live cut's own recurrence bound makes back edges relax.
+        tight_ii = estimator._rec_mii_with_cut(sorted(comm.cut), 1)
+        for ii in (tight_ii, floor_ii, floor_ii + 1, floor_ii + 4):
+            path, critical = comm.critical_at(ii)
+            assert path == estimator._longest_path(sorted(comm.cut), ii)
+            assert comm.critical_at(ii) == (path, critical)  # cached
+            assert (path, set(critical)) == _reference_critical(
+                estimator, comm.cut, ii
+            )
+            # The live floor never exceeds a preview's true path (at an ii
+            # feasible for the preview).
+            for _ in range(5):
+                moves = _random_moves(rng, uids, 4, swap=True)
+                preview = comm.preview_moves(
+                    [(g, comm.records_for(g), t) for g, t in moves]
+                )
+                live = preview.live_path_floor(ii)
+                true_path = estimator._longest_path(preview.cut_for_path(), ii)
+                if live is not None and true_path is not None:
+                    assert live <= true_path
+        comm.verify(assignment)
+        group, target = _random_moves(rng, uids, 4, swap=False)[0]
+        comm.move_uids(group, target)
+        for uid in group:
+            assignment[uid] = target
+        assert not comm._critical  # a move drops the cache
+    comm.verify(assignment)
+
+
+# ----------------------------------------------------------------------
+# Tie-aware prune
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("estimator_cls", ESTIMATORS, ids=lambda c: c.__name__)
+def test_pruned_candidates_cannot_beat_the_incumbent(estimator_cls):
+    pruned = ties = priced = 0
+    for loop in LOOPS:
+        estimator, assignment = _setup(loop, estimator_cls)
+        clusters = estimator.machine.num_clusters
+        comm = estimator.comm_session(assignment)
+        live = _score(estimator.estimate(assignment))
+        rng = random.Random(loop.name)
+        uids = loop.ddg.uids()
+        for step in range(30):
+            moves = _random_moves(rng, uids, clusters, swap=step % 3 == 0)
+            after = _after(assignment, moves)
+            full = _score(estimator.estimate(after))
+            counts = _class_counts(loop, after, clusters)
+            for incumbent in (
+                live,
+                (live[0] - 1,) + live[1:],
+                full,
+                (full[0], full[1], full[2] + 1),
+                (full[0], full[1] - 1, full[2]),
+            ):
+                preview = comm.preview_moves(
+                    [(g, comm.records_for(g), t) for g, t in moves]
+                )
+                est = estimator.estimate_preview(
+                    preview, cluster_class_counts=counts, incumbent=incumbent
+                )
+                if est is None:
+                    assert full >= incumbent, (loop.name, full, incumbent)
+                    pruned += 1
+                    ties += full[0] == incumbent[0]
+                else:
+                    assert est == estimator.estimate(after)
+                    priced += 1
+                if preview.ncomm > estimator.max_ncomm(incumbent[0]):
+                    assert full[0] > incumbent[0]
+    # The prunes fire, including on exact exec-time ties.
+    assert pruned and ties and priced
+
+
+@pytest.mark.parametrize("estimator_cls", ESTIMATORS, ids=lambda c: c.__name__)
+@pytest.mark.parametrize(
+    "loop", PAPER_LOOPS[1::8] + LARGE_LOOPS[:1],
+    ids=_ids(PAPER_LOOPS[1::8] + LARGE_LOOPS[:1]),
+)
+def test_partition_identical_with_and_without_preview(
+    loop, estimator_cls, monkeypatch
+):
+    machine = four_cluster(32)
+    ii = mii(loop, machine)
+    pressure_aware = estimator_cls is PressureAwareEstimator
+    with_preview = MultilevelPartitioner(
+        machine, pressure_aware=pressure_aware
+    ).partition(loop, ii)
+    monkeypatch.setattr(estimator_cls, "supports_preview", False)
+    apply_undo = MultilevelPartitioner(
+        machine, pressure_aware=pressure_aware
+    ).partition(loop, ii)
+    assert with_preview.assignment == apply_undo.assignment
+    assert with_preview.estimate == apply_undo.estimate

@@ -68,7 +68,6 @@ from .service import (
     ScheduleRequest,
     ScheduleResponse,
     SchedulerRegistry,
-    ServiceClient,
 )
 from .schedule import (
     FixedPartitionScheduler,
@@ -119,7 +118,6 @@ __all__ = [
     "ScheduleResponse",
     "SchedulerRegistry",
     "SchedulingError",
-    "ServiceClient",
     "UnifiedScheduler",
     "UracamScheduler",
     "ValidationError",

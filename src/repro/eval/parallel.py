@@ -252,10 +252,11 @@ class EvaluationPool:
         """Pre-spawn the worker processes; returns the live worker count.
 
         Normally workers spawn lazily on first submit, which puts the
-        interpreter/import cost inside the first request's latency.  The
-        daemon calls this at startup (and after a rebuild) so the first
-        client request lands on an already-warm pool.  Each probe task
-        sleeps briefly so concurrent probes force distinct workers up.
+        interpreter/import cost inside the first request's latency.  A
+        benchmark calls this before its timed region (perfbench's pool
+        run) so the measurement sees scheduling, not process start-up.
+        Each probe task sleeps briefly so concurrent probes force
+        distinct workers up.
         """
         executor = self.executor()
         probes = [executor.submit(_warm_probe) for _ in range(self.jobs)]

@@ -118,121 +118,17 @@ class RetryPolicy:
     def backoff_seconds(self, token: object, attempt: int) -> float:
         """Delay before retry number ``attempt`` of ``token``.
 
-        Deterministic: the jitter stream is seeded from
-        ``(seed, token, attempt)``, so identical runs sleep identically.
+        Exponential in ``attempt``; the jitter stream is seeded from
+        ``(seed, token, attempt)``, so two runs of the same plan back off
+        identically — the property the fault-injection suites rely on.
         """
-        return backoff_seconds(
-            self.backoff_base,
-            self.backoff_multiplier,
-            self.jitter,
-            self.seed,
-            token,
-            attempt,
-        )
-
-
-def backoff_seconds(
-    base: float,
-    multiplier: float,
-    jitter: float,
-    seed: int,
-    token: object,
-    attempt: int,
-) -> float:
-    """The shared exponential-backoff-with-deterministic-jitter formula.
-
-    One implementation for both the process-pool :class:`RetryPolicy`
-    and the transport :class:`WireRetryPolicy`: the jitter stream is
-    seeded from ``(seed, token, attempt)``, so two runs of the same plan
-    back off identically — the property the fault-injection suites rely
-    on.
-    """
-    if base <= 0:
-        return 0.0
-    delay = base * multiplier ** max(0, attempt - 1)
-    if jitter > 0:
-        u = random.Random(f"{seed}:{token}:{attempt}").random()
-        delay *= 1.0 + jitter * u
-    return delay
-
-
-@dataclass(frozen=True)
-class WireRetryPolicy:
-    """How :class:`~repro.service.client.ServiceClient` responds to wire
-    faults — the transport sibling of :class:`RetryPolicy`.
-
-    Every daemon operation is idempotent by content fingerprint, so a
-    refused connect, a reset/truncated/corrupted exchange, a timed-out
-    call or a structured ``busy``/``draining`` reply is always safe to
-    retry: the client backs off (same deterministic-jitter machinery as
-    the process-pool policy), reconnects — respawning the daemon if
-    allowed — and resends.  After ``max_attempts`` exchanges of one call
-    have failed, ``degrade=True`` stops trusting the wire altogether and
-    falls back to an in-process
-    :class:`~repro.service.session.ReproService`, mirroring the pool
-    runner's sequential degradation: slow, but the work completes and
-    the results are bit-identical (the wire changes where work executes,
-    never what it computes).
-
-    ``connect_timeout`` bounds one TCP/unix connect; ``call_timeout``
-    bounds one request/reply exchange (``None`` = wait forever — not
-    recommended; a stalled daemon then blocks the client).
-    """
-
-    #: Exchanges allowed per call (1 = never retry on the wire).
-    max_attempts: int = 3
-    #: Base backoff delay in seconds before a retry.
-    backoff_base: float = 0.05
-    #: Exponential backoff multiplier per additional attempt.
-    backoff_multiplier: float = 2.0
-    #: Jitter fraction (deterministic, seeded — see :class:`RetryPolicy`).
-    jitter: float = 0.1
-    #: Seed for the deterministic jitter stream.
-    seed: int = 0
-    #: Seconds allowed for one socket connect.
-    connect_timeout: float = 5.0
-    #: Seconds allowed for one request/reply exchange (``None`` = block).
-    call_timeout: Optional[float] = 600.0
-    #: After the retry budget: degrade work ops to an in-process
-    #: session (True) or raise :class:`~repro.errors.DaemonError` (False).
-    degrade: bool = True
-    #: Sleep hook (tests inject a recorder; never part of identity).
-    sleep: Callable[[float], None] = field(
-        default=time.sleep, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ReproError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
-        if self.connect_timeout <= 0:
-            raise ReproError(
-                f"connect_timeout must be positive, got {self.connect_timeout}"
-            )
-        if self.call_timeout is not None and self.call_timeout <= 0:
-            raise ReproError(
-                f"call_timeout must be positive seconds, got {self.call_timeout}"
-            )
-        if self.backoff_base < 0 or self.backoff_multiplier < 1 or self.jitter < 0:
-            raise ReproError("backoff parameters must be non-negative (multiplier >= 1)")
-
-    @classmethod
-    def none(cls) -> "WireRetryPolicy":
-        """Fail-fast posture: one exchange, no degradation — the first
-        wire fault surfaces as :class:`~repro.errors.DaemonError`."""
-        return cls(max_attempts=1, backoff_base=0.0, degrade=False)
-
-    def backoff_seconds(self, token: object, attempt: int) -> float:
-        """Deterministic delay before retry ``attempt`` of ``token``."""
-        return backoff_seconds(
-            self.backoff_base,
-            self.backoff_multiplier,
-            self.jitter,
-            self.seed,
-            token,
-            attempt,
-        )
+        if self.backoff_base <= 0:
+            return 0.0
+        delay = self.backoff_base * self.backoff_multiplier ** max(0, attempt - 1)
+        if self.jitter > 0:
+            u = random.Random(f"{self.seed}:{token}:{attempt}").random()
+            delay *= 1.0 + self.jitter * u
+        return delay
 
 
 #: Failure-classification buckets (see the module docstring).
@@ -392,82 +288,4 @@ class ExecutionTelemetry:
             and self.deadline_hits == 0
             and self.degraded_chunks == 0
             and self.failed_loops == 0
-        )
-
-
-@dataclass(frozen=True)
-class WireTelemetry:
-    """Per-call transport counters carried on ``ResponseMeta.wire``.
-
-    Stamped by :class:`~repro.service.client.ServiceClient` onto every
-    response it returns — *after* decoding, because transport cost is a
-    property of this client's exchange, not of the computed result (the
-    codec never encodes it, so stored and daemon-memoized responses
-    stay byte-identical regardless of how they travelled).
-    """
-
-    #: Wire exchanges this call performed (1 = clean first try).
-    attempts: int
-    #: Exchanges beyond the first (``attempts - 1`` unless degraded early).
-    retries: int
-    #: Connections (re-)established during the call.
-    reconnects: int
-    #: The call was answered by the in-process degradation fallback, not
-    #: the daemon (the wire retry budget ran out first).
-    degraded: bool
-
-    @property
-    def clean(self) -> bool:
-        """True when the wire behaved: one attempt, no degradation."""
-        return self.retries == 0 and not self.degraded
-
-
-@dataclass
-class WireCounters:
-    """Mutable session-lifetime transport counters on the client.
-
-    The per-call :class:`WireTelemetry` snapshots are deltas of these;
-    ``repro bench --json`` records the session totals under ``"wire"``
-    (the transport analogue of the ``fault_tolerance`` block).
-    """
-
-    calls: int = 0
-    attempts: int = 0
-    retries: int = 0
-    reconnects: int = 0
-    timeouts: int = 0
-    busy: int = 0
-    spawns: int = 0
-    degraded_calls: int = 0
-
-    def merge(self, other: "WireCounters") -> None:
-        self.calls += other.calls
-        self.attempts += other.attempts
-        self.retries += other.retries
-        self.reconnects += other.reconnects
-        self.timeouts += other.timeouts
-        self.busy += other.busy
-        self.spawns += other.spawns
-        self.degraded_calls += other.degraded_calls
-
-    def to_dict(self) -> dict:
-        return {
-            "calls": self.calls,
-            "attempts": self.attempts,
-            "retries": self.retries,
-            "reconnects": self.reconnects,
-            "timeouts": self.timeouts,
-            "busy": self.busy,
-            "spawns": self.spawns,
-            "degraded_calls": self.degraded_calls,
-        }
-
-    @property
-    def clean(self) -> bool:
-        """True when no wire fault-tolerance machinery had to engage."""
-        return (
-            self.retries == 0
-            and self.timeouts == 0
-            and self.busy == 0
-            and self.degraded_calls == 0
         )

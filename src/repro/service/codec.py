@@ -1,11 +1,10 @@
 """Canonical JSON (de)serialization of service requests and responses.
 
-One codec, two consumers: the **disk result store** persists encoded
+The **result store** persists encoded
 :class:`~repro.service.responses.EvaluationResponse` /
 :class:`~repro.service.responses.ScheduleResponse` envelopes keyed by
-request fingerprint, and the **daemon wire protocol** ships encoded
-requests and responses as JSON lines.  Both therefore share one schema
-(:data:`CODEC_SCHEMA`, carried on every payload) and one canonical text
+request fingerprint; each envelope embeds its encoded request.  Every
+payload carries one schema (:data:`CODEC_SCHEMA`) and one canonical text
 form (:func:`dumps`: sorted keys, compact separators) — so re-encoding a
 decoded payload is byte-identical, which the round-trip property suite
 enforces and the store's integrity checks rely on.
@@ -604,7 +603,7 @@ def decode_response(
 def dumps_response(
     response: Union[ScheduleResponse, EvaluationResponse]
 ) -> str:
-    """Canonical text of one response (store entry / wire payload)."""
+    """Canonical text of one response (one store entry)."""
     return dumps(encode_response(response))
 
 

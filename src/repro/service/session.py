@@ -186,13 +186,6 @@ class ReproService:
             self.store.close()
         self._cache.clear()
 
-    def warm(self) -> int:
-        """Pre-spawn the session's worker processes (the daemon's warm
-        start); returns how many workers are live (0 at ``jobs=1``)."""
-        if self._pool is None:
-            return 0
-        return self._pool.warm()
-
     def failure_report(self) -> FailureReport:
         """Every loop the session lost so far, as one structured report
         (empty unless ``keep_going`` runs actually failed loops)."""

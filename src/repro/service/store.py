@@ -29,8 +29,8 @@ whether the content-addressed layer served them.
 :class:`DiskStore` is safe to share between processes: writes are
 atomic, ``fsync=True`` makes them crash-durable, corrupted entries move
 to a ``quarantine/`` directory for post-mortem instead of vanishing,
-and LRU eviction takes a cross-process file lock so two daemons over
-one store root cannot race each other deleting entries.
+and LRU eviction takes a cross-process file lock so two processes
+sharing one store root cannot race each other deleting entries.
 
 :func:`open_store` resolves a store *spec* string (``memory``, ``disk``,
 ``disk:PATH``, or a bare path) — unknown names raise the registries'
@@ -201,7 +201,7 @@ class ResultStore:
 
         The base store is process-private, so eviction is always ours to
         do.  :class:`DiskStore` overrides this with a cross-process file
-        lock so two daemons sharing one store root cannot race each
+        lock so two processes sharing one store root cannot race each
         other's LRU deletes.
         """
         return None
@@ -296,7 +296,7 @@ class DiskStore(ResultStore):
     Layout: ``<root>/objects/<fingerprint[:2]>/<fingerprint>.json`` —
     256 shards keep per-directory entry counts sane at fleet scale.
     Writes go to a temp file in the target shard and land via
-    ``os.replace``, so concurrent readers (other processes, a daemon)
+    ``os.replace``, so concurrent readers (other processes sharing the root)
     either see the old complete entry or the new complete entry, never a
     torn one.  With ``fsync=True`` the temp file and its shard directory
     are synced around the replace, upgrading atomic to **crash-durable**

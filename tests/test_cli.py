@@ -118,10 +118,9 @@ class TestCommands:
         )
         assert code == 0
         payload = json.loads(path.read_text())
-        assert payload["schema"] == "repro-bench-cli/v6"
+        assert payload["schema"] == "repro-bench-cli/v7"
         assert payload["suite"] == "paper"
-        # A local (non-daemon) run records no wire transport block.
-        assert payload["wire"] is None
+        assert "wire" not in payload
         assert payload["jobs"] == 1
         assert payload["oversubscribed"] is False
         assert "engine_options" not in payload
@@ -272,6 +271,21 @@ class TestCommands:
         captured = capsys.readouterr()
         assert "no loop failures" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evaluate", "--programs", "-9"],
+            ["evaluate", "--programs", "-10"],
+            ["bench", "--machine", "2x32", "--programs", "-9"],
+        ],
+        ids=["evaluate-9", "evaluate-10", "bench-9"],
+    )
+    def test_negative_programs_is_a_clean_cli_error(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert f"programs must be >= 0, got {argv[-1]}" in captured.err
+        assert captured.out == ""
+
     def test_bad_fault_plan_is_a_clean_cli_error(self, tmp_path, capsys):
         path = tmp_path / "plan.json"
         path.write_text("{broken")
@@ -296,15 +310,23 @@ class TestStoreAndCacheCommands:
     def _store(self, tmp_path):
         return str(tmp_path / "store")
 
-    def test_evaluate_store_replay_identical_output(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "cold_jobs, warm_jobs", [(1, 1), (2, 1), (1, 2)],
+        ids=["seq-seq", "pool-seq", "seq-pool"],
+    )
+    def test_evaluate_store_replay_identical_output(
+        self, tmp_path, capsys, cold_jobs, warm_jobs
+    ):
+        # Execution knobs never enter the fingerprint: a store filled by
+        # a pooled run replays under a sequential one, and vice versa.
         args = [
             "evaluate", "--clusters", "2", "--registers", "32",
             "--programs", "1", "--store", self._store(tmp_path),
         ]
-        assert main(args) == 0
+        assert main(args + ["--jobs", str(cold_jobs)]) == 0
         cold = capsys.readouterr()
         assert "misses=4" in cold.err
-        assert main(args) == 0
+        assert main(args + ["--jobs", str(warm_jobs)]) == 0
         warm = capsys.readouterr()
         # Byte-identical stdout, 100% hits on the replay.
         assert warm.out == cold.out
@@ -381,19 +403,3 @@ class TestStoreAndCacheCommands:
         assert main(args) == 0
         captured = capsys.readouterr()
         assert "cache: hits=3 misses=0" in captured.err
-
-    def test_daemon_rejects_fault_plan(self, tmp_path, capsys):
-        plan = tmp_path / "plan.json"
-        plan.write_text(json.dumps({"faults": []}))
-        assert main([
-            "evaluate", "--clusters", "2", "--registers", "32",
-            "--daemon", "--fault-plan", str(plan),
-        ]) == 1
-        assert "--fault-plan" in capsys.readouterr().err
-
-    def test_serve_stop_without_daemon(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv(
-            "REPRO_DAEMON_SOCKET", str(tmp_path / "no.sock")
-        )
-        assert main(["serve", "--stop"]) == 0
-        assert "no daemon running" in capsys.readouterr().err

@@ -1,12 +1,12 @@
 """The canonical response codec: round-trip fidelity and schema checks.
 
-The codec backs both the disk store and the daemon wire protocol, so the
-load-bearing properties are: (1) encode → decode → encode is
+The codec backs the result store, which replays responses across
+processes, so the load-bearing properties are: (1) encode → decode → encode is
 byte-identical (canonical form is a fixed point); (2) a decoded response
 renders every artifact surface — export JSON, per-benchmark IPC, Table 2
 fields — identically to the original; (3) a decoded *request*
-fingerprints identically to the original, so cache keys survive the
-wire; (4) malformed/truncated/wrong-schema payloads raise
+fingerprints identically to the original, so cache keys survive a
+round trip; (4) malformed/truncated/wrong-schema payloads raise
 :class:`CodecError`, never decode garbage.
 """
 
@@ -162,8 +162,8 @@ class TestRequestRoundTrip:
         assert decoded.fingerprint() == request.fingerprint()
 
     def test_decoded_request_schedules_identically(self):
-        # Not just the same fingerprint: the same *result*, so a daemon
-        # computing from a decoded request matches local execution
+        # Not just the same fingerprint: the same *result*, so another
+        # process computing from a decoded request matches local execution
         # bit-for-bit (this is what the serializer's replayable edge
         # order guarantees).
         request = EvaluationRequest(

@@ -58,10 +58,11 @@ def table2_to_csv(table: Table2Result) -> str:
 def suite_result_to_dict(result: SuiteResult, timing: bool = True) -> Dict[str, Any]:
     """Full drill-down of one (scheduler, machine) suite run.
 
-    ``timing=False`` omits every wall-clock field (``cpu_seconds`` and
-    friends), leaving only the deterministic scheduling facts — IPC, II,
-    stages, bus/mem-comm/spill counts.  Two runs of the same suite then
-    export byte-identically, whatever ``--jobs`` value produced them.
+    ``timing=False`` omits every timing field (``cpu_seconds``, the
+    process CPU time, and friends), leaving only the deterministic
+    scheduling facts — IPC, II, stages, bus/mem-comm/spill counts.  Two
+    runs of the same suite then export byte-identically, whatever
+    ``--jobs`` value produced them.
     """
     payload: Dict[str, Any] = {
         "scheduler": result.scheduler,

@@ -31,10 +31,12 @@ operation classes) is precomputed at construction.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from operator import add
 from typing import (
-    Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple,
+    Callable, Deque, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set,
+    Tuple,
 )
 
 from ..errors import PartitionError
@@ -185,6 +187,11 @@ class PartitionEstimator:
             (self._index_of[src], self._index_of[dst], position[dst] <= position[src])
             for src, dst, _l, _d, _c in self._edges
         ]
+        # node index -> (dst index, edge index) of its out-edges, for the
+        # worklist re-relaxation after a back edge relaxes.
+        self._out_edges: List[List[Tuple[int, int]]] = [[] for _ in range(self._n)]
+        for i, (si, di, _back) in enumerate(self._sweep_edges):
+            self._out_edges[si].append((di, i))
         self._latency_arr = [self._op_latency[uid] for uid in self._uids]
         self._class_arr = [self._class_of[uid] for uid in self._uids]
         # ii -> per-edge base length (latency - ii*distance), reused across
@@ -568,33 +575,51 @@ class PartitionEstimator:
         return lengths
 
     def _start_times(self, lengths: Sequence[int]) -> Optional[List[int]]:
-        """Bellman-Ford longest-path start times, or None on a positive cycle.
+        """Longest-path start times, or None on a positive cycle.
 
         The first sweep follows the topological edge order, so unless a
-        back edge relaxes in it, it has already reached the fixpoint and
-        the confirming second sweep is skipped.
+        back edge relaxes in it, it has already reached the fixpoint.
+        Otherwise only the destinations of the relaxed back edges can
+        have unsatisfied out-edges, and a FIFO worklist seeded with them
+        re-relaxes to the same (unique) fixpoint a repeated whole-graph
+        sweep would reach.  Without a positive cycle no node is queued
+        more than ``n`` times.
         """
-        edges = self._sweep_edges
         dist = [0] * self._n
-        back_relaxed = False
-        for (si, di, back), length in zip(edges, lengths):
+        seeds: List[int] = []
+        for (si, di, back), length in zip(self._sweep_edges, lengths):
             cand = dist[si] + length
             if cand > dist[di]:
                 dist[di] = cand
                 if back:
-                    back_relaxed = True
-        if not back_relaxed:
+                    seeds.append(di)
+        if not seeds:
             return dist
-        for _ in range(self._n):
-            changed = False
-            for (si, di, _back), length in zip(edges, lengths):
-                cand = dist[si] + length
+        n = self._n
+        out_edges = self._out_edges
+        queued = [False] * n
+        pushes = [0] * n
+        queue: Deque[int] = deque()
+        for di in seeds:
+            if not queued[di]:
+                queued[di] = True
+                pushes[di] = 1
+                queue.append(di)
+        while queue:
+            u = queue.popleft()
+            queued[u] = False
+            du = dist[u]
+            for di, i in out_edges[u]:
+                cand = du + lengths[i]
                 if cand > dist[di]:
                     dist[di] = cand
-                    changed = True
-            if not changed:
-                return dist
-        return None
+                    if not queued[di]:
+                        pushes[di] += 1
+                        if pushes[di] > n:
+                            return None
+                        queued[di] = True
+                        queue.append(di)
+        return dist
 
     def _critical_cut(
         self, cut_idx: Sequence[int], ii: int
@@ -644,6 +669,30 @@ class PartitionEstimator:
         assignment mutation through :meth:`CommState.move_uids`.
         """
         return CommState(self, assignment)
+
+    def ncomm_dependents(self) -> List[Tuple[int, ...]]:
+        """uid index -> the uid indices whose move delta reads its cluster.
+
+        :meth:`CommState.preview_ncomm` for moving a group G reads the
+        clusters of D(G): G, its carry predecessors and successors, and
+        the carry successors of those predecessors (the pair counts of
+        every producer it touches).  So u is in D({g}) exactly when g is
+        u, a carry successor or predecessor of u, or a carry successor of
+        one of u's predecessors.  A refiner caching per-group transfer
+        deltas drops the entries of these groups when u moves.
+        """
+        succ: List[Set[int]] = [set() for _ in range(self._n)]
+        pred: List[Set[int]] = [set() for _ in range(self._n)]
+        for _i, si, di, _slack in self._carry_edges:
+            succ[si].add(di)
+            pred[di].add(si)
+        out: List[Tuple[int, ...]] = []
+        for u in range(self._n):
+            reach = {u} | succ[u] | pred[u]
+            for p in pred[u]:
+                reach |= succ[p]
+            out.append(tuple(sorted(reach)))
+        return out
 
     def _rec_mii_with_cut(self, cut_idx: Sequence[int], lower_bound: int) -> int:
         lo = lower_bound

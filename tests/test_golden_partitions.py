@@ -9,6 +9,11 @@ the refiner prices tens of thousands of candidates and every bound prune
 gets exercised.  The digests were recorded before the refiner's bound
 prunes were added, so a prune that is not exact fails here.  A
 *deliberate* partition change must re-record them and say why.
+
+GP's II-failure recomputes partition the same loops at MII+1, +2 and +4,
+where balancing and refinement take different paths through the
+hierarchy; ``RECOMPUTE_GOLDEN`` pins the greedy variant there.  It was
+recorded before the refiner kept one session across hierarchy levels.
 """
 
 from __future__ import annotations
@@ -41,6 +46,13 @@ GOLDEN = {
         "34d28c2e46f383f7de6e29b39f6d2001b6cbda3f3ffd91842c790bc55713abc8",
 }
 
+#: II offsets above MII of GP's recompute partitions.
+RECOMPUTE_OFFSETS = (1, 2, 4)
+
+RECOMPUTE_GOLDEN = (
+    "fb2b96650f6dc8e537fd1d45f227aa1dbbf69778d3a6771b44455f09126bfc33"
+)
+
 VARIANTS = {
     "greedy": {},
     "pressure": {"pressure_aware": True},
@@ -58,14 +70,17 @@ def _loops():
         yield by_program[program][name]
 
 
-def digest(variant: str) -> str:
+def digest(variant: str, offsets=(0,)) -> str:
     machine = four_cluster(64)
     partitioner = MultilevelPartitioner(machine, **VARIANTS[variant])
     sha = hashlib.sha256()
     for loop in _loops():
-        part = partitioner.partition(loop, mii(loop, machine))
-        record = f"{sorted(part.assignment.items())} {part.ii_bus} {part.ncomm}"
-        sha.update(f"{loop.name}: {record}\n".encode())
+        base = mii(loop, machine)
+        for offset in offsets:
+            part = partitioner.partition(loop, base + offset)
+            record = f"{sorted(part.assignment.items())} {part.ii_bus} {part.ncomm}"
+            label = loop.name if offset == 0 else f"{loop.name}@+{offset}"
+            sha.update(f"{label}: {record}\n".encode())
     return sha.hexdigest()
 
 
@@ -74,3 +89,40 @@ def test_golden_partition_digest(variant):
     if variant == "exact":
         pytest.importorskip("networkx")
     assert digest(variant) == GOLDEN[variant]
+
+
+def test_golden_partition_digest_at_recompute_iis():
+    assert digest("greedy", RECOMPUTE_OFFSETS) == RECOMPUTE_GOLDEN
+
+
+#: ``estimate_preview`` calls of greedy ``digest`` at MII: the set of
+#: candidates that survive the transfer-count prune.  A change here means
+#: the refiner prices a different candidate set.
+PREVIEW_CALLS = 2128
+
+#: Ceiling on exact transfer-count walks (``CommState.preview_ncomm``) of
+#: the same run: the refiner's delta table does 3,518, plus 10% headroom.
+#: Without the table every enumerated candidate pays a walk (18,611).
+MAX_TRANSFER_WALKS = 3870
+
+
+def test_refiner_work_counts(monkeypatch):
+    """A host-independent perf gate: counted work, never timings."""
+    from repro.partition.estimator import CommState, PartitionEstimator
+
+    counts = {"walks": 0, "previews": 0}
+
+    def counted(cls, name, key):
+        original = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(CommState, "preview_ncomm", "walks")
+    counted(PartitionEstimator, "estimate_preview", "previews")
+    assert digest("greedy") == GOLDEN["greedy"]
+    assert counts["previews"] == PREVIEW_CALLS
+    assert counts["walks"] <= MAX_TRANSFER_WALKS

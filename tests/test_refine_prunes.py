@@ -216,6 +216,67 @@ def test_critical_at_matches_longest_path(loop):
     comm.verify(assignment)
 
 
+def _reference_start_times(estimator, lengths):
+    """Plain Bellman-Ford over every edge; None on a positive cycle."""
+    dist = [0] * estimator._n
+    for _ in range(estimator._n + 1):
+        changed = False
+        for (si, di, _back), length in zip(estimator._sweep_edges, lengths):
+            if dist[si] + length > dist[di]:
+                dist[di] = dist[si] + length
+                changed = True
+        if not changed:
+            return dist
+    return None
+
+
+def _back_edge_relaxes(estimator, lengths):
+    """Whether one sweep in topological edge order relaxes a back edge."""
+    dist = [0] * estimator._n
+    relaxed = False
+    for (si, di, back), length in zip(estimator._sweep_edges, lengths):
+        if dist[si] + length > dist[di]:
+            dist[di] = dist[si] + length
+            relaxed = relaxed or back
+    return relaxed
+
+
+def test_start_times_at_and_below_the_recurrence_bound():
+    """The worklist re-relaxation equals plain Bellman-Ford, and an II
+    below the cut set's recurrence bound is a positive cycle (None)."""
+    infeasible = reworked = 0
+    for loop in LOOPS:
+        estimator, assignment = _setup(loop)
+        comm = estimator.comm_session(assignment)
+        all_cut = [record[0] for record in estimator._carry_edges]
+        for cut in (sorted(comm.cut), all_cut):
+            tight_ii = estimator._rec_mii_with_cut(cut, 1)
+            for ii in (tight_ii - 1, tight_ii, tight_ii + 1, tight_ii + 3):
+                if ii < 1:
+                    continue
+                lengths = estimator._lengths(cut, ii)
+                dist = estimator._start_times(lengths)
+                assert dist == _reference_start_times(estimator, lengths)
+                assert (dist is None) == (ii < tight_ii), (loop.name, ii)
+                infeasible += dist is None
+        # Lengths p[dst] - p[src] - w with w >= 0 admit no positive cycle
+        # (every cycle sums to -sum(w)), and random potentials make back
+        # edges relax in the first sweep, so the worklist has work to do.
+        rng = random.Random(loop.name)
+        for _ in range(4):
+            potential = [rng.randrange(-20, 20) for _ in range(estimator._n)]
+            lengths = [
+                potential[di] - potential[si] - rng.randrange(3)
+                for si, di, _back in estimator._sweep_edges
+            ]
+            dist = estimator._start_times(lengths)
+            assert dist is not None
+            assert dist == _reference_start_times(estimator, lengths)
+            reworked += _back_edge_relaxes(estimator, lengths)
+    # Both the positive-cycle exit and the worklist fixpoint are exercised.
+    assert infeasible and reworked
+
+
 # ----------------------------------------------------------------------
 # Tie-aware prune
 # ----------------------------------------------------------------------

@@ -46,13 +46,10 @@ is the production posture: every modulo schedule is re-validated through
 the cached sessions, in the worker that produced it, so the
 sweep-integrated validation cost is measured rather than skipped.
 
-Parallel runs are fault tolerant: worker deaths and deadline misses are
-retried on a self-healing pool (``--max-attempts``, ``--deadline``),
-degrading to in-process execution if workers keep dying — results stay
-bit-identical throughout.  ``evaluate --keep-going`` collects per-loop
-failures into a report (stderr, exit code 3) instead of aborting;
-``--fault-plan`` injects a deterministic JSON fault plan for testing
-the machinery itself (see :mod:`repro.eval.faults`).
+Runs fail fast: the schedulers are deterministic, so nothing is
+retried.  A loop that fails to schedule or validate, or a worker that
+dies, ends the run with exit code 1 and an ``error:`` line on stderr
+naming the benchmark, loop and scheduler — the same at every ``--jobs``.
 
 Examples::
 
@@ -80,10 +77,8 @@ from .schedule.expand import render_kernel
 from .service import (
     MACHINES,
     SCHEDULERS,
-    FaultPlan,
     ReproService,
     RequestError,
-    RetryPolicy,
     ScheduleRequest,
 )
 from .workloads.kernels import KERNELS
@@ -108,7 +103,10 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
         )
     else:
         if args.kernel not in KERNELS:
-            print(f"unknown kernel {args.kernel!r}; available: {sorted(KERNELS)}")
+            print(
+                f"unknown kernel {args.kernel!r}; available: {sorted(KERNELS)}",
+                file=sys.stderr,
+            )
             return 2
         request = ScheduleRequest(
             kernel=args.kernel,
@@ -151,24 +149,12 @@ def _pick_suite(args: argparse.Namespace):
 
 
 def _service_for(args: argparse.Namespace) -> ReproService:
-    """The in-process session for one CLI run, from the suite options.
-
-    The CLI always runs with the production retry posture (transients
-    are retried, the pool self-heals, degradation beats aborting) —
-    with no faults this changes nothing observable, since retries only
-    engage on worker death, hangs, or deadline misses.
-    """
+    """The in-process session for one CLI run, from the suite options."""
     return ReproService(
         jobs=args.jobs,
         chunksize=args.chunksize,
         mp_context=args.mp_context,
         store=args.store,
-        policy=RetryPolicy(
-            max_attempts=args.max_attempts,
-            deadline=args.deadline,
-        ),
-        faults=FaultPlan.load(args.fault_plan) if args.fault_plan else None,
-        keep_going=getattr(args, "keep_going", False),
     )
 
 
@@ -234,12 +220,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         )
     if stats_line:
         print(stats_line, file=sys.stderr)
-    if args.keep_going:
-        # Stderr, so csv/json stdout (and the CI byte-diff) stay clean.
-        report = service.failure_report()
-        print(report.render(), file=sys.stderr)
-        if report:
-            return 3
     return 0
 
 
@@ -340,7 +320,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     print(f"suite wall clock: {wall_seconds:.2f}s (jobs={jobs})")
     if args.json:
         payload = {
-            "schema": "repro-bench-cli/v7",
+            "schema": "repro-bench-cli/v8",
             "machine": config,
             "suite": args.suite,
             "benchmarks": len(suite),
@@ -350,9 +330,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             "oversubscribed": oversubscribed,
             "cpu_seconds_per_benchmark": dict(per),
             "wall_seconds": wall_seconds,
-            # What the fault-tolerance layer had to do during the run
-            # (all zeros on a healthy host: no retries, no rebuilds).
-            "fault_tolerance": service.telemetry.to_dict(),
         }
         if profile_block is not None:
             payload["profile"] = profile_block
@@ -470,19 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker start method (default: forkserver "
                        "where the platform offers it; results are "
                        "identical under either)")
-        p.add_argument("--max-attempts", type=int, default=3,
-                       help="executions allowed per work chunk before a "
-                       "transient fault (worker death, deadline miss) "
-                       "gives up (1 = never retry)")
-        p.add_argument("--deadline", type=float, default=None,
-                       metavar="SECONDS",
-                       help="per-chunk wall-clock deadline; a chunk "
-                       "held past it is retried on a rebuilt pool "
-                       "(default: none)")
-        p.add_argument("--fault-plan", default=None, metavar="PATH",
-                       help="JSON fault-injection plan (testing/CI "
-                       "only): injects worker crashes/hangs/raises at "
-                       "planned loops to exercise the retry layer")
         p.add_argument("--store", default=None, metavar="SPEC",
                        help="content-addressed result store: 'memory', "
                        "'disk' (the default cache root), 'disk:PATH' or "
@@ -501,11 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="re-validate every modulo schedule through "
                         "its cached sessions as it is produced (the "
                         "sweep-integrated validation cost)")
-    p_eval.add_argument("--keep-going", action="store_true",
-                        help="partial-results mode: collect per-loop "
-                        "failures into a failure report (printed to "
-                        "stderr; exit code 3) instead of aborting on "
-                        "the first one")
     add_suite_options(p_eval)
     p_eval.add_argument("--format", default="table",
                         choices=("table", "csv", "json"))

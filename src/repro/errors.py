@@ -47,20 +47,31 @@ class StoreError(ReproError):
     """A result store was misconfigured (bad path, non-positive budget)."""
 
 
-class DeadlineExceededError(ReproError):
-    """A dispatched work chunk missed its per-chunk deadline.
+class LoopTaskError(ReproError):
+    """Scheduling one loop failed: the scheduler or the validator raised,
+    or the worker process running it died.
 
-    Raised (or recorded, under ``keep_going``) by the parallel runner's
-    retry layer when a worker holds a chunk past
-    :attr:`~repro.eval.retry.RetryPolicy.deadline` — the hung-worker
-    case.  Classified *transient*: the chunk is retried on a rebuilt
-    pool until its attempt budget runs out.
+    Names the benchmark, loop and scheduler; ``cause`` is the original
+    exception.  Raised the same way by the sequential and the pooled
+    runner.
     """
 
-    def __init__(self, seconds: float, attempts: int) -> None:
-        self.seconds = seconds
-        self.attempts = attempts
+    def __init__(
+        self, benchmark: str, loop_name: str, scheduler: str, cause: BaseException
+    ) -> None:
+        self.benchmark = benchmark
+        self.loop_name = loop_name
+        self.scheduler = scheduler
+        self.cause = cause
         super().__init__(
-            f"chunk exceeded its {seconds:g}s deadline "
-            f"(attempt {attempts})"
+            f"scheduling loop {loop_name!r} of benchmark {benchmark!r} "
+            f"with {scheduler!r} failed: {type(cause).__name__}: {cause}"
+        )
+
+    def __reduce__(self):
+        # Raised inside pool workers: rebuild from the four fields, not
+        # from the formatted message in ``args``.
+        return (
+            type(self),
+            (self.benchmark, self.loop_name, self.scheduler, self.cause),
         )

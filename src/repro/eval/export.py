@@ -75,22 +75,6 @@ def suite_result_to_dict(result: SuiteResult, timing: bool = True) -> Dict[str, 
     }
     if timing:
         payload["total_cpu_seconds"] = result.total_cpu_seconds
-    if result.failures:
-        # Only present on keep-going partial results, so complete runs
-        # keep exporting byte-identically to pre-failure-report builds
-        # (the committed ``results/`` artifacts depend on that).
-        payload["failures"] = [
-            {
-                "benchmark": failure.benchmark,
-                "loop": failure.loop_name,
-                "scheduler": failure.scheduler,
-                "kind": failure.kind,
-                "error_type": failure.error_type,
-                "message": failure.message,
-                "attempts": failure.attempts,
-            }
-            for failure in result.failures
-        ]
     return payload
 
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from ..errors import LoopTaskError
+from ..ir.loop import Loop
 from ..schedule.drivers import BaseScheduler, ScheduleOutcome
 from ..workloads.spec import Benchmark
 from .metrics import aggregate_ipc
@@ -50,6 +52,34 @@ class BenchmarkResult:
         return peak_register_pressure(self.outcomes)
 
 
+def schedule_loop(
+    scheduler: BaseScheduler,
+    benchmark: str,
+    loop: Loop,
+    validate_each: bool = False,
+) -> ScheduleOutcome:
+    """Schedule one loop of ``benchmark``; any failure becomes a
+    :class:`~repro.errors.LoopTaskError` naming the loop.
+
+    ``validate_each`` re-validates a modulo schedule right after it is
+    produced (the cached sessions the engine attached, not the paranoid
+    ``full_recheck`` rebuild).  The pooled runner calls this in its
+    workers, so every ``--jobs`` value fails the same way.
+    """
+    try:
+        outcome = scheduler.schedule(loop)
+        if validate_each and outcome.is_modulo:
+            outcome.schedule.validate()
+    except Exception as error:
+        raise LoopTaskError(
+            benchmark=benchmark,
+            loop_name=loop.name,
+            scheduler=scheduler.name,
+            cause=error,
+        ) from error
+    return outcome
+
+
 def run_benchmark(
     benchmark: Benchmark,
     scheduler: BaseScheduler,
@@ -57,52 +87,30 @@ def run_benchmark(
 ) -> BenchmarkResult:
     """Schedule every loop of ``benchmark`` with ``scheduler``.
 
-    ``validate_each`` re-validates every modulo schedule right after it
-    is produced (the cached sessions the engine attached, not the
-    paranoid ``full_recheck`` rebuild) — the production posture where
-    every served schedule is checked, so sweeps measure and gate the
-    integrated validation cost instead of timing it standalone.  A
-    schedule that fails surfaces as a
-    :class:`~repro.eval.parallel.LoopTaskError` naming the loop, exactly
-    like the parallel path.
+    ``validate_each`` re-validates every modulo schedule as it is
+    produced — the production posture where every served schedule is
+    checked, so sweeps measure and gate the integrated validation cost
+    instead of timing it standalone.  A loop that fails to schedule or
+    validate raises a :class:`~repro.errors.LoopTaskError` naming it.
     """
-    result = BenchmarkResult(
+    return BenchmarkResult(
         benchmark=benchmark.name,
         scheduler=scheduler.name,
         machine=scheduler.machine.name,
+        outcomes=[
+            schedule_loop(scheduler, benchmark.name, loop, validate_each)
+            for loop in benchmark.loops
+        ],
     )
-    for loop in benchmark.loops:
-        outcome = scheduler.schedule(loop)
-        if validate_each and outcome.is_modulo:
-            try:
-                outcome.schedule.validate()
-            except Exception as error:
-                from .parallel import LoopTaskError
-
-                raise LoopTaskError(
-                    benchmark=benchmark.name,
-                    loop_name=loop.name,
-                    scheduler=scheduler.name,
-                    cause=error,
-                ) from error
-        result.outcomes.append(outcome)
-    return result
 
 
 @dataclass
 class SuiteResult:
-    """All benchmarks under one (scheduler, machine) pair.
-
-    ``failures`` is empty except under the parallel runner's
-    ``keep_going`` mode, where each loop that could not be scheduled is
-    recorded as a :class:`~repro.eval.retry.LoopFailure` (its outcome is
-    simply absent from ``per_benchmark``) instead of aborting the run.
-    """
+    """All benchmarks under one (scheduler, machine) pair."""
 
     scheduler: str
     machine: str
     per_benchmark: Dict[str, BenchmarkResult] = field(default_factory=dict)
-    failures: tuple = ()
 
     @property
     def average_ipc(self) -> float:

@@ -31,13 +31,6 @@ builders over this package; see ``examples/service_quickstart.py``.
 """
 
 from ..errors import CodecError, StoreError
-from ..eval.faults import Fault, FaultPlan
-from ..eval.retry import (
-    ExecutionTelemetry,
-    FailureReport,
-    LoopFailure,
-    RetryPolicy,
-)
 from .codec import CODEC_SCHEMA, dumps_response, loads_response
 from .registry import (
     MACHINES,
@@ -67,11 +60,6 @@ __all__ = [
     "DiskStore",
     "EvaluationRequest",
     "EvaluationResponse",
-    "ExecutionTelemetry",
-    "FailureReport",
-    "Fault",
-    "FaultPlan",
-    "LoopFailure",
     "MACHINES",
     "MachineRegistry",
     "MemoryStore",
@@ -81,7 +69,6 @@ __all__ = [
     "RequestError",
     "ResponseMeta",
     "ResultStore",
-    "RetryPolicy",
     "SCHEDULERS",
     "STORE_NAMES",
     "ScheduleRequest",

@@ -41,7 +41,7 @@ from dataclasses import asdict, dataclass, fields
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..errors import CodecError
-from ..eval.retry import ExecutionTelemetry, FailureReport, LoopFailure
+from ..eval.parallel import BatchTelemetry
 from ..eval.runner import BenchmarkResult, SuiteResult
 from ..ir.serialize import loop_from_dict, loop_to_dict
 from ..machine.config import ClusterConfig, MachineConfig
@@ -54,7 +54,7 @@ from .store import StoreTelemetry
 #: Schema tag carried on every encoded payload.  Bump on any change to
 #: the encoded shape; decoders reject every other version (the store
 #: then treats old entries as misses and overwrites them).
-CODEC_SCHEMA = "repro-codec/1"
+CODEC_SCHEMA = "repro-codec/2"
 
 
 def dumps(payload: Dict[str, Any]) -> str:
@@ -330,80 +330,19 @@ def decode_request(
 
 
 # ----------------------------------------------------------------------
-# Failure reports and telemetry
+# Response metadata
 # ----------------------------------------------------------------------
-def encode_failures(failures: Tuple[LoopFailure, ...]) -> List[Dict[str, Any]]:
-    return [
-        {
-            "benchmark": f.benchmark,
-            "loop": f.loop_name,
-            "scheduler": f.scheduler,
-            "kind": f.kind,
-            "error_type": f.error_type,
-            "message": f.message,
-            "attempts": f.attempts,
-        }
-        for f in failures
-    ]
+def _encode_record(record: Any) -> Any:
+    return None if record is None else asdict(record)
 
 
-def decode_failures(payload: Any) -> Tuple[LoopFailure, ...]:
-    try:
-        return tuple(
-            LoopFailure(
-                benchmark=entry["benchmark"],
-                loop_name=entry["loop"],
-                scheduler=entry["scheduler"],
-                kind=entry["kind"],
-                error_type=entry["error_type"],
-                message=entry["message"],
-                attempts=entry["attempts"],
-            )
-            for entry in payload
-        )
-    except (KeyError, TypeError) as error:
-        raise CodecError(f"malformed failure payload: {error}") from error
-
-
-def encode_failure_report(report: FailureReport) -> Dict[str, Any]:
-    return {"schema": CODEC_SCHEMA, "failures": encode_failures(report.failures)}
-
-
-def decode_failure_report(payload: Dict[str, Any]) -> FailureReport:
-    payload = _expect(payload, "failure report")
-    return FailureReport(failures=decode_failures(payload.get("failures", ())))
-
-
-def _encode_telemetry(telemetry: Optional[ExecutionTelemetry]) -> Any:
-    if telemetry is None:
-        return None
-    payload = asdict(telemetry)
-    payload["chunk_attempts"] = list(telemetry.chunk_attempts)
-    return payload
-
-
-def _decode_telemetry(payload: Any) -> Optional[ExecutionTelemetry]:
+def _decode_record(kind: type, payload: Any, what: str) -> Any:
     if payload is None:
         return None
     try:
-        data = dict(payload)
-        data["chunk_attempts"] = tuple(data.get("chunk_attempts", ()))
-        return ExecutionTelemetry(**data)
+        return kind(**payload)
     except (TypeError, ValueError) as error:
-        raise CodecError(f"malformed telemetry payload: {error}") from error
-
-
-def _encode_store_meta(store: Optional[StoreTelemetry]) -> Any:
-    return None if store is None else asdict(store)
-
-
-def _decode_store_meta(payload: Any) -> Optional[StoreTelemetry]:
-    if payload is None:
-        return None
-    try:
-        return StoreTelemetry(**payload)
-    except (TypeError, ValueError) as error:
-        raise CodecError(f"malformed store telemetry payload: {error}") from error
+        raise CodecError(f"malformed {what} payload: {error}") from error
 
 
 def encode_meta(meta: ResponseMeta) -> Dict[str, Any]:
@@ -413,8 +352,8 @@ def encode_meta(meta: ResponseMeta) -> Dict[str, Any]:
         "wall_seconds": meta.wall_seconds,
         "jobs": meta.jobs,
         "validated": meta.validated,
-        "telemetry": _encode_telemetry(meta.telemetry),
-        "store": _encode_store_meta(meta.store),
+        "telemetry": _encode_record(meta.telemetry),
+        "store": _encode_record(meta.store),
     }
 
 
@@ -426,8 +365,12 @@ def decode_meta(payload: Dict[str, Any]) -> ResponseMeta:
             wall_seconds=payload["wall_seconds"],
             jobs=payload["jobs"],
             validated=payload["validated"],
-            telemetry=_decode_telemetry(payload.get("telemetry")),
-            store=_decode_store_meta(payload.get("store")),
+            telemetry=_decode_record(
+                BatchTelemetry, payload.get("telemetry"), "telemetry"
+            ),
+            store=_decode_record(
+                StoreTelemetry, payload.get("store"), "store telemetry"
+            ),
         )
     except (KeyError, TypeError) as error:
         raise CodecError(f"malformed response meta: {error}") from error
@@ -524,7 +467,6 @@ def encode_suite_result(result: SuiteResult) -> Dict[str, Any]:
             # form preserves it through sort_keys re-encoding.
             for bench in result.per_benchmark.values()
         ],
-        "failures": encode_failures(result.failures),
     }
 
 
@@ -533,7 +475,6 @@ def decode_suite_result(payload: Dict[str, Any]) -> SuiteResult:
         result = SuiteResult(
             scheduler=payload["scheduler"],
             machine=payload["machine"],
-            failures=decode_failures(payload.get("failures", ())),
         )
         for entry in payload["benchmarks"]:
             result.per_benchmark[entry["benchmark"]] = BenchmarkResult(

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..eval.retry import ExecutionTelemetry, FailureReport
+from ..eval.parallel import BatchTelemetry
 from ..eval.runner import SuiteResult
 from ..schedule.drivers import ScheduleOutcome
 from .requests import EvaluationRequest, ScheduleRequest
@@ -46,12 +46,9 @@ class ResponseMeta:
     #: ``options`` with the engine cross-checks / driver revalidation
     #: turned on (``verify_pressure`` / ``validate_schedules``).
     validated: bool
-    #: Frozen fault-tolerance telemetry for the batch that produced this
-    #: response (attempts, retries, pool rebuilds, deadline hits,
-    #: degraded chunks).  ``None`` on cache hits and on paths that did
-    #: not go through the batch dispatcher; ``telemetry.clean`` is True
-    #: when no fault-tolerance machinery had to engage.
-    telemetry: Optional[ExecutionTelemetry] = None
+    #: What the batch that produced this response dispatched (its chunk
+    #: count; 0 when it ran in-process).  ``None`` on cache hits.
+    telemetry: Optional[BatchTelemetry] = None
     #: Content-addressed store counters at response time (``None`` when
     #: the session has no store attached).  ``store.hit`` says whether
     #: *this* response was served from the persistent store — distinct
@@ -73,13 +70,7 @@ class ScheduleResponse:
 
 @dataclass(frozen=True)
 class EvaluationResponse:
-    """One (scheduler, suite, machine) evaluation plus metadata.
-
-    Under the session's ``keep_going`` mode a response may be *partial*:
-    loops that could not be scheduled are absent from the result and
-    accounted for in :attr:`failures` instead.  Complete responses have
-    an empty report and ``ok`` is True.
-    """
+    """One (scheduler, suite, machine) evaluation plus metadata."""
 
     request: EvaluationRequest
     result: SuiteResult
@@ -88,13 +79,3 @@ class EvaluationResponse:
     @property
     def average_ipc(self) -> float:
         return self.result.average_ipc
-
-    @property
-    def failures(self) -> FailureReport:
-        """Every loop this evaluation lost (empty on complete runs)."""
-        return FailureReport(failures=tuple(self.result.failures))
-
-    @property
-    def ok(self) -> bool:
-        """True when every loop of the suite was scheduled."""
-        return not self.result.failures

@@ -34,20 +34,15 @@ from __future__ import annotations
 import time
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from ..eval.faults import FaultPlan
 from ..eval.parallel import (
+    BatchTelemetry,
     EvaluationPool,
     SuiteTask,
     as_completed_suites,
+    resolve_chunksize,
     resolve_jobs,
-    run_requests,
+    submit_requests,
     submit_suite,
-)
-from ..eval.retry import (
-    ExecutionTelemetry,
-    FailureReport,
-    RetryPolicy,
-    RunTelemetry,
 )
 from ..eval.runner import SuiteResult
 from ..machine.config import MachineConfig
@@ -115,8 +110,10 @@ class ReproService:
     The session memoizes every completed response by request
     fingerprint: a repeated identical request is served from the cache
     without scheduling anything, and the replayed envelope says so
-    (``meta.cache_hit``).  Sessions are context managers; closing one
-    shuts down the pool it owns and drops the cache.
+    (``meta.cache_hit``).  A request that fails raises
+    :class:`~repro.errors.LoopTaskError` naming the loop and is neither
+    memoized nor stored.  Sessions are context managers;
+    closing one shuts down the pool it owns and drops the cache.
     """
 
     def __init__(
@@ -127,23 +124,13 @@ class ReproService:
         pool: Optional[EvaluationPool] = None,
         schedulers: Optional[SchedulerRegistry] = None,
         machines: Optional[MachineRegistry] = None,
-        policy: Optional[RetryPolicy] = None,
-        keep_going: bool = False,
-        faults: Optional[FaultPlan] = None,
         store: Optional[object] = None,
     ) -> None:
         self.schedulers = schedulers if schedulers is not None else SCHEDULERS
         self.machines = machines if machines is not None else MACHINES
+        # Rejects ``--chunksize < 1`` up front, at every ``jobs`` value.
+        resolve_chunksize(chunksize, total_items=0, jobs=1)
         self.chunksize = chunksize
-        #: Failure semantics for batch dispatch.  ``None`` keeps the
-        #: library's legacy fail-fast default
-        #: (:meth:`~repro.eval.retry.RetryPolicy.none`); the CLI passes
-        #: the production retry posture.
-        self.policy = policy
-        #: Collect per-loop failures on responses instead of aborting.
-        self.keep_going = keep_going
-        #: Deterministic fault-injection plan (test/CI only).
-        self.faults = faults
         #: Content-addressed persistent store (``None`` = memo cache only).
         #: Accepts a :class:`~repro.service.store.ResultStore` instance or
         #: a spec string (``"memory"``, ``"disk"``, ``"disk:PATH"``, a
@@ -151,12 +138,6 @@ class ReproService:
         #: hit → compute, and complete fresh responses are written back.
         self._owns_store = not isinstance(store, ResultStore)
         self.store: Optional[ResultStore] = open_store(store)
-        #: Session-lifetime fault-tolerance counters; each response also
-        #: carries its own batch's frozen snapshot on ``meta.telemetry``.
-        self.telemetry = RunTelemetry()
-        #: Every loop lost across the session (keep-going mode only);
-        #: :meth:`failure_report` renders it.
-        self.failures: List = []
         self._owns_pool = pool is None
         if pool is not None:
             self._pool: Optional[EvaluationPool] = pool
@@ -186,11 +167,6 @@ class ReproService:
             self.store.close()
         self._cache.clear()
 
-    def failure_report(self) -> FailureReport:
-        """Every loop the session lost so far, as one structured report
-        (empty unless ``keep_going`` runs actually failed loops)."""
-        return FailureReport(failures=tuple(self.failures))
-
     def __enter__(self) -> "ReproService":
         return self
 
@@ -219,7 +195,7 @@ class ReproService:
         cache_hit: bool,
         started: float,
         validated: bool,
-        telemetry: Optional[ExecutionTelemetry] = None,
+        telemetry: Optional[BatchTelemetry] = None,
         store_hit: bool = False,
     ) -> ResponseMeta:
         return ResponseMeta(
@@ -256,7 +232,7 @@ class ReproService:
         return response
 
     def _store_put(self, response) -> None:
-        """Persist one complete response (partial results never land).
+        """Persist one computed response.
 
         Store failures (full disk, permissions) must not break the
         computation the store only accelerates, so they are swallowed.
@@ -352,8 +328,7 @@ class ReproService:
         # The batch runner takes one validate_each flag per call, so
         # dispatch each posture's requests as one sub-batch (they still
         # share the session pool).
-        batch = RunTelemetry()
-        produced: Dict[str, SuiteResult] = {}
+        chunks = 0
         for flag in (False, True):
             group = [
                 (fingerprint, request, scheduler)
@@ -362,32 +337,22 @@ class ReproService:
             ]
             if not group:
                 continue
-            results = run_requests(
+            tasks = submit_requests(
                 [
                     (scheduler, request.resolve_suite())
                     for _fingerprint, request, scheduler in group
                 ],
-                jobs=self.jobs,
-                chunksize=self.chunksize,
                 pool=self._pool,
+                chunksize=self.chunksize,
                 validate_each=flag,
-                policy=self.policy,
-                faults=self.faults,
-                keep_going=self.keep_going,
-                telemetry=batch,
             )
+            results = [task.result() for task in tasks]
+            chunks += sum(task.chunks for task in tasks)
             for (fingerprint, _request, _scheduler), result in zip(
                 group, results
             ):
-                produced[fingerprint] = result
-                self.failures.extend(result.failures)
-                # Partial (keep-going) results are never memoized: a
-                # repeat of the request must re-attempt the lost loops,
-                # not replay the gap.
-                if not result.failures:
-                    self._cache[fingerprint] = result
-        self.telemetry.merge(batch)
-        snapshot = batch.freeze() if produced else None
+                self._cache[fingerprint] = result
+        telemetry = BatchTelemetry(chunks=chunks) if todo else None
         responses = []
         fresh = set(todo)  # fingerprints computed by this call, once each
         for request, fingerprint in zip(requests, fingerprints):
@@ -397,34 +362,25 @@ class ReproService:
                 self.cache_hits += 1
             else:
                 self.cache_misses += 1
-            # A duplicate of a partial (uncached) result still resolves
-            # through ``produced``.
-            result = produced.get(fingerprint, self._cache.get(fingerprint))
             responses.append(
                 EvaluationResponse(
                     request=request,
-                    result=result,
+                    result=self._cache[fingerprint],
                     meta=self._meta(
                         fingerprint,
                         hit,
                         started,
                         request.validation_requested(),
-                        telemetry=None if hit else snapshot,
+                        telemetry=None if hit else telemetry,
                         store_hit=fingerprint in store_hits,
                     ),
                 )
             )
-        # Write freshly computed, *complete* responses back to the store
-        # (the first occurrence carries the populating meta; partial
-        # keep-going results are never persisted).
-        if self.store is not None:
-            for response in responses:
-                if (
-                    not response.meta.cache_hit
-                    and response.meta.fingerprint in produced
-                    and not response.result.failures
-                ):
-                    self._store_put(response)
+        # Write freshly computed responses back to the store (the first
+        # occurrence carries the populating meta).
+        for response in responses:
+            if not response.meta.cache_hit:
+                self._store_put(response)
         return responses
 
     # ------------------------------------------------------------------
@@ -494,9 +450,6 @@ class ReproService:
             pool=self._pool,
             chunksize=self.chunksize,
             validate_each=request.validate_each,
-            policy=self.policy,
-            faults=self.faults,
-            keep_going=self.keep_going,
         )
         self._inflight[fingerprint] = task
         return BatchHandle(self, request, fingerprint, task=task)
@@ -529,17 +482,9 @@ class ReproService:
 
     def _redeem(self, handle: BatchHandle) -> EvaluationResponse:
         result = handle._task.result()
-        if not result.failures:
-            # Partial keep-going results are never memoized (a repeat
-            # must re-attempt the lost loops).
-            self._cache.setdefault(handle.fingerprint, result)
+        self._cache.setdefault(handle.fingerprint, result)
         if self._inflight.get(handle.fingerprint) is handle._task:
             del self._inflight[handle.fingerprint]
-            # First redemption of this task: fold its fault-tolerance
-            # counters into the session totals exactly once (shared
-            # handles redeem the same task again).
-            self.telemetry.merge(handle._task.telemetry)
-            self.failures.extend(result.failures)
         request = handle.request
         response = EvaluationResponse(
             request=request,
@@ -550,7 +495,7 @@ class ReproService:
                 wall_seconds=time.perf_counter() - handle._submitted,
                 jobs=self.jobs,
                 validated=request.validation_requested(),
-                telemetry=handle._task.telemetry.freeze(),
+                telemetry=BatchTelemetry(chunks=handle._task.chunks),
                 store=(
                     None
                     if self.store is None
@@ -558,6 +503,6 @@ class ReproService:
                 ),
             ),
         )
-        if not handle._shared and not result.failures:
+        if not handle._shared:
             self._store_put(response)
         return response

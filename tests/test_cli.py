@@ -50,6 +50,9 @@ class TestCommands:
 
     def test_schedule_unknown_kernel(self, capsys):
         assert main(["schedule", "--kernel", "nope"]) == 2
+        captured = capsys.readouterr()
+        assert "unknown kernel 'nope'" in captured.err
+        assert captured.out == ""
 
     def test_schedule_from_json_file(self, tmp_path, capsys):
         from repro.ir.serialize import save
@@ -118,7 +121,7 @@ class TestCommands:
         )
         assert code == 0
         payload = json.loads(path.read_text())
-        assert payload["schema"] == "repro-bench-cli/v7"
+        assert payload["schema"] == "repro-bench-cli/v8"
         assert payload["suite"] == "paper"
         assert "wire" not in payload
         assert payload["jobs"] == 1
@@ -129,11 +132,7 @@ class TestCommands:
         assert set(payload["cpu_seconds_per_benchmark"]) == {
             "uracam", "fixed-partition", "gp"
         }
-        # A healthy sequential run engages no fault-tolerance machinery.
-        fault = payload["fault_tolerance"]
-        assert fault["retries"] == 0
-        assert fault["rebuilds"] == 0
-        assert fault["failed_loops"] == 0
+        assert "fault_tolerance" not in payload
 
     def test_bench_profile_block(self, tmp_path, capsys):
         path = tmp_path / "bench.json"
@@ -212,65 +211,6 @@ class TestCommands:
             ) == 0
             assert capsys.readouterr().out == sequential
 
-    def test_evaluate_with_injected_crashes_matches_sequential(
-        self, tmp_path, capsys
-    ):
-        """The CI smoke contract: a crash plan changes nothing in stdout."""
-        from repro.eval.faults import FaultPlan
-        from repro.workloads.spec import spec_suite
-
-        argv = ["evaluate", "--programs", "2", "--format", "csv"]
-        assert main(argv) == 0
-        sequential = capsys.readouterr().out
-        plan = FaultPlan.from_seed(
-            5, spec_suite()[:2], kinds=("crash",), count=2
-        )
-        path = tmp_path / "plan.json"
-        path.write_text(plan.to_json() + "\n")
-        assert main(
-            argv + ["--jobs", "2", "--fault-plan", str(path)]
-        ) == 0
-        assert capsys.readouterr().out == sequential
-
-    def test_evaluate_keep_going_reports_failures_on_stderr(
-        self, tmp_path, capsys
-    ):
-        from repro.eval.faults import Fault, FaultPlan
-        from repro.workloads.spec import spec_suite
-
-        victim = spec_suite()[0]
-        plan = FaultPlan(
-            faults=(
-                Fault(
-                    benchmark=victim.name,
-                    loop_name=victim.loops[0].name,
-                    kind="raise",
-                    attempt=None,
-                ),
-            )
-        )
-        path = tmp_path / "plan.json"
-        path.write_text(plan.to_json() + "\n")
-        argv = [
-            "evaluate", "--programs", "1", "--jobs", "2",
-            "--fault-plan", str(path), "--keep-going",
-        ]
-        assert main(argv) == 3  # partial results: distinct exit code
-        captured = capsys.readouterr()
-        assert "FAILURES" in captured.err
-        assert victim.loops[0].name in captured.err
-        # Without --keep-going the same plan aborts with an error.
-        assert main(argv[:-1]) == 1
-        assert "error:" in capsys.readouterr().err
-
-    def test_evaluate_keep_going_clean_run_reports_nothing(self, capsys):
-        argv = [
-            "evaluate", "--programs", "1", "--format", "csv", "--keep-going",
-        ]
-        assert main(argv) == 0
-        captured = capsys.readouterr()
-        assert "no loop failures" in captured.err
-
     @pytest.mark.parametrize(
         "argv",
         [
@@ -286,13 +226,22 @@ class TestCommands:
         assert f"programs must be >= 0, got {argv[-1]}" in captured.err
         assert captured.out == ""
 
-    def test_bad_fault_plan_is_a_clean_cli_error(self, tmp_path, capsys):
-        path = tmp_path / "plan.json"
-        path.write_text("{broken")
-        assert main(
-            ["evaluate", "--programs", "1", "--fault-plan", str(path)]
-        ) == 1
-        assert "error:" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evaluate", "--programs", "1", "--chunksize", "0"],
+            ["evaluate", "--programs", "1", "--chunksize", "0", "--jobs", "2"],
+            ["bench", "--machine", "2x32", "--programs", "1", "--chunksize", "-1"],
+        ],
+        ids=["evaluate-jobs1", "evaluate-jobs2", "bench-jobs1"],
+    )
+    def test_bad_chunksize_is_a_clean_cli_error(self, capsys, argv):
+        # Rejected at every --jobs, before anything is scheduled.
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        chunksize = argv[argv.index("--chunksize") + 1]
+        assert f"--chunksize must be >= 1, got {chunksize}" in captured.err
+        assert captured.out == ""
 
     def test_machines_listing(self, capsys):
         assert main(["machines"]) == 0
@@ -377,7 +326,7 @@ class TestStoreAndCacheCommands:
                 victim = os.path.join(objects, shard, names[0])
                 break
         with open(victim, "w") as handle:
-            handle.write('{"schema": "repro-codec/1", "tru')
+            handle.write('{"schema": "repro-codec/2", "tru')
         assert main(["cache", "verify", "--store", store]) == 1
         captured = capsys.readouterr()
         assert "verified 3 entries" in captured.out

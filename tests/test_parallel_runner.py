@@ -3,8 +3,9 @@
 The contract under test: for any ``--jobs`` value the parallel runner's
 results — per-loop IPC, II, stages, bus/mem-comm/spill stats, rendered
 tables, machine-readable exports — are byte-identical to the sequential
-path, and a worker that raises (or dies) produces a clear per-loop error
-instead of a hung pool.
+path, and a scheduler that raises (or a worker that dies, or a pool that
+is already broken) fails the run with a :class:`LoopTaskError` naming the
+loop instead of hanging the pool, at every ``jobs`` value.
 """
 
 import multiprocessing
@@ -240,15 +241,18 @@ class TestDeterministicMerge:
 
 
 class TestFailureSurfacing:
-    def test_worker_exception_names_the_loop(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_worker_exception_names_the_loop(self, jobs):
         suite = spec_suite()[:1]
         victim = suite[0].loops[1].name
         scheduler = _CrashingScheduler(two_cluster(32), victim=victim)
         with pytest.raises(LoopTaskError) as excinfo:
-            run_suite_parallel(suite, scheduler, jobs=2)
+            run_suite_parallel(suite, scheduler, jobs=jobs)
         assert victim in str(excinfo.value)
         assert suite[0].name in str(excinfo.value)
+        assert "'crashing'" in str(excinfo.value)
         assert excinfo.value.loop_name == victim
+        assert isinstance(excinfo.value.cause, RuntimeError)
 
     def test_dead_worker_does_not_hang(self):
         suite = spec_suite()[:1]
@@ -267,6 +271,19 @@ class TestFailureSurfacing:
             run_suite(suite, scheduler, jobs=jobs, validate_each=True)
         assert excinfo.value.loop_name == victim
         assert "injected session corruption" in str(excinfo.value)
+
+    def test_pool_broken_before_submit_is_a_loop_error(self):
+        """``executor.submit`` itself raising BrokenProcessPool."""
+        suite = spec_suite()[:2]
+        pool = EvaluationPool(jobs=2)
+        try:
+            _break_pool(pool)
+            with pytest.raises(LoopTaskError) as excinfo:
+                run_requests([(GPScheduler(two_cluster(32)), suite)], pool=pool)
+            assert excinfo.value.benchmark == suite[0].name
+            assert excinfo.value.scheduler == "gp"
+        finally:
+            pool.shutdown()
 
 
 def _break_pool(pool: EvaluationPool) -> None:
@@ -304,15 +321,6 @@ class TestPoolLifecycle:
         pool = EvaluationPool(jobs=2)
         pool.shutdown()  # nothing was spawned; still fine
         assert pool._executor is None
-
-    def test_rebuild_replaces_a_broken_executor(self):
-        pool = EvaluationPool(jobs=2)
-        _break_pool(pool)
-        executor = pool.rebuild()
-        assert pool.rebuilds == 1
-        # The fresh executor actually works.
-        assert executor.submit(max, 2, 3).result() == 3
-        pool.shutdown()
 
 
 class TestStreamingFailures:
@@ -356,10 +364,13 @@ class TestStreamingFailures:
         lazy_good = submit_suite(GPScheduler(machine), mini)
         order = list(as_completed_suites([lazy_bad, lazy_good]))
         assert order == [lazy_bad, lazy_good]  # given order, no pool
-        # The lazy path is plain run_suite: the scheduler's own error
-        # propagates unwrapped, exactly as a sequential call would raise.
-        with pytest.raises(RuntimeError, match="injected scheduler crash"):
+        # The lazy path is plain run_suite, which names the failing loop
+        # exactly as the pooled path does.
+        with pytest.raises(LoopTaskError) as excinfo:
             lazy_bad.result()
+        assert excinfo.value.loop_name == victim
+        assert isinstance(excinfo.value.__cause__, RuntimeError)
+        assert "injected scheduler crash" in str(excinfo.value.__cause__)
         assert lazy_good.result().scheduler == "gp"
 
     def test_dead_worker_surfaces_from_result_not_iteration(self, mini):

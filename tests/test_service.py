@@ -11,6 +11,7 @@ combinations.
 
 import pytest
 
+from repro.errors import LoopTaskError
 from repro.eval.export import suite_result_to_json
 from repro.eval.runner import run_suite
 from repro.machine.presets import two_cluster, unified
@@ -18,13 +19,10 @@ from repro.schedule.drivers import GPScheduler
 from repro.schedule.engine import EngineOptions
 from repro.service import (
     EvaluationRequest,
-    Fault,
-    FaultPlan,
     MachineRegistry,
     RegistryError,
     ReproService,
     RequestError,
-    RetryPolicy,
     ScheduleRequest,
     SchedulerRegistry,
 )
@@ -35,6 +33,18 @@ from repro.workloads.spec import Benchmark, spec_suite
 
 def mini_suite():
     return (Benchmark(name="mini", loops=(daxpy(), stencil5())),)
+
+
+class _CrashingGP(GPScheduler):
+    """GP that raises on daxpy, the mini suite's first loop (module-level,
+    so pool workers can unpickle it)."""
+
+    name = "crashing-gp"
+
+    def schedule(self, loop):
+        if loop.name == daxpy().name:
+            raise RuntimeError("injected scheduler crash")
+        return super().schedule(loop)
 
 
 # ----------------------------------------------------------------------
@@ -361,104 +371,6 @@ class TestStreaming:
 
 
 # ----------------------------------------------------------------------
-# Fault tolerance through the session
-# ----------------------------------------------------------------------
-class TestSessionFaultTolerance:
-    def _crash_plan(self):
-        suite = mini_suite()
-        return FaultPlan(
-            faults=(
-                Fault(
-                    benchmark=suite[0].name,
-                    loop_name=suite[0].loops[0].name,
-                    kind="crash",
-                    attempt=0,
-                ),
-            )
-        )
-
-    def _raise_plan(self):
-        suite = mini_suite()
-        return FaultPlan(
-            faults=(
-                Fault(
-                    benchmark=suite[0].name,
-                    loop_name=suite[0].loops[0].name,
-                    kind="raise",
-                    attempt=None,
-                ),
-            )
-        )
-
-    def test_telemetry_rides_on_response_meta(self):
-        request = EvaluationRequest(
-            scheduler="gp", machine="2x32", suite=mini_suite()
-        )
-        clean = suite_result_to_json(
-            run_suite(list(mini_suite()), GPScheduler(two_cluster(32))),
-            timing=False,
-        )
-        with ReproService(
-            jobs=2,
-            policy=RetryPolicy(sleep=lambda _s: None),
-            faults=self._crash_plan(),
-        ) as service:
-            response = service.evaluate(request)
-            assert response.ok
-            assert suite_result_to_json(response.result, timing=False) == clean
-            assert response.meta.telemetry is not None
-            assert response.meta.telemetry.retries >= 1
-            assert not response.meta.telemetry.clean
-            assert service.telemetry.retries >= 1
-            replay = service.evaluate(request)
-            assert replay.meta.cache_hit
-            assert replay.meta.telemetry is None  # no work was dispatched
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_keep_going_reports_and_never_caches_partials(self, jobs):
-        request = EvaluationRequest(
-            scheduler="gp", machine="2x32", suite=mini_suite()
-        )
-        victim = mini_suite()[0].loops[0].name
-        with ReproService(
-            jobs=jobs,
-            policy=RetryPolicy(sleep=lambda _s: None),
-            faults=self._raise_plan(),
-            keep_going=True,
-        ) as service:
-            response = service.evaluate(request)
-            assert not response.ok
-            assert [f.loop_name for f in response.failures.failures] == [victim]
-            assert "FAILURES" in response.failures.render()
-            assert service.failure_report().loops() == [
-                (mini_suite()[0].name, victim)
-            ]
-            # A partial result must be recomputed, never replayed.
-            again = service.evaluate(request)
-            assert not again.meta.cache_hit
-
-    def test_streamed_submit_heals_transients_too(self):
-        request = EvaluationRequest(
-            scheduler="gp", machine="2x32", suite=mini_suite()
-        )
-        clean = suite_result_to_json(
-            run_suite(list(mini_suite()), GPScheduler(two_cluster(32))),
-            timing=False,
-        )
-        with ReproService(
-            jobs=2,
-            policy=RetryPolicy(sleep=lambda _s: None),
-            faults=self._crash_plan(),
-        ) as service:
-            handle = service.submit(request)
-            response = handle.response()
-            assert suite_result_to_json(response.result, timing=False) == clean
-            assert response.meta.telemetry is not None
-            assert response.meta.telemetry.retries >= 1
-            assert service.telemetry.retries >= 1
-
-
-# ----------------------------------------------------------------------
 # Façade == legacy, bit for bit
 # ----------------------------------------------------------------------
 class TestFacadeLegacyEquivalence:
@@ -575,34 +487,24 @@ class TestSessionStoreSeam:
             assert response.meta.store.hit is True
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_partial_results_are_never_persisted(self, jobs):
+    def test_failed_batch_is_never_memoized_or_persisted(self, jobs):
         from repro.service import MemoryStore
 
+        schedulers = SchedulerRegistry()
+        schedulers.register()(_CrashingGP)
         store = MemoryStore()
-        suite = mini_suite()
-        plan = FaultPlan(
-            faults=(
-                Fault(
-                    benchmark=suite[0].name,
-                    loop_name=suite[0].loops[0].name,
-                    kind="raise",
-                    attempt=None,
-                ),
-            )
-        )
         request = EvaluationRequest(
-            scheduler="gp", machine="2x32", suite=suite
+            scheduler="crashing-gp", machine="2x32", suite=mini_suite()
         )
         with ReproService(
-            jobs=jobs,
-            store=store,
-            keep_going=True,
-            faults=plan,
-            policy=RetryPolicy(sleep=lambda _s: None),
+            jobs=jobs, store=store, schedulers=schedulers
         ) as service:
-            response = service.evaluate(request)
-            assert not response.ok
-        assert store.keys() == []  # the gap must never replay
+            with pytest.raises(LoopTaskError) as excinfo:
+                service.evaluate(request)
+            assert excinfo.value.loop_name == daxpy().name
+            assert excinfo.value.scheduler == "crashing-gp"
+            assert request.fingerprint() not in service._cache
+        assert store.keys() == []
 
     def test_corrupted_store_entry_recomputes(self):
         from repro.service import MemoryStore
@@ -613,7 +515,7 @@ class TestSessionStoreSeam:
         )
         with ReproService(jobs=1, store=store) as first:
             good = first.evaluate(request)
-        store._entries[request.fingerprint()] = '{"schema": "repro-codec/1", tr'
+        store._entries[request.fingerprint()] = '{"schema": "repro-codec/2", tr'
         with ReproService(jobs=1, store=store) as second:
             recomputed = second.evaluate(request)
         assert recomputed.meta.cache_hit is False

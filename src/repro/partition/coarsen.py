@@ -12,6 +12,11 @@ Coarsening stops when the graph has exactly as many nodes as the machine has
 clusters, or when no further matching is possible (disconnected remainder).
 If a matching would overshoot below the target, only its heaviest pairs are
 applied.
+
+The hierarchy also records how each level was built — which pairs of the
+finer level it fuses, and a rank per group that orders the groups of every
+level they appear on as their group ids do — so refinement can walk back
+down it by splitting only the fused groups.
 """
 
 from __future__ import annotations
@@ -25,6 +30,9 @@ from .weights import EdgeWeighting
 #: One level of the hierarchy: group id -> sorted tuple of original uids.
 Level = Dict[int, Tuple[int, ...]]
 
+#: A group's rank: (-level it was formed on, its group id on that level).
+Rank = Tuple[int, int]
+
 
 @dataclass
 class Hierarchy:
@@ -34,10 +42,20 @@ class Hierarchy:
         levels: ``levels[0]`` is the finest level (a singleton group per
             operation); ``levels[-1]`` is the coarsest.
         weighting: The edge weighting the matchings used.
+        fused: ``fused[k]`` (``k >= 1``) lists the pairs of level ``k - 1``
+            group ids fused into group ids ``0, 1, ...`` of level ``k``; the
+            other groups of level ``k`` are those of level ``k - 1``, in
+            order.  ``fused[0]`` is empty.
+        ranks: ``ranks[k][gid]`` is the rank of group ``gid`` of level
+            ``k``.  A group keeps its rank on every level it survives to,
+            and on each such level ranks sort like group ids: fused groups
+            come first, then the survivors in their previous order.
     """
 
     levels: List[Level]
     weighting: EdgeWeighting
+    fused: List[Tuple[Tuple[int, int], ...]]
+    ranks: List[List[Rank]]
 
     @property
     def num_levels(self) -> int:
@@ -105,6 +123,8 @@ def build_hierarchy(
     ddg = weighting.loop.ddg
     finest: Level = {i: (uid,) for i, uid in enumerate(ddg.uids())}
     levels: List[Level] = [finest]
+    fused: List[Tuple[Tuple[int, int], ...]] = [()]
+    ranks: List[List[Rank]] = [[(0, gid) for gid in finest]]
 
     while len(levels[-1]) > num_clusters:
         current = levels[-1]
@@ -126,17 +146,27 @@ def build_hierarchy(
 
         fused_into: Dict[int, int] = {}
         next_level: Level = {}
+        pairs: List[Tuple[int, int]] = []
+        depth = len(levels)
+        next_ranks: List[Rank] = []
         next_gid = 0
         for u, v in sorted(matching, key=lambda p: (min(p), max(p))):
+            u, v = min(u, v), max(u, v)
             merged = tuple(sorted(current[u] + current[v]))
             next_level[next_gid] = merged
+            pairs.append((u, v))
+            next_ranks.append((-depth, next_gid))
             fused_into[u] = next_gid
             fused_into[v] = next_gid
             next_gid += 1
+        current_ranks = ranks[-1]
         for gid in sorted(current):
             if gid not in fused_into:
                 next_level[next_gid] = current[gid]
+                next_ranks.append(current_ranks[gid])
                 next_gid += 1
         levels.append(next_level)
+        fused.append(tuple(pairs))
+        ranks.append(next_ranks)
 
-    return Hierarchy(levels=levels, weighting=weighting)
+    return Hierarchy(levels=levels, weighting=weighting, fused=fused, ranks=ranks)

@@ -23,9 +23,22 @@ Communications are counted point-to-point: one bus transfer per (value,
 remote consumer cluster) pair, matching what the scheduler will later
 place.
 
-The estimator is the refinement loop's inner cost function, called once per
-candidate move, so everything graph-shaped (edge tuples, topological order,
-operation classes) is precomputed at construction.
+The estimator is the refinement loop's inner cost function, so everything
+graph-shaped (edge tuples, topological order, operation classes) is
+precomputed at construction, and the refiner prices a candidate in three
+steps of rising cost, each exact:
+
+* :meth:`PartitionEstimator.may_beat` runs the bound prunes from a
+  score-delta entry (:meth:`CommState.preview_delta`: the changes of the
+  transfer count, cut edges, cut slack and memory-route charge, and the
+  un-cut edges) plus the shifted class counts — no preview, no path;
+* a survivor is previewed (:meth:`CommState.preview_moves`) and priced by
+  :meth:`PartitionEstimator.estimate_preview`;
+* its critical path starts from the live :class:`CommState`'s cached
+  start times when the move un-cuts no edge on a longest path to its
+  destination (it then only relaxes the edges it cuts), and from one full
+  sweep otherwise.  The round's applied winner hands its start times to
+  the live state.
 """
 
 from __future__ import annotations
@@ -53,6 +66,7 @@ _INFEASIBLE_II = 10**6
 
 #: Index of each operation class, for compact per-cluster count arrays.
 _CLASS_INDEX = {cls: i for i, cls in enumerate(OpClass)}
+_MEM_INDEX = _CLASS_INDEX[OpClass.MEM]
 
 
 def cut_data_edges(ddg: DataDependenceGraph, assignment: Assignment) -> List[Dependence]:
@@ -101,6 +115,22 @@ def cluster_res_mii(
             return _INFEASIBLE_II
         worst = max(worst, math.ceil(count / units))
     return worst
+
+
+def _loses(
+    exec_floor: int,
+    slack_total: int,
+    cut_count: int,
+    bound: int,
+    incumbent: Optional[Tuple[int, int, int]],
+) -> bool:
+    """Whether a candidate whose exec time is at least ``exec_floor`` cannot
+    win: its score is not strictly below ``incumbent`` (ties settled on the
+    known slack and cut count), or without one its exec time exceeds
+    ``bound``."""
+    if incumbent is not None:
+        return (exec_floor, -slack_total, cut_count) >= incumbent
+    return exec_floor > bound
 
 
 @dataclass(frozen=True)
@@ -190,8 +220,12 @@ class PartitionEstimator:
         # node index -> (dst index, edge index) of its out-edges, for the
         # worklist re-relaxation after a back edge relaxes.
         self._out_edges: List[List[Tuple[int, int]]] = [[] for _ in range(self._n)]
+        # node index -> (src index, edge index) of its in-edges, for the
+        # backward search over tight edges.
+        self._in_edges: List[List[Tuple[int, int]]] = [[] for _ in range(self._n)]
         for i, (si, di, _back) in enumerate(self._sweep_edges):
             self._out_edges[si].append((di, i))
+            self._in_edges[di].append((si, i))
         self._latency_arr = [self._op_latency[uid] for uid in self._uids]
         self._class_arr = [self._class_of[uid] for uid in self._uids]
         # ii -> per-edge base length (latency - ii*distance), reused across
@@ -270,6 +304,7 @@ class PartitionEstimator:
                 bound=bound,
                 cluster_class_counts=cluster_class_counts,
                 assignment=assignment,
+                start_times=comm_state.start_times,
             )
         # One fused sweep over the value-carrying edges: cut edge indices
         # (reused by the critical path), transfer pairs, per-cluster
@@ -316,22 +351,82 @@ class PartitionEstimator:
         asg: Optional[List[int]] = None,
         incumbent: Optional[Tuple[int, int, int]] = None,
         live_floor: Optional[Callable[[int], Optional[int]]] = None,
+        start_times: Optional[Callable[[int], Optional[List[int]]]] = None,
     ) -> Optional[PartitionEstimate]:
         """Shared pricing tail of :meth:`estimate` and :meth:`estimate_preview`.
 
         ``get_comm_mem`` and ``cut_idx`` may be lazy: the memory-route usage
         is only derived on bus overflow, and a callable ``cut_idx`` is only
         materialized when the critical path is actually computed (i.e. the
-        candidate survived both prunes).
+        candidate survived both prunes).  ``start_times(ii)`` — when given —
+        supplies the longest-path start times of the priced cut set, which
+        a live session caches and a preview derives incrementally.
 
         ``incumbent`` — a full ``(exec_time, -cut_slack, cut_edges)`` score
         to beat — implies ``bound = incumbent[0]`` and lets the second prune
         settle exec-time ties on the slack and cut count it already knows.
         ``live_floor(ii)`` may return a further lower bound on the critical
-        path at a feasible ``ii`` (see :meth:`CommPreview.live_path_floor`).
+        path at a feasible ``ii`` (see :meth:`CommState.live_path_floor`).
         """
         if incumbent is not None:
             bound = incumbent[0]
+        if cluster_class_counts is None and asg is None:
+            asg = [assignment[uid] for uid in self._uids]
+        bounded = self._bounded_ii(
+            ncomm, cut_count, slack_total, get_comm_mem, cluster_class_counts,
+            asg, bound, incumbent, live_floor,
+        )
+        if bounded is None:
+            return None
+        ii_bus, ii_est = bounded
+        if start_times is None:
+            if callable(cut_idx):
+                cut_idx = cut_idx()
+
+            def start_times(ii: int) -> Optional[List[int]]:
+                return self._start_times(self._lengths(cut_idx, ii))
+
+        dist = start_times(ii_est)
+        if dist is None:
+            if callable(cut_idx):
+                cut_idx = cut_idx()
+            ii_est = self._rec_mii_with_cut(cut_idx, lower_bound=ii_est)
+            dist = start_times(ii_est)
+            if dist is None:  # pragma: no cover - defensive
+                raise PartitionError("estimator failed to converge")
+        path = max(map(add, dist, self._latency_arr)) if dist else 0
+
+        exec_time = (self.loop.trip_count - 1) * ii_est + path
+        return PartitionEstimate(
+            exec_time=exec_time,
+            ii_est=ii_est,
+            ii_bus=ii_bus,
+            ncomm=ncomm,
+            cut_edges=cut_count,
+            critical_path=path,
+            cut_slack=slack_total,
+        )
+
+    def _bounded_ii(
+        self,
+        ncomm: int,
+        cut_count: int,
+        slack_total: int,
+        get_comm_mem,
+        counts: Optional[Sequence[Sequence[int]]],
+        asg: Optional[Sequence[int]],
+        bound: Optional[int],
+        incumbent: Optional[Tuple[int, int, int]],
+        live_floor: Optional[Callable[[int], Optional[int]]],
+    ) -> Optional[Tuple[int, int]]:
+        """``(ii_bus, ii_est)`` of a partition, or None when the exact bound
+        prunes prove it cannot beat ``bound`` (or ``incumbent``).
+
+        Everything here reads the partition's totals, its class counts
+        (``counts``, else recounted from ``asg``) and, on bus overflow, its
+        memory-route usage — never the cut set itself, so the refiner can
+        run it from a score-delta table entry (:meth:`may_beat`).
+        """
         ii_bus = (
             math.ceil(ncomm * self._bus_latency / self._num_buses)
             if (self._clustered and ncomm)
@@ -361,11 +456,9 @@ class PartitionEstimator:
             ]
         else:
             mem_extra = None
-        if cluster_class_counts is not None:
-            res_ii = self._res_mii_from_counts(cluster_class_counts, mem_extra)
+        if counts is not None:
+            res_ii = self._res_mii_from_counts(counts, mem_extra)
         else:
-            if asg is None:
-                asg = [assignment[uid] for uid in self._uids]
             res_ii = self._cluster_res_mii(asg, mem_extra)
         ii_est = max(self.ii, ii_bus, res_ii)
 
@@ -376,46 +469,49 @@ class PartitionEstimator:
             # live floor; otherwise the II could still rise and shrink the
             # path, so only the global floor is sound.
             if ii_est >= self._all_cut_mii():
+                # A candidate wins only with a score strictly below the
+                # incumbent, and its exec time is at least trip * ii_est
+                # plus a path floor (a pressure penalty only raises it
+                # further).
                 base = trip * ii_est
-
-                def loses(floor: Optional[int]) -> bool:
-                    # A candidate wins only with a score strictly below the
-                    # incumbent, and its exec time is at least base + floor
-                    # (a pressure penalty only raises it further).
-                    if floor is None:
-                        return False
-                    if incumbent is not None:
-                        return (base + floor, -slack_total, cut_count) >= incumbent
-                    return base + floor > bound
-
-                if loses(self._nocut_at(ii_est)):
+                floor = self._nocut_at(ii_est)
+                if floor is not None and _loses(
+                    base + floor, slack_total, cut_count, bound, incumbent
+                ):
                     return None
-                if live_floor is not None and loses(live_floor(ii_est)):
-                    return None
+                if live_floor is not None:
+                    floor = live_floor(ii_est)
+                    if floor is not None and _loses(
+                        base + floor, slack_total, cut_count, bound, incumbent
+                    ):
+                        return None
             else:
                 floor = self._path_floor()
                 if floor is not None and trip * ii_est + floor > bound:
                     return None
+        return ii_bus, ii_est
 
-        if callable(cut_idx):
-            cut_idx = cut_idx()
-        path = self._longest_path(cut_idx, ii_est)
-        if path is None:
-            ii_est = self._rec_mii_with_cut(cut_idx, lower_bound=ii_est)
-            path = self._longest_path(cut_idx, ii_est)
-            if path is None:  # pragma: no cover - defensive
-                raise PartitionError("estimator failed to converge")
+    def may_beat(
+        self,
+        incumbent: Tuple[int, int, int],
+        ncomm: int,
+        cut_count: int,
+        slack_total: int,
+        get_comm_mem,
+        cluster_class_counts: Sequence[Sequence[int]],
+        live_floor: Optional[Callable[[int], Optional[int]]] = None,
+    ) -> bool:
+        """Whether a candidate with these totals survives the bound prunes
+        :meth:`estimate_preview` would run against ``incumbent``.
 
-        exec_time = trip * ii_est + path
-        return PartitionEstimate(
-            exec_time=exec_time,
-            ii_est=ii_est,
-            ii_bus=ii_bus,
-            ncomm=ncomm,
-            cut_edges=cut_count,
-            critical_path=path,
-            cut_slack=slack_total,
-        )
+        The refiner calls this from its score-delta table, before any
+        :class:`CommPreview` exists: False proves the candidate's score is
+        not strictly below ``incumbent``.
+        """
+        return self._bounded_ii(
+            ncomm, cut_count, slack_total, get_comm_mem, cluster_class_counts,
+            None, incumbent[0], incumbent, live_floor,
+        ) is not None
 
     #: Whether refiners may score candidate moves through
     #: :meth:`estimate_preview`.  Subclasses whose objective cannot be
@@ -451,6 +547,7 @@ class PartitionEstimator:
             cluster_class_counts=cluster_class_counts,
             incumbent=incumbent,
             live_floor=preview.live_path_floor,
+            start_times=preview.start_times,
         )
 
     def max_ncomm(self, bound: int) -> float:
@@ -525,22 +622,26 @@ class PartitionEstimator:
         counts: Sequence[Sequence[int]],
         mem_extra: Optional[Sequence[float]] = None,
     ) -> int:
-        n_classes = len(OpClass)
-        mem_index = _CLASS_INDEX[OpClass.MEM]
+        mem_index = _MEM_INDEX
         worst = 1
-        for cluster in range(self.machine.num_clusters):
-            for cls_idx in range(n_classes):
-                count = counts[cluster][cls_idx]
-                if cls_idx == mem_index and mem_extra is not None:
-                    count += math.ceil(mem_extra[cluster])
-                if not count:
-                    continue
-                units = self._units[cluster][cls_idx]
-                if units == 0:
-                    return _INFEASIBLE_II
-                need = -(-count // units)  # ceil
-                if need > worst:
-                    worst = need
+        for cluster, (row, units) in enumerate(zip(counts, self._units)):
+            for count, unit in zip(row, units):
+                if count:
+                    if not unit:
+                        return _INFEASIBLE_II
+                    if count > worst * unit:
+                        worst = -(-count // unit)  # ceil
+            # Memory-routed transfers only add to the MEM class (and so
+            # only raise its need above the one just taken).
+            if mem_extra is not None:
+                extra = math.ceil(mem_extra[cluster])
+                if extra:
+                    unit = units[mem_index]
+                    if not unit:
+                        return _INFEASIBLE_II
+                    count = row[mem_index] + extra
+                    if count > worst * unit:
+                        worst = -(-count // unit)
         return worst
 
     def _longest_path(
@@ -580,10 +681,8 @@ class PartitionEstimator:
         The first sweep follows the topological edge order, so unless a
         back edge relaxes in it, it has already reached the fixpoint.
         Otherwise only the destinations of the relaxed back edges can
-        have unsatisfied out-edges, and a FIFO worklist seeded with them
-        re-relaxes to the same (unique) fixpoint a repeated whole-graph
-        sweep would reach.  Without a positive cycle no node is queued
-        more than ``n`` times.
+        have unsatisfied out-edges, and :meth:`_settle` re-relaxes from
+        them.  This is the only full longest-path sweep.
         """
         dist = [0] * self._n
         seeds: List[int] = []
@@ -595,6 +694,71 @@ class PartitionEstimator:
                     seeds.append(di)
         if not seeds:
             return dist
+        return self._settle(dist, lengths, seeds)
+
+    def _recut(
+        self, lengths: Sequence[int], uncut: Sequence[int], newly_cut: Sequence[int]
+    ) -> List[int]:
+        """``lengths`` with the bus latency taken off the edges ``uncut``
+        and put on the edges ``newly_cut`` (a new list)."""
+        out = list(lengths)
+        bus = self._bus_latency
+        for i in uncut:
+            out[i] -= bus
+        for i in newly_cut:
+            out[i] += bus
+        return out
+
+    def _keeps_fixpoint(
+        self, dist: Sequence[int], lengths: Sequence[int], uncut: Sequence[int]
+    ) -> bool:
+        """Whether shortening the edges ``uncut`` leaves ``dist`` — the
+        fixpoint of ``lengths`` — the least fixpoint.
+
+        Every longest path runs over *tight* edges (``dist[u] + len ==
+        dist[v]``), so when no shortened edge is tight every longest path
+        keeps its length.
+        """
+        edges = self._sweep_edges
+        for i in uncut:
+            si, di, _back = edges[i]
+            if dist[si] + lengths[i] == dist[di]:
+                return False
+        return True
+
+    def _raise(
+        self, dist: List[int], lengths: Sequence[int], grown: Sequence[int]
+    ) -> Optional[List[int]]:
+        """Start times after the edges ``grown`` lengthened, from ``dist``.
+
+        ``dist`` must be the fixpoint of the lengths before the change (it
+        is updated in place).  Lengthening edges only raises the least
+        fixpoint, so ``dist`` starts below the new one, and relaxing the
+        grown edges then settling from the raised destinations converges
+        to it exactly — or returns None on a positive cycle.
+        """
+        edges = self._sweep_edges
+        seeds: List[int] = []
+        for i in grown:
+            si, di, _back = edges[i]
+            cand = dist[si] + lengths[i]
+            if cand > dist[di]:
+                dist[di] = cand
+                seeds.append(di)
+        if not seeds:
+            return dist
+        return self._settle(dist, lengths, seeds)
+
+    def _settle(
+        self, dist: List[int], lengths: Sequence[int], seeds: Sequence[int]
+    ) -> Optional[List[int]]:
+        """Re-relax from ``seeds`` — the only nodes with unsatisfied
+        out-edges — to the fixpoint, or None on a positive cycle.
+
+        A FIFO worklist reaches the same (unique least) fixpoint a repeated
+        whole-graph sweep would.  Without a positive cycle no node is
+        queued more than ``n`` times.
+        """
         n = self._n
         out_edges = self._out_edges
         queued = [False] * n
@@ -621,42 +785,42 @@ class PartitionEstimator:
                         queue.append(di)
         return dist
 
-    def _critical_cut(
-        self, cut_idx: Sequence[int], ii: int
-    ) -> Optional[Tuple[int, FrozenSet[int]]]:
-        """Critical path at ``ii`` and the cut edges lying on a critical path.
+    def _critical_edges(
+        self, dist: Sequence[int], lengths: Sequence[int], cut: Set[int]
+    ) -> Tuple[int, FrozenSet[int]]:
+        """The critical path of start times ``dist`` and the edges of
+        ``cut`` lying on a critical path.
 
-        An edge ``u -> v`` is critical when ``dist[u] + len + tail[v]``
-        equals the path, ``tail[v]`` being the longest path from ``v``'s
-        start to the end of the iteration.  Returns None if ``ii`` is
-        infeasible for ``cut_idx``.
+        Every edge of a longest path is *tight* (``dist[u] + len ==
+        dist[v]``).  So a node lies on a critical path exactly when it ends
+        one (``dist + latency == path``) or a tight edge leads from it to
+        such a node, and an edge lies on one exactly when it is tight and
+        its destination does.  A search backwards over tight edges from the
+        path's ends finds them, touching only the critical subgraph instead
+        of sweeping every edge for the tails.
         """
-        lengths = self._lengths(cut_idx, ii)
-        dist = self._start_times(lengths)
-        if dist is None:
-            return None
-        latency_arr = self._latency_arr
-        path = max(map(add, dist, latency_arr))
-        # The backward sweep walks the edges in reverse topological order of
-        # their sources, so (like the forward one) it settles in about one
-        # pass instead of depth-many.
-        edges = self._sweep_edges
-        backward = list(zip(edges, lengths))
-        backward.reverse()
-        tail = list(latency_arr)
-        changed = True
-        while changed:
-            changed = False
-            for (si, di, _back), length in backward:
-                cand = length + tail[di]
-                if cand > tail[si]:
-                    tail[si] = cand
-                    changed = True
-        critical = frozenset(
-            i for i in cut_idx
-            if dist[edges[i][0]] + lengths[i] + tail[edges[i][1]] == path
-        )
-        return path, critical
+        ends = list(map(add, dist, self._latency_arr))
+        path = max(ends)
+        stack = [ends.index(path)]
+        while True:
+            try:
+                stack.append(ends.index(path, stack[-1] + 1))
+            except ValueError:
+                break
+        seen = set(stack)
+        found: List[int] = []
+        in_edges = self._in_edges
+        while stack:
+            w = stack.pop()
+            dw = dist[w]
+            for u, i in in_edges[w]:
+                if dist[u] + lengths[i] == dw:
+                    if i in cut:
+                        found.append(i)
+                    if u not in seen:
+                        seen.add(u)
+                        stack.append(u)
+        return path, frozenset(found)
 
     # ------------------------------------------------------------------
     def comm_session(self, assignment: Assignment) -> "CommState":
@@ -673,13 +837,14 @@ class PartitionEstimator:
     def ncomm_dependents(self) -> List[Tuple[int, ...]]:
         """uid index -> the uid indices whose move delta reads its cluster.
 
-        :meth:`CommState.preview_ncomm` for moving a group G reads the
+        :meth:`CommState.preview_delta` for moving a group G reads the
         clusters of D(G): G, its carry predecessors and successors, and
         the carry successors of those predecessors (the pair counts of
-        every producer it touches).  So u is in D({g}) exactly when g is
+        every producer it touches, and the producers' clusters the
+        memory-route charge sits on).  So u is in D({g}) exactly when g is
         u, a carry successor or predecessor of u, or a carry successor of
-        one of u's predecessors.  A refiner caching per-group transfer
-        deltas drops the entries of these groups when u moves.
+        one of u's predecessors.  A refiner caching per-group score deltas
+        drops the entries of these groups when u moves.
         """
         succ: List[Set[int]] = [set() for _ in range(self._n)]
         pred: List[Set[int]] = [set() for _ in range(self._n)]
@@ -713,14 +878,27 @@ class PartitionEstimator:
         return hi
 
 
+#: A score-delta entry: the change a move set makes to the transfer count,
+#: the cut-edge count and the cut slack, the carry edges it un-cuts, and
+#: the per-cluster change of the memory-route charge (see
+#: :meth:`CommState.preview_delta`).
+ScoreDelta = Tuple[int, int, int, Tuple[int, ...], Tuple[int, ...]]
+
+#: One group move of a preview: (uid index set, carry records, target).
+GroupMove = Tuple[FrozenSet[int], Sequence[Tuple[int, int, int, int]], int]
+
+
 class CommState:
     """Delta-maintained communication state of one refinement session.
 
     Mirrors exactly what :meth:`PartitionEstimator.estimate`'s full edge
     sweep derives — the cut edge set, distinct (producer, remote cluster)
     transfer pairs, cut slack and per-cluster memory-route usage — but
-    updated per moved operation instead of per edge.  :meth:`verify`
-    cross-checks against the full sweep and is exercised by the tests.
+    updated per moved operation instead of per edge.  It also caches, per
+    II, the live cut set's edge lengths, longest-path start times and
+    critical cut edges until the next move; an applied preview hands its
+    start times over (:meth:`adopt`).  :meth:`verify` cross-checks all of it against the
+    full sweep and is exercised by the tests.
 
     Subclasses may piggyback further delta-maintained quantities on the
     same move stream — :class:`~repro.partition.pressure.PressureCommState`
@@ -736,6 +914,8 @@ class CommState:
         "cut",
         "slack_total",
         "pair_counts",
+        "_lengths",
+        "_starts",
         "_critical",
         "_comm_mem",
     )
@@ -748,7 +928,10 @@ class CommState:
         self.slack_total = 0
         self.pair_counts: Dict[Tuple[int, int], int] = {}
         # Derived views of the live assignment, dropped by every move:
-        # ii -> :meth:`critical_at`, and :meth:`derive_comm_mem`.
+        # ii -> edge lengths, start times (None if infeasible) and
+        # :meth:`critical_at`; and :meth:`derive_comm_mem`.
+        self._lengths: Dict[int, List[int]] = {}
+        self._starts: Dict[int, Optional[List[int]]] = {}
         self._critical: Dict[int, Optional[Tuple[int, FrozenSet[int]]]] = {}
         self._comm_mem: Optional[List[int]] = None
         asg = self.asg
@@ -775,6 +958,12 @@ class CommState:
             self.pair_counts[pair] = count
         else:
             del self.pair_counts[pair]
+
+    def _forget(self) -> None:
+        self._lengths.clear()
+        self._starts.clear()
+        self._critical.clear()
+        self._comm_mem = None
 
     def derive_comm_mem(self) -> List[int]:
         """Per-cluster memory-route usage of the current transfer pairs.
@@ -810,7 +999,8 @@ class CommState:
         return tuple(affected.values())
 
     def index_set(self, uids: Sequence[int]) -> FrozenSet[int]:
-        """The uid indices of a group, as :meth:`preview_ncomm` takes them."""
+        """The uid indices of a group, as :meth:`preview_delta` and
+        :meth:`preview_ncomm` take them."""
         index_of = self.est._index_of
         return frozenset(index_of[uid] for uid in uids)
 
@@ -830,8 +1020,7 @@ class CommState:
         asg = self.asg
         if records is None:
             records = self.records_for(uids)
-        self._critical.clear()
-        self._comm_mem = None
+        self._forget()
         for uid in uids:
             asg[index_of[uid]] = target
         edge_clusters = self.edge_clusters
@@ -847,6 +1036,19 @@ class CommState:
                 self._add_cut(i, si, slack, new_cd)
             edge_clusters[i] = (new_cs, new_cd)
 
+    def adopt(self, preview: "CommPreview") -> None:
+        """Take over the start times an applied ``preview`` computed.
+
+        The caller has just applied the preview's moves, so its cut set is
+        the live one and its lengths and start times are the live ones at
+        the II it priced.
+        """
+        times = preview.times
+        if times is not None:
+            ii, lengths, dist = times
+            self._lengths[ii] = lengths
+            self._starts[ii] = dist
+
     def preview_moves(
         self,
         moves: Sequence[Tuple[Sequence[int], Sequence[Tuple[int, int, int, int]], int]],
@@ -855,8 +1057,8 @@ class CommState:
 
         ``moves`` is a sequence of ``(uids, records, target_cluster)`` —
         one entry per group move (two entries model a swap).  The refiner
-        scores every candidate through a preview and only mutates for the
-        round's single winner.
+        scores every surviving candidate through a preview and only
+        mutates for the round's single winner.
         """
         est = self.est
         index_of = est._index_of
@@ -872,8 +1074,8 @@ class CommState:
         cut_count = len(self.cut)
         ncomm = len(self.pair_counts)
         pair_delta: Dict[Tuple[int, int], int] = {}
-        cut_removed: List[int] = []
-        cut_added: List[int] = []
+        uncut: List[int] = []
+        newly_cut: List[int] = []
         edge_clusters = self.edge_clusters
         pair_counts = self.pair_counts
         for i, si, di, slack in records_union.values():
@@ -882,40 +1084,40 @@ class CommState:
             new_cd = over.get(di, asg[di])
             if old_cs == new_cs and old_cd == new_cd:
                 continue
-            if old_cs != old_cd:
-                cut_count -= 1
-                slack_total -= slack
-                cut_removed.append(i)
+            was_cut = old_cs != old_cd
+            is_cut = new_cs != new_cd
+            if was_cut:
                 pair = (si, old_cd)
                 delta = pair_delta.get(pair, 0) - 1
                 pair_delta[pair] = delta
                 if pair_counts.get(pair, 0) + delta == 0:
                     ncomm -= 1
-            if new_cs != new_cd:
-                cut_count += 1
-                slack_total += slack
-                cut_added.append(i)
+                if not is_cut:
+                    cut_count -= 1
+                    slack_total -= slack
+                    uncut.append(i)
+            if is_cut:
                 pair = (si, new_cd)
                 delta = pair_delta.get(pair, 0)
                 if pair_counts.get(pair, 0) + delta == 0:
                     ncomm += 1
                 pair_delta[pair] = delta + 1
+                if not was_cut:
+                    cut_count += 1
+                    slack_total += slack
+                    newly_cut.append(i)
         return CommPreview(
             self, over, ncomm, cut_count, slack_total, pair_delta,
-            cut_removed, cut_added,
+            uncut, newly_cut,
         )
 
-    def preview_ncomm(
-        self,
-        moves: Sequence[Tuple[FrozenSet[int], Sequence[Tuple[int, int, int, int]], int]],
-    ) -> int:
+    def preview_ncomm(self, moves: Sequence[GroupMove]) -> int:
         """The transfer count after ``moves``, and nothing else.
 
-        ``moves`` holds one ``(index_set, records, target_cluster)`` group
-        move, or two for a swap; ``index_set`` is the group's
-        :meth:`index_set`.  Equals ``preview_moves(...).ncomm`` at a
-        fraction of the cost: the refiner rejects most candidates on this
-        count alone (see :meth:`PartitionEstimator.max_ncomm`).
+        Takes ``moves`` as :meth:`preview_delta` does and equals
+        ``preview_moves(...).ncomm`` at a fraction of the cost: the refiner
+        rejects most candidates on this count alone (see
+        :meth:`PartitionEstimator.max_ncomm`).
         """
         members, records, target = moves[0]
         if len(moves) > 1:
@@ -924,19 +1126,19 @@ class CommState:
         else:
             other, other_target = (), None
         asg = self.asg
-        edge_clusters = self.edge_clusters
         pair_counts = self.pair_counts
         ncomm = len(pair_counts)
         pair_delta: Dict[Tuple[int, int], int] = {}
-        for i, si, di, _slack in records:
-            old_cs, old_cd = edge_clusters[i]
+        for _i, si, di, _slack in records:
+            old_cs = asg[si]
+            old_cd = asg[di]
             new_cs = (
                 target if si in members
-                else other_target if si in other else asg[si]
+                else other_target if si in other else old_cs
             )
             new_cd = (
                 target if di in members
-                else other_target if di in other else asg[di]
+                else other_target if di in other else old_cd
             )
             if old_cs == new_cs and old_cd == new_cd:
                 continue
@@ -954,6 +1156,78 @@ class CommState:
                 pair_delta[pair] = delta + 1
         return ncomm
 
+    def preview_delta(self, moves: Sequence[GroupMove]) -> ScoreDelta:
+        """The score-delta entry of ``moves``, and nothing else.
+
+        ``moves`` holds one ``(index_set, records, target_cluster)`` group
+        move, or two for a swap; ``index_set`` is the group's
+        :meth:`index_set`.  The totals equal those of
+        ``preview_moves(...)`` minus the live ones, the un-cut edges its
+        ``uncut`` and the memory-route change its ``derive_comm_mem()``
+        minus the live usage — at a fraction of the cost, so the refiner
+        can prune a candidate before any preview exists.
+        """
+        members, records, target = moves[0]
+        if len(moves) > 1:
+            other, other_records, other_target = moves[1]
+            records = {r[0]: r for r in (*records, *other_records)}.values()
+        else:
+            other, other_target = (), None
+        asg = self.asg
+        pair_counts = self.pair_counts
+        dn = dcut = dslack = 0
+        uncut: List[int] = []
+        pair_delta: Dict[Tuple[int, int], int] = {}
+        for i, si, di, slack in records:
+            old_cs = asg[si]
+            old_cd = asg[di]
+            new_cs = (
+                target if si in members
+                else other_target if si in other else old_cs
+            )
+            new_cd = (
+                target if di in members
+                else other_target if di in other else old_cd
+            )
+            if old_cs == new_cs and old_cd == new_cd:
+                continue
+            was_cut = old_cs != old_cd
+            is_cut = new_cs != new_cd
+            if was_cut:
+                pair = (si, old_cd)
+                delta = pair_delta.get(pair, 0) - 1
+                pair_delta[pair] = delta
+                if pair_counts.get(pair, 0) + delta == 0:
+                    dn -= 1
+                if not is_cut:
+                    dcut -= 1
+                    dslack -= slack
+                    uncut.append(i)
+            if is_cut:
+                pair = (si, new_cd)
+                delta = pair_delta.get(pair, 0)
+                if pair_counts.get(pair, 0) + delta == 0:
+                    dn += 1
+                pair_delta[pair] = delta + 1
+                if not was_cut:
+                    dcut += 1
+                    dslack += slack
+        # Only pairs in ``pair_delta`` change their charge; see
+        # :meth:`CommPreview.derive_comm_mem`.
+        mem = [0] * self.est.machine.num_clusters
+        for (si, cd), delta in pair_delta.items():
+            count = pair_counts.get((si, cd), 0)
+            if count:
+                mem[asg[si]] -= 1
+                mem[cd] -= 1
+            if count + delta > 0:
+                mem[
+                    target if si in members
+                    else other_target if si in other else asg[si]
+                ] += 1
+                mem[cd] += 1
+        return dn, dcut, dslack, tuple(uncut), tuple(mem)
+
     # -- queries -------------------------------------------------------
     @property
     def ncomm(self) -> int:
@@ -963,14 +1237,53 @@ class CommState:
     def cut_count(self) -> int:
         return len(self.cut)
 
+    def lengths_at(self, ii: int) -> List[int]:
+        """The live cut set's edge lengths at ``ii`` (cached until a move)."""
+        lengths = self._lengths.get(ii)
+        if lengths is None:
+            lengths = self._lengths[ii] = self.est._lengths(self.cut, ii)
+        return lengths
+
+    def start_times(self, ii: int) -> Optional[List[int]]:
+        """The live longest-path start times at ``ii``, or None if ``ii``
+        is infeasible for the live cut set (cached until a move)."""
+        starts = self._starts
+        if ii not in starts:
+            starts[ii] = self.est._start_times(self.lengths_at(ii))
+        return starts[ii]
+
     def critical_at(self, ii: int) -> Optional[Tuple[int, FrozenSet[int]]]:
         """The live assignment's critical path at ``ii`` and its critical
         cut edges (cached until the next move; None if ``ii`` is
-        infeasible for the live cut set)."""
+        infeasible for the live cut set).
+
+        An edge ``u -> v`` is critical when ``dist[u] + len + tail[v]``
+        equals the path, ``tail[v]`` being the longest path from ``v``'s
+        start to the end of the iteration (see
+        :meth:`PartitionEstimator._critical_edges`).
+        """
         critical = self._critical
         if ii not in critical:
-            critical[ii] = self.est._critical_cut(self.cut, ii)
+            dist = self.start_times(ii)
+            critical[ii] = None if dist is None else self.est._critical_edges(
+                dist, self.lengths_at(ii), self.cut
+            )
         return critical[ii]
+
+    def live_path_floor(self, ii: int, uncut: Sequence[int]) -> Optional[int]:
+        """A floor on the critical path, at a feasible ``ii``, of a move
+        set that un-cuts the carry edges ``uncut``.
+
+        If no un-cut edge lies on a critical path of the live assignment,
+        every such path keeps (or grows) its length, so the live critical
+        path bounds the moved one's from below.  Returns None when that
+        does not hold.
+        """
+        live = self.critical_at(ii)
+        if live is None:
+            return None
+        path, critical = live
+        return path if critical.isdisjoint(uncut) else None
 
     def verify(self, assignment: Assignment) -> None:
         """Assert this state equals a fresh full-sweep derivation."""
@@ -982,6 +1295,14 @@ class CommState:
             or self.pair_counts != fresh.pair_counts
             or self.edge_clusters != fresh.edge_clusters
             or self.derive_comm_mem() != fresh.derive_comm_mem()
+            or any(
+                cached != fresh.lengths_at(ii)
+                for ii, cached in self._lengths.items()
+            )
+            or any(
+                cached != fresh.start_times(ii)
+                for ii, cached in self._starts.items()
+            )
             or any(
                 cached != fresh.critical_at(ii)
                 for ii, cached in self._critical.items()
@@ -997,8 +1318,9 @@ class CommPreview:
     :meth:`CommState.preview_moves`).
 
     Everything is computed as deltas over the live state; the expensive
-    derivations (full cut set, per-cluster memory usage) stay lazy because
-    most previews die on the estimator's bound prunes first.
+    derivations (full cut set, per-cluster memory usage, start times) stay
+    lazy.  ``uncut`` lists the carry edges the moves un-cut and
+    ``newly_cut`` those they cut; an edge that stays cut keeps its length.
     """
 
     __slots__ = (
@@ -1008,8 +1330,9 @@ class CommPreview:
         "cut_count",
         "slack_total",
         "pair_delta",
-        "cut_removed",
-        "cut_added",
+        "uncut",
+        "newly_cut",
+        "times",
     )
 
     def __init__(
@@ -1020,8 +1343,8 @@ class CommPreview:
         cut_count: int,
         slack_total: int,
         pair_delta: Dict[Tuple[int, int], int],
-        cut_removed: List[int],
-        cut_added: List[int],
+        uncut: List[int],
+        newly_cut: List[int],
     ) -> None:
         self.state = state
         self.over = over
@@ -1029,29 +1352,52 @@ class CommPreview:
         self.cut_count = cut_count
         self.slack_total = slack_total
         self.pair_delta = pair_delta
-        self.cut_removed = cut_removed
-        self.cut_added = cut_added
+        self.uncut = uncut
+        self.newly_cut = newly_cut
+        #: (ii, lengths, start times) of the last :meth:`start_times` call.
+        self.times: Optional[Tuple[int, List[int], Optional[List[int]]]] = None
 
     def cut_for_path(self) -> Set[int]:
         """The full cut edge set under this preview (materialized lazily)."""
         cut = set(self.state.cut)
-        cut.difference_update(self.cut_removed)
-        cut.update(self.cut_added)
+        cut.difference_update(self.uncut)
+        cut.update(self.newly_cut)
         return cut
 
-    def live_path_floor(self, ii: int) -> Optional[int]:
-        """A floor on this preview's critical path at a feasible ``ii``.
+    def start_times(self, ii: int) -> Optional[List[int]]:
+        """Longest-path start times of this preview at ``ii`` (None if
+        infeasible).
 
-        If the move un-cuts no edge that lies on a critical path of the
-        live assignment, every such path keeps (or grows) its length, so
-        the live critical path bounds the preview's from below.  Returns
-        None when that does not hold.
+        When no edge the preview un-cuts is tight in the live start times
+        (:meth:`PartitionEstimator._keeps_fixpoint`), the live fixpoint
+        stays in place, and lengthening the newly cut edges only raises
+        it: the preview relaxes from the live start times
+        (:meth:`PartitionEstimator._raise`).  Otherwise it pays a full
+        sweep.
         """
-        live = self.state.critical_at(ii)
-        if live is None:
-            return None
-        path, critical = live
-        return path if critical.isdisjoint(self.cut_removed) else None
+        state = self.state
+        est = state.est
+        live_lengths = state.lengths_at(ii)
+        lengths = est._recut(live_lengths, self.uncut, self.newly_cut)
+        # Only live start times already derived are worth checking when
+        # the preview un-cuts edges: a tight one would pay a second sweep.
+        live = state._starts.get(ii) if self.uncut else state.start_times(ii)
+        if live is not None and est._keeps_fixpoint(live, live_lengths, self.uncut):
+            if self.newly_cut:
+                dist = est._raise(list(live), lengths, self.newly_cut)
+            else:
+                dist = live
+        elif self.uncut:
+            dist = est._start_times(lengths)
+        else:
+            dist = None  # infeasible live, and only lengthened
+        self.times = (ii, lengths, dist)
+        return dist
+
+    def live_path_floor(self, ii: int) -> Optional[int]:
+        """A floor on this preview's critical path at a feasible ``ii``
+        (see :meth:`CommState.live_path_floor`)."""
+        return self.state.live_path_floor(ii, self.uncut)
 
     def derive_comm_mem(self) -> List[int]:
         """Per-cluster memory-route usage under this preview.

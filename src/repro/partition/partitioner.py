@@ -13,7 +13,7 @@ whether a failed schedule warrants recomputing the partition (§3.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Optional
 
 from ..errors import PartitionError
 from ..ir.loop import Loop
@@ -66,7 +66,6 @@ class MultilevelPartitioner:
             ``"exact"`` (blossom, LEDA-fidelity).
         pressure_aware: Enable the register-pressure extension
             (:mod:`repro.partition.pressure`).
-        max_rounds: Refinement round cap per level.
     """
 
     def __init__(
@@ -74,7 +73,6 @@ class MultilevelPartitioner:
         machine: MachineConfig,
         matching: str = "greedy",
         pressure_aware: bool = False,
-        max_rounds: int = 64,
     ) -> None:
         if matching not in MATCHERS:
             raise PartitionError(
@@ -83,11 +81,19 @@ class MultilevelPartitioner:
         self.machine = machine
         self.matcher = MATCHERS[matching]
         self.pressure_aware = pressure_aware
-        self.max_rounds = max_rounds
 
     # ------------------------------------------------------------------
-    def partition(self, loop: Loop, ii: int) -> Partition:
-        """Partition ``loop`` for a schedule at initiation interval ``ii``."""
+    def partition(
+        self,
+        loop: Loop,
+        ii: int,
+        estimator: Optional[PartitionEstimator] = None,
+    ) -> Partition:
+        """Partition ``loop`` for a schedule at initiation interval ``ii``.
+
+        ``estimator`` — one :meth:`make_estimator` built for ``(loop, ii)``
+        — lets the caller price other assignments with the same instance.
+        """
         if not self.machine.is_clustered:
             return trivial_partition(loop, ii)
         if loop.ddg.num_operations == 0:
@@ -95,19 +101,20 @@ class MultilevelPartitioner:
 
         weighting = compute_edge_weights(loop, ii, self.machine.bus_latency)
         hierarchy = build_hierarchy(weighting, self.machine.num_clusters, self.matcher)
-        estimator = self._make_estimator(loop, ii)
-        refiner = Refiner(estimator, self.machine, max_rounds=self.max_rounds)
+        if estimator is None:
+            estimator = self.make_estimator(loop, ii)
+        refiner = Refiner(estimator, self.machine)
 
-        groups = self._initial_assignment(hierarchy.coarsest())
-        for level_index in range(hierarchy.num_levels - 1, -1, -1):
-            level = hierarchy.levels[level_index]
-            if level_index < hierarchy.num_levels - 1:
-                groups = self._project(
-                    hierarchy.levels[level_index + 1], level, groups
-                )
-            groups = refiner.refine(level, groups)
+        # Refine from the coarsest level down; each finer level splits the
+        # groups its parent level fused, moving no operation.
+        top = hierarchy.num_levels - 1
+        session = refiner.refine(
+            hierarchy, top, self._initial_assignment(hierarchy.coarsest())
+        )
+        for level_index in range(top - 1, -1, -1):
+            refiner.refine(hierarchy, level_index)
 
-        assignment = self._uid_assignment(hierarchy.levels[0], groups)
+        assignment = {uid: session.assignment[uid] for uid in loop.ddg.uids()}
         estimate = estimator.estimate(assignment)
         return Partition(
             assignment=assignment,
@@ -118,7 +125,8 @@ class MultilevelPartitioner:
         )
 
     # ------------------------------------------------------------------
-    def _make_estimator(self, loop: Loop, ii: int) -> PartitionEstimator:
+    def make_estimator(self, loop: Loop, ii: int) -> PartitionEstimator:
+        """The estimator :meth:`partition` prices ``loop`` at ``ii`` with."""
         if self.pressure_aware:
             return PressureAwareEstimator(loop, self.machine, ii)
         return PartitionEstimator(loop, self.machine, ii)
@@ -145,26 +153,3 @@ class MultilevelPartitioner:
             assignment[gid] = cluster
             loads[cluster] += len(coarsest[gid])
         return assignment
-
-    def _project(
-        self, coarser: Level, finer: Level, groups: GroupAssignment
-    ) -> GroupAssignment:
-        """Induce the finer level's assignment from the coarser one."""
-        cluster_of_uid: Dict[int, int] = {}
-        for gid, uids in coarser.items():
-            cluster = groups[gid]
-            for uid in uids:
-                cluster_of_uid[uid] = cluster
-        projected: GroupAssignment = {}
-        for gid, uids in finer.items():
-            projected[gid] = cluster_of_uid[uids[0]]
-        return projected
-
-    def _uid_assignment(
-        self, finest: Level, groups: GroupAssignment
-    ) -> Dict[int, int]:
-        out: Dict[int, int] = {}
-        for gid, uids in finest.items():
-            for uid in uids:
-                out[uid] = groups[gid]
-        return out

@@ -363,6 +363,13 @@ class PressureCommPreview:
     def live_path_floor(self, ii: int) -> Optional[int]:
         return self.base.live_path_floor(ii)
 
+    def start_times(self, ii: int) -> Optional[List[int]]:
+        return self.base.start_times(ii)
+
+    @property
+    def times(self):
+        return self.base.times
+
     # Pressure -----------------------------------------------------------
     def pressure_arrays(self) -> Tuple[List[int], List[int]]:
         if self._arrays is None:

@@ -18,28 +18,45 @@ improve the partition induced by the coarser level:
    ``(exec_time, -cut_slack, cut_edges)`` tuple, which guarantees
    termination.
 
-The candidate evaluation loop is the partitioner's hot path.  One
-:class:`RefinementSession` per :meth:`MultilevelPartitioner.partition`
-call keeps the uid-level state — cluster loads, the delta-maintained
-communication session, per-group constants and a table of per-move
-transfer-count deltas — across every level and round, since projecting
-to a finer level moves no operation.  Candidates are priced through
-mutation-free previews; most are rejected by exact bound prunes against
-the incumbent score, the first of which (the transfer count) is read from
-the delta table during enumeration, so rejected candidates are never
-materialized.  An estimator without previews is priced by mutating the
-assignment in place (and restoring it) around each trial estimate, the
-from-scratch reference of the preview path.
+The candidate evaluation loop is the partitioner's hot path, so each step
+costs only what it changes.  One :class:`RefinementSession` per
+:meth:`MultilevelPartitioner.partition` call keeps the uid-level state —
+cluster loads, the delta-maintained communication session with its cached
+critical paths, and per-group constants — across every level and round,
+since projecting to a finer level moves no operation:
+
+* Walking down the hierarchy splits only the groups the coarser level
+  fused.  A child inherits its parent's cluster and derives its constants
+  from the parent's; the group adjacency, the per-cluster neighbour counts
+  and the size-ordered swap partners are updated around the split.
+* A score-delta table holds, per (group, target cluster), what moving the
+  group there changes: the transfer count, the cut edges, the cut slack,
+  the edges it un-cuts and the memory-route charge.  Every candidate
+  reads the transfer count, and most die on it; for the rest the
+  estimator's exact bound prunes run from the full entry plus load
+  arithmetic on the two clusters the move touches
+  (:meth:`PartitionEstimator.may_beat`), so only a surviving candidate is
+  previewed, and the round's applied winner hands its critical-path start
+  times to the live state.
+
+An estimator without previews is priced by mutating the assignment in
+place (and restoring it) around each trial estimate, the from-scratch
+reference of the preview path.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from bisect import bisect_left
+from operator import add, sub
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
+from ..errors import PartitionError
 from ..ir.opcodes import OpClass
 from ..machine.config import MachineConfig
-from .coarsen import Level
-from .estimator import PartitionEstimate, PartitionEstimator
+from .coarsen import Hierarchy, Level, Rank
+from .estimator import (
+    CommPreview, PartitionEstimate, PartitionEstimator, ScoreDelta,
+)
 
 #: Assignment of hierarchy groups to clusters.
 GroupAssignment = Dict[int, int]
@@ -51,6 +68,11 @@ _N_CLASSES = len(_CLASSES)
 #: Sort key preserving the paper-order tie-break (the class *name*).
 _CLASS_SORT_KEY = [cls.value for cls in _CLASSES]
 
+#: Balancing steps, and refinement rounds, per level at most.
+MAX_ROUNDS = 64
+#: Swap partners tried per (group, target): the target's smallest groups.
+MAX_SWAPS_PER_GROUP = 6
+
 Score = Tuple[int, int, int]
 
 
@@ -59,42 +81,57 @@ def _objective(est: PartitionEstimate) -> Score:
     return (est.exec_time, -est.cut_slack, est.cut_edges)
 
 
-#: A refinement transformation: (group, target cluster, swap partner).
-#: The partner, when there is one, is a group of the target cluster that
-#: moves to the group's cluster in exchange.
-Move = Tuple[int, int, Optional[int]]
-
-
 class _Group:
-    """Constants of one hierarchy group, plus its transfer-delta entries.
+    """One hierarchy group: its constants, cluster, neighbours and its
+    score-delta entries.
 
-    A group that survives coarsening unchanged has the same uid tuple at
-    every level it appears on, so the session derives it once.
+    A group that survives coarsening unchanged is the same object on every
+    level it appears on, so its constants and entries carry over.
     """
 
-    __slots__ = ("uids", "members", "records", "counts", "deltas", "_keys")
+    __slots__ = (
+        "uids", "members", "records", "counts", "cluster", "rank",
+        "links", "near", "deltas", "entries", "_keys",
+    )
 
-    def __init__(self, uids: Tuple[int, ...], comm, class_of) -> None:
+    def __init__(
+        self,
+        uids: Tuple[int, ...],
+        members: frozenset,
+        records: Dict[int, Tuple[int, int, int, int]],
+        counts: Tuple[int, ...],
+        cluster: int,
+        rank: Rank,
+    ) -> None:
         self.uids = uids
-        #: uid indices, as :meth:`CommState.preview_ncomm` takes them.
-        self.members = comm.index_set(uids)
-        #: Incident carry-edge records, for the delta updates.
-        self.records = comm.records_for(uids)
-        counts = [0] * _N_CLASSES
-        for uid in uids:
-            counts[class_of[uid]] += 1
+        #: uid indices, as :meth:`CommState.preview_delta` takes them.
+        self.members = members
+        #: Incident carry-edge records by edge index, for the delta updates.
+        self.records = records
         #: Operations of each class (by class index) inside the group.
         self.counts = counts
+        self.cluster = cluster
+        #: Orders the groups of a level as their group ids do.
+        self.rank = rank
+        #: Neighbour group -> the uid pairs joining it to this one by a
+        #: dependence.
+        self.links: Dict[_Group, int] = {}
+        #: cluster -> how many of the neighbours it holds.
+        self.near: List[int] = []
         #: target cluster -> transfer-count change of moving the group
-        #: there; dropped whenever a uid of its D(G) moves.
-        self.deltas: Dict[int, int] = {}
-        self._keys: Optional[Tuple[FrozenSet[int], FrozenSet[int]]] = None
+        #: there, and (target, partner) -> that of a swap with a dependent
+        #: partner; dropped whenever a uid of its D(G) moves.
+        self.deltas: Dict[object, int] = {}
+        #: The same keys -> the full score delta, filled only for
+        #: candidates that survive the transfer-count prune.
+        self.entries: Dict[object, ScoreDelta] = {}
+        self._keys: Optional[Tuple[frozenset, frozenset]] = None
 
     def independent_of(self, other: "_Group") -> bool:
         """Whether the two groups share no carry edge and no producer.
 
-        Such groups touch disjoint transfer pairs, so the transfer-count
-        change of moving both is the sum of the two single moves'.
+        Such groups touch disjoint transfer pairs and edges, so the score
+        delta of moving both is the sum of the two single moves'.
         """
         mine = self._keys
         if mine is None:
@@ -104,12 +141,23 @@ class _Group:
             theirs = other._keys = other._edges_and_producers()
         return mine[0].isdisjoint(theirs[0]) and mine[1].isdisjoint(theirs[1])
 
-    def _edges_and_producers(self) -> Tuple[FrozenSet[int], FrozenSet[int]]:
-        records = self.records
+    def _edges_and_producers(self) -> Tuple[frozenset, frozenset]:
+        records = self.records.values()
         return (
             frozenset([record[0] for record in records]),
             frozenset([record[1] for record in records]),
         )
+
+
+def _summed(first: ScoreDelta, second: ScoreDelta) -> ScoreDelta:
+    """The score delta of two independent moves."""
+    return (
+        first[0] + second[0],
+        first[1] + second[1],
+        first[2] + second[2],
+        first[3] + second[3],
+        tuple(map(add, first[4], second[4])),
+    )
 
 
 class RefinementSession:
@@ -119,17 +167,22 @@ class RefinementSession:
     projecting to a finer level leaves unchanged: the uid assignment, the
     per-cluster class loads, the estimator's delta-maintained
     :class:`~repro.partition.estimator.CommState` and the last computed
-    score.  Per-group constants are keyed by the group's uid tuple.
-    :meth:`enter` switches to a level, moving any operation whose cluster
-    the caller's group assignment disagrees with.
+    score.  ``order`` lists the current level's groups by group id.
+    :meth:`descend` walks to the next finer level of a hierarchy by
+    splitting the groups the current one fused; :meth:`enter` switches to
+    any level from scratch, moving every operation whose cluster the
+    caller's group assignment disagrees with.
 
-    The transfer-delta table holds, per (group, target cluster), the
-    change of the transfer count that moving the group there would cause.
-    That change reads only the clusters of D(G) (see
-    :meth:`PartitionEstimator.ncomm_dependents`), so when a uid moves,
-    the entries of every group whose D(G) contains it are dropped, and a
-    cached delta always equals a fresh :meth:`CommState.preview_ncomm`
-    walk.  :meth:`verify` checks all of it against fresh derivations.
+    The score-delta table holds, per (group, target cluster), the change
+    moving the group there would cause: its transfer-count change (see
+    :meth:`CommState.preview_ncomm`), which every candidate needs, and —
+    filled only for candidates that survive the transfer-count prune —
+    the full score delta (see :meth:`CommState.preview_delta`).  Both read
+    only the clusters of D(G) (see
+    :meth:`PartitionEstimator.ncomm_dependents`), so when a uid moves, the
+    entries of every group whose D(G) contains it are dropped, and a
+    cached entry always equals a fresh walk.  :meth:`verify` checks all of
+    it against fresh derivations.
     """
 
     def __init__(
@@ -138,9 +191,11 @@ class RefinementSession:
         class_of: Dict[int, int],
         level: Level,
         groups: GroupAssignment,
+        ranks: Optional[Sequence[Rank]] = None,
     ) -> None:
         est = self.estimator = estimator
         self._class_of = class_of
+        self._clusters = est.machine.num_clusters
         self.assignment: Dict[int, int] = {}
         for gid, uids in level.items():
             for uid in uids:
@@ -148,82 +203,234 @@ class RefinementSession:
         self.comm = est.comm_session(self.assignment)
         self.loads = self._loads_of(self.assignment)
         self._dependents = est.ncomm_dependents()
-        # uid-level edge pairs (every dependence, deduplicated), in index
-        # space, mapped to group pairs at each level.
+        # uid index -> the uid indices it shares a dependence with.
         index_of = est._index_of
-        self._uid_pairs = {
-            (index_of[dep.src], index_of[dep.dst])
-            for dep in est.loop.ddg.edges()
-            if dep.src != dep.dst
-        }
-        self._known: Dict[Tuple[int, ...], _Group] = {}
+        adjacent: List[Set[int]] = [set() for _ in range(len(index_of))]
+        for dep in est.loop.ddg.edges():
+            if dep.src != dep.dst:
+                si, di = index_of[dep.src], index_of[dep.dst]
+                adjacent[si].add(di)
+                adjacent[di].add(si)
+        self._adjacent = [tuple(sorted(near)) for near in adjacent]
         #: uid index -> its group at the current level.
         self._group_at: List[Optional[_Group]] = [None] * len(index_of)
         #: Moves applied so far; a score is reusable while it is unchanged.
         self.moves = 0
         self._scored: Optional[Tuple[int, Score]] = None
         self.level: Level = {}
-        self.groups: GroupAssignment = {}
-        self.info: Dict[int, _Group] = {}
-        self.group_pairs: Set[Tuple[int, int]] = set()
-        self.sorted_gids: List[int] = []
-        self.gids_by_size: List[int] = []
-        self.enter(level, groups)
+        #: The current level's groups; a group's index is its group id.
+        self.order: List[_Group] = []
+        #: cluster -> its groups in (size, group id) order: swap partners.
+        self.by_size: List[List[_Group]] = []
+        self._size_keys: List[List[Tuple[int, Rank]]] = []
+        self.enter(level, groups, ranks)
 
     def _loads_of(self, assignment: Dict[int, int]) -> List[List[int]]:
         """loads[cluster][class index] of a uid assignment."""
-        loads = [[0] * _N_CLASSES for _ in range(self.estimator.machine.num_clusters)]
+        loads = [[0] * _N_CLASSES for _ in range(self._clusters)]
         class_of = self._class_of
         for uid, cluster in assignment.items():
             loads[cluster][class_of[uid]] += 1
         return loads
 
-    # -- levels --------------------------------------------------------
-    def _group(self, uids: Tuple[int, ...]) -> _Group:
-        group = self._known.get(uids)
-        if group is None:
-            group = self._known[uids] = _Group(uids, self.comm, self._class_of)
-        return group
+    @property
+    def groups(self) -> GroupAssignment:
+        """The current level's group assignment (group id -> cluster)."""
+        return {gid: group.cluster for gid, group in enumerate(self.order)}
 
-    def enter(self, level: Level, groups: GroupAssignment) -> None:
-        """Make ``level`` current with ``groups`` as its assignment."""
-        previous = self.info.values()
+    # -- levels --------------------------------------------------------
+    def _derive(self, uids: Tuple[int, ...], cluster: int, rank: Rank) -> _Group:
+        counts = [0] * _N_CLASSES
+        class_of = self._class_of
+        for uid in uids:
+            counts[class_of[uid]] += 1
+        members = self.comm.index_set(uids)
+        return _Group(
+            uids, members, self._records_of(members), tuple(counts), cluster, rank
+        )
+
+    def _records_of(self, members: frozenset) -> Dict[int, Tuple[int, int, int, int]]:
+        """The carry-edge records incident to ``members``, by edge index."""
+        incident = self.estimator._incident_carry
+        records: Dict[int, Tuple[int, int, int, int]] = {}
+        for i in members:
+            for record in incident[i]:
+                records[record[0]] = record
+        return records
+
+    def enter(
+        self,
+        level: Level,
+        groups: GroupAssignment,
+        ranks: Optional[Sequence[Rank]] = None,
+    ) -> None:
+        """Make ``level`` current with ``groups`` as its assignment, from
+        scratch.
+
+        Group ids must be ``0 .. len(level) - 1``.  ``ranks`` — the
+        hierarchy's (see :class:`~repro.partition.coarsen.Hierarchy`) —
+        let :meth:`descend` continue from here; without them the groups
+        rank by group id.  Groups the session already holds keep their
+        score-delta entries.
+        """
+        if any(gid not in level for gid in range(len(level))):
+            raise PartitionError("level group ids must be 0 .. len(level) - 1")
+        known = {group.uids: group for group in self.order}
+        order: List[_Group] = []
+        for gid in range(len(level)):
+            uids = level[gid]
+            rank = ranks[gid] if ranks is not None else (0, gid)
+            group = known.get(uids)
+            if group is None:
+                group = self._derive(uids, groups[gid], rank)
+            else:
+                group.cluster = groups[gid]
+                group.rank = rank
+            order.append(group)
         self.level = level
-        self.groups = dict(groups)
-        self.info = {gid: self._group(uids) for gid, uids in level.items()}
-        # A group that left the level is forgotten: its deltas would no
-        # longer be invalidated (and a finer level never brings it back).
-        current = {id(group) for group in self.info.values()}
-        for group in previous:
-            if id(group) not in current:
-                del self._known[group.uids]
+        self.order = order
         group_at = self._group_at
-        gid_at = [0] * len(group_at)
-        for gid, group in self.info.items():
+        for group in order:
             for i in group.members:
                 group_at[i] = group
-                gid_at[i] = gid
-        self.group_pairs = {
-            (gid_at[si], gid_at[di])
-            for si, di in self._uid_pairs
-            if gid_at[si] != gid_at[di]
-        }
-        self.sorted_gids = sorted(level)
-        self.gids_by_size = sorted(level, key=lambda g: (len(level[g]), g))
         # Projection moves nothing; a caller-chosen assignment may.
         assignment = self.assignment
-        for gid, group in self.info.items():
-            cluster = self.groups[gid]
-            stray = [uid for uid in group.uids if assignment[uid] != cluster]
+        for group in order:
+            stray = [uid for uid in group.uids if assignment[uid] != group.cluster]
             if stray:
-                self._relocate(stray, cluster)
+                self._relocate(stray, group.cluster)
+        adjacent = self._adjacent
+        for group in order:
+            links: Dict[_Group, int] = {}
+            for i in group.members:
+                for j in adjacent[i]:
+                    other = group_at[j]
+                    links[other] = links.get(other, 0) + 1
+            links.pop(group, None)
+            group.links = links
+        for group in order:
+            near = group.near = [0] * self._clusters
+            for other in group.links:
+                near[other.cluster] += 1
+        self.by_size = [[] for _ in range(self._clusters)]
+        self._size_keys = [[] for _ in range(self._clusters)]
+        for group in order:
+            self._insort(group)
+
+    def descend(
+        self,
+        level: Level,
+        fused: Sequence[Tuple[int, int]],
+        ranks: Sequence[Rank],
+    ) -> None:
+        """Make the next finer ``level`` of a hierarchy current.
+
+        ``fused`` lists the pairs of ``level``'s group ids that the current
+        level fused into its first groups, and ``ranks`` are ``level``'s
+        (see :class:`~repro.partition.coarsen.Hierarchy`).  Only those
+        groups split; every other group carries over, entries and all.  A
+        child inherits its parent's cluster, so no operation moves.  The
+        larger child takes over the parent's object and everything is
+        derived from the smaller one, so the work is proportional to the
+        smaller child and the parent's neighbours.
+        """
+        order = self.order
+        parents = order[:len(fused)]
+        del order[:len(fused)]
+        children: List[Tuple[int, _Group]] = []
+        for parent, (u, v) in zip(parents, fused):
+            if len(parent.uids) != len(level[u]) + len(level[v]):
+                raise PartitionError("descend() needs the level below the current one")
+            if len(level[u]) > len(level[v]):
+                u, v = v, u
+            children.append((u, self._split_off(parent, level[u], ranks[u])))
+            self._unsort(parent)
+            parent.uids = level[v]
+            parent.rank = ranks[v]
+            self._insort(parent)
+            children.append((v, parent))
+        children.sort(key=lambda item: item[0])
+        for gid, child in children:
+            order.insert(gid, child)
+        self.level = level
+
+    def _split_off(self, parent: _Group, uids: Tuple[int, ...], rank: Rank) -> _Group:
+        """Split the group of ``uids`` off ``parent``, which keeps the rest.
+
+        The new group's constants are derived from its own uids, the
+        parent's by subtraction, and the links of both (and of their
+        neighbours) from the new group's dependences.
+        """
+        comm = self.comm
+        class_of = self._class_of
+        members = comm.index_set(uids)
+        counts = [0] * _N_CLASSES
+        for uid in uids:
+            counts[class_of[uid]] += 1
+        records = self._records_of(members)
+        cluster = parent.cluster
+        counts = tuple(counts)
+        child = _Group(uids, members, records, counts, cluster, rank)
+        rest = parent.members = parent.members - members
+        # Every parent record the rest does not touch is the child's.
+        parent_records = parent.records
+        for i, si, di, _slack in records.values():
+            if si not in rest and di not in rest:
+                del parent_records[i]
+        parent.counts = tuple(
+            [whole - part for whole, part in zip(parent.counts, counts)]
+        )
+        parent.deltas = {}
+        parent.entries = {}
+        parent._keys = None
+        group_at = self._group_at
+        for i in members:
+            group_at[i] = child
+        adjacent = self._adjacent
+        links = child.links
+        for i in members:
+            for j in adjacent[i]:
+                other = group_at[j]
+                if other is not child:
+                    links[other] = links.get(other, 0) + 1
+        near = child.near = [0] * self._clusters
+        parent_links = parent.links
+        for other, count in links.items():
+            near[other.cluster] += 1
+            if other is not parent:
+                left = parent_links[other] - count
+                if left:
+                    parent_links[other] = other.links[parent] = left
+                else:
+                    del parent_links[other]
+                    del other.links[parent]
+                    parent.near[other.cluster] -= 1
+                    other.near[cluster] -= 1
+            other.links[child] = count
+            other.near[cluster] += 1
+        self._insort(child)
+        return child
+
+    def _insort(self, group: _Group) -> None:
+        key = (len(group.uids), group.rank)
+        keys = self._size_keys[group.cluster]
+        at = bisect_left(keys, key)
+        keys.insert(at, key)
+        self.by_size[group.cluster].insert(at, group)
+
+    def _unsort(self, group: _Group) -> None:
+        keys = self._size_keys[group.cluster]
+        at = bisect_left(keys, (len(group.uids), group.rank))
+        del keys[at]
+        del self.by_size[group.cluster][at]
 
     # -- moves ---------------------------------------------------------
-    def move(self, gid: int, target: int) -> None:
-        """Move group ``gid`` of the current level to cluster ``target``."""
-        group = self.info[gid]
-        source = self.groups[gid]
-        self.groups[gid] = target
+    def move(self, group: _Group, target: int) -> None:
+        """Move ``group`` of the current level to cluster ``target``."""
+        source = group.cluster
+        self._unsort(group)
+        group.cluster = target
+        self._insort(group)
         source_loads = self.loads[source]
         target_loads = self.loads[target]
         for idx, count in enumerate(group.counts):
@@ -233,7 +440,11 @@ class RefinementSession:
         assignment = self.assignment
         for uid in group.uids:
             assignment[uid] = target
-        self.comm.move_uids(group.uids, target, group.records)
+        for other in group.links:
+            near = other.near
+            near[source] -= 1
+            near[target] += 1
+        self.comm.move_uids(group.uids, target, group.records.values())
         self._invalidate(group.members)
 
     def _relocate(self, uids: Sequence[int], target: int) -> None:
@@ -256,39 +467,73 @@ class RefinementSession:
         dependents = self._dependents
         for u in moved:
             for v in dependents[u]:
-                group_at[v].deltas.clear()
+                group = group_at[v]
+                group.deltas.clear()
+                group.entries.clear()
 
     # -- pricing -------------------------------------------------------
     def delta(self, group: _Group, target: int) -> int:
         """Transfer-count change of moving ``group`` to ``target``."""
-        delta = group.deltas.get(target)
-        if delta is None:
+        dn = group.deltas.get(target)
+        if dn is None:
             comm = self.comm
-            delta = group.deltas[target] = (
-                comm.preview_ncomm(((group.members, group.records, target),))
-                - comm.ncomm
+            dn = group.deltas[target] = comm.preview_ncomm(
+                ((group.members, group.records.values(), target),)
+            ) - comm.ncomm
+        return dn
+
+    def entry(self, group: _Group, target: int) -> ScoreDelta:
+        """Score delta of moving ``group`` to ``target``."""
+        entry = group.entries.get(target)
+        if entry is None:
+            entry = group.entries[target] = self.comm.preview_delta(
+                ((group.members, group.records.values(), target),)
             )
-        return delta
+        return entry
 
-    def swap_delta(
-        self, group: _Group, other: _Group, source: int, target: int
-    ) -> int:
-        """Transfer-count change of moving ``group`` from ``source`` to
-        ``target`` and ``other`` the opposite way.
+    def swap_delta(self, group: _Group, other: _Group, target: int) -> int:
+        """Transfer-count change of moving ``group`` to ``target`` and
+        ``other`` to ``group``'s cluster (see :meth:`swap_entry`)."""
+        if group.independent_of(other):
+            return self.delta(group, target) + self.delta(other, group.cluster)
+        comm = self.comm
+        return self._pair(
+            group.deltas, other.deltas, group, other, target,
+            lambda moves: comm.preview_ncomm(moves) - comm.ncomm,
+        )
 
-        Groups sharing no carry edge and no producer touch disjoint
-        transfer pairs, so the swap's change is the sum of the two moves';
-        otherwise the two-move walk is exact.
+    def swap_entry(self, group: _Group, other: _Group, target: int) -> ScoreDelta:
+        """Score delta of moving ``group`` to ``target`` and ``other`` to
+        ``group``'s cluster.
+
+        Independent groups sum their two entries.  A dependent pair takes
+        the exact two-move walk, cached on both groups: the walk reads
+        D(group) and D(other), and each table is dropped when its own
+        group's D moves, so it is exact while both halves are present.
         """
         if group.independent_of(other):
-            return self.delta(group, target) + self.delta(other, source)
-        comm = self.comm
-        return comm.preview_ncomm(
-            (
-                (group.members, group.records, target),
-                (other.members, other.records, source),
+            return _summed(
+                self.entry(group, target), self.entry(other, group.cluster)
             )
-        ) - comm.ncomm
+        return self._pair(
+            group.entries, other.entries, group, other, target,
+            self.comm.preview_delta,
+        )
+
+    def _pair(self, mine, theirs, group: _Group, other: _Group, target: int, walk):
+        """A dependent swap's ``walk``, cached in ``group``'s table
+        ``mine`` and ``other``'s table ``theirs``."""
+        source = group.cluster
+        value = mine.get((target, other))
+        if value is None or (source, group) not in theirs:
+            value = walk(
+                (
+                    (group.members, group.records.values(), target),
+                    (other.members, other.records.values(), source),
+                )
+            )
+            mine[(target, other)] = theirs[(source, group)] = value
+        return value
 
     def score(self) -> Score:
         """The live assignment's score, reused while nothing moved."""
@@ -306,36 +551,145 @@ class RefinementSession:
 
     # -- checking ------------------------------------------------------
     def verify(self) -> None:
-        """Assert the session equals a fresh derivation of its level."""
+        """Assert the session equals a fresh derivation of its level.
+
+        The fresh derivation is a from-scratch :meth:`enter` of the current
+        level and group assignment: the uid state, every group's constants,
+        neighbours and neighbour counts, the swap-partner order, every
+        score-delta entry and (through :meth:`CommState.verify`) every
+        cached length and start-time vector and critical-edge set must
+        equal it.
+        """
         self.comm.verify(self.assignment)
-        expected = {
-            uid: self.groups[gid]
-            for gid, uids in self.level.items()
-            for uid in uids
-        }
-        fresh_comm = self.estimator.comm_session(expected)
-        if (
-            self.assignment != expected
-            or self.loads != self._loads_of(expected)
-        ):
+        fresh = RefinementSession(
+            self.estimator, self._class_of, self.level, self.groups
+        )
+        if self.assignment != fresh.assignment or self.loads != fresh.loads:
             raise AssertionError("refinement session diverged from its level")
-        for gid, group in self.info.items():
-            fresh = _Group(self.level[gid], fresh_comm, self._class_of)
+        if [[g.uids for g in row] for row in self.by_size] != [
+            [g.uids for g in row] for row in fresh.by_size
+        ]:
+            raise AssertionError("swap partners are out of order")
+        position = {id(group): gid for gid, group in enumerate(self.order)}
+        for gid, (group, twin) in enumerate(zip(self.order, fresh.order)):
             if (
-                group.members != fresh.members
-                or group.records != fresh.records
-                or group.counts != fresh.counts
+                group.uids != twin.uids
+                or group.members != twin.members
+                or group.records != twin.records
+                or group.counts != twin.counts
+                or group.cluster != twin.cluster
+                or group.near != twin.near
+                or {g.uids: n for g, n in group.links.items()}
+                != {g.uids: n for g, n in twin.links.items()}
+                or any(self._group_at[i] is not group for i in group.members)
             ):
-                raise AssertionError(f"group {gid} constants are stale")
-            for target, delta in group.deltas.items():
-                walked = fresh_comm.preview_ncomm(
-                    ((fresh.members, fresh.records, target),)
-                ) - fresh_comm.ncomm
-                if delta != walked:
-                    raise AssertionError(
-                        f"cached transfer delta of group {gid} -> {target} "
-                        f"is {delta}, a fresh walk gives {walked}"
-                    )
+                raise AssertionError(f"group {gid} differs from a fresh enter")
+            fresh_comm = fresh.comm
+            for table, walk in (
+                (
+                    group.deltas,
+                    lambda moves: fresh_comm.preview_ncomm(moves) - fresh_comm.ncomm,
+                ),
+                (group.entries, fresh_comm.preview_delta),
+            ):
+                for key, cached in table.items():
+                    if isinstance(key, int):
+                        moves = ((twin.members, twin.records.values(), key),)
+                    else:
+                        target, other = key
+                        if id(other) not in position or (
+                            group.cluster, group
+                        ) not in (
+                            other.deltas if table is group.deltas else other.entries
+                        ):
+                            continue  # half of a dropped pair: never read
+                        partner = fresh.order[position[id(other)]]
+                        moves = (
+                            (twin.members, twin.records.values(), target),
+                            (partner.members, partner.records.values(), twin.cluster),
+                        )
+                    walked = walk(moves)
+                    if _comparable(cached) != _comparable(walked):
+                        raise AssertionError(
+                            f"cached delta of group {gid}, {key} is {cached}, "
+                            f"a fresh walk gives {walked}"
+                        )
+
+
+def _comparable(value):
+    """A delta or score-delta entry up to the order of its un-cut edges."""
+    if isinstance(value, int):
+        return value
+    return value[:3] + value[4:] + (frozenset(value[3]),)
+
+
+#: A refinement transformation: (group, target cluster, swap partner).
+#: The partner, when there is one, is a group of the target cluster that
+#: moves to the group's cluster in exchange.
+Move = Tuple[_Group, int, Optional[_Group]]
+
+
+def _shifted(loads: List[List[int]], move: Move) -> List[List[int]]:
+    """Cluster loads after ``move``: only the two rows it touches are new."""
+    group, target, other = move
+    source = group.cluster
+    out = list(loads)
+    source_row = out[source] = list(loads[source])
+    target_row = out[target] = list(loads[target])
+    for idx, count in enumerate(group.counts):
+        if count:
+            source_row[idx] -= count
+            target_row[idx] += count
+    if other is not None:
+        for idx, count in enumerate(other.counts):
+            if count:
+                target_row[idx] -= count
+                source_row[idx] += count
+    return out
+
+
+_UNKNOWN = object()
+
+
+def _fitting(
+    counts: Tuple[int, ...],
+    free_source: List[int],
+    free_target: List[int],
+    partners: List[_Group],
+    partner_most: List[int],
+) -> Optional[List[_Group]]:
+    """None if a group of ``counts`` fits in the target cluster, else the
+    ``partners`` (groups of the target) it can swap with.
+
+    ``free_*`` are the source's and target's free slots per class, and
+    ``partner_most`` the most any partner holds of each class (filled in
+    here when empty).
+    """
+    for count, room in zip(counts, free_target):
+        if count and count > room:
+            break
+    else:
+        return None
+    if not partners:
+        return []
+    if not partner_most:
+        partner_most.extend(map(max, zip(*(other.counts for other in partners))))
+    # A partner must free at least ``count - room`` slots of each class in
+    # the target, so a group needing more than every partner holds has no
+    # swap there.
+    for count, room, most in zip(counts, free_target, partner_most):
+        if count - room > most:
+            return []
+    fitting = []
+    for other in partners:
+        for mine, theirs, room_t, room_s in zip(
+            counts, other.counts, free_target, free_source
+        ):
+            if mine - theirs > room_t or theirs - mine > room_s:
+                break
+        else:
+            fitting.append(other)
+    return fitting
 
 
 class Refiner:
@@ -346,17 +700,9 @@ class Refiner:
     hierarchy.
     """
 
-    def __init__(
-        self,
-        estimator: PartitionEstimator,
-        machine: MachineConfig,
-        max_rounds: int = 64,
-        max_swaps_per_group: int = 6,
-    ) -> None:
+    def __init__(self, estimator: PartitionEstimator, machine: MachineConfig) -> None:
         self.estimator = estimator
         self.machine = machine
-        self.max_rounds = max_rounds
-        self.max_swaps_per_group = max_swaps_per_group
         self._ddg = estimator.loop.ddg
         self._capacity = self._capacity_at(estimator.ii)
         #: uid -> class index, shared by every level's group counts.
@@ -389,13 +735,18 @@ class Refiner:
                 out[uid] = cluster
         return out
 
-    def _enter(self, level: Level, groups: GroupAssignment) -> RefinementSession:
+    def _enter(
+        self,
+        level: Level,
+        groups: GroupAssignment,
+        ranks: Optional[Sequence[Rank]] = None,
+    ) -> RefinementSession:
         if self.session is None:
             self.session = RefinementSession(
-                self.estimator, self._class_of, level, groups
+                self.estimator, self._class_of, level, groups, ranks
             )
         else:
-            self.session.enter(level, groups)
+            self.session.enter(level, groups, ranks)
         return self.session
 
     def _ncomm_cap(self, bound: int) -> float:
@@ -411,12 +762,12 @@ class Refiner:
         """Remove resource overloads by moving groups (first-fit)."""
         session = self._enter(level, groups)
         self._balance(session)
-        return dict(session.groups)
+        return session.groups
 
     def _balance(self, session: RefinementSession) -> None:
         loads = session.loads
         capacity = self._capacity
-        for _ in range(self.max_rounds):
+        for _ in range(MAX_ROUNDS):
             overloaded = [
                 (cluster, idx, loads[cluster][idx] / max(1, capacity[cluster][idx]))
                 for cluster in range(self.machine.num_clusters)
@@ -433,30 +784,27 @@ class Refiner:
 
     def _balance_step(self, session: RefinementSession, overloaded) -> bool:
         """Apply one balancing move; returns False if none is possible."""
-        groups = session.groups
-        info = session.info
         loads = session.loads
         criticality_order = [(cl, idx) for cl, idx, _sat in overloaded]
         for rank, (cluster, idx, _sat) in enumerate(overloaded):
+            # (-count, group id) order; ranks sort like group ids.
             movable = sorted(
                 (
-                    gid
-                    for gid in session.level
-                    if groups[gid] == cluster and info[gid].counts[idx] > 0
+                    group
+                    for group in session.order
+                    if group.cluster == cluster and group.counts[idx] > 0
                 ),
-                key=lambda gid: (-info[gid].counts[idx], gid),
+                key=lambda group: (-group.counts[idx], group.rank),
             )
             protected = {i for (_cl, i) in criticality_order[: rank + 1]}
             targets = sorted(
                 (c for c in range(self.machine.num_clusters) if c != cluster),
                 key=lambda c: (loads[c][idx], c),
             )
-            for gid in movable:
+            for group in movable:
                 for target in targets:
-                    if self._fits_after_add(
-                        loads, info[gid].counts, target, protected
-                    ):
-                        session.move(gid, target)
+                    if self._fits_after_add(loads, group.counts, target, protected):
+                        session.move(group, target)
                         return True
         return False
 
@@ -489,84 +837,45 @@ class Refiner:
         )
         return None if est is None else _objective(est)
 
-    def _move_fits(self, loads, counts, target) -> bool:
-        target_loads = loads[target]
-        cap = self._capacity[target]
-        for idx, count in enumerate(counts):
-            if count and target_loads[idx] + count > cap[idx]:
-                return False
-        return True
-
-    def _swap_fits(self, loads, counts_g, counts_o, cl_g, cl_o) -> bool:
-        loads_g = loads[cl_g]
-        loads_o = loads[cl_o]
-        cap_g = self._capacity[cl_g]
-        cap_o = self._capacity[cl_o]
-        for idx in range(_N_CLASSES):
-            delta_g = counts_g[idx]
-            delta_o = counts_o[idx]
-            if loads_o[idx] - delta_o + delta_g > cap_o[idx]:
-                return False
-            if loads_g[idx] - delta_g + delta_o > cap_g[idx]:
-                return False
-        return True
-
     def _boundary_candidates(self, session: RefinementSession) -> Iterator[Move]:
         """Moves of boundary groups plus fallback swaps (paper §3.2.2).
 
-        Yields ``(group, target, partner)`` lazily, so the preview path can
-        reject a candidate before anything is built for it; the lists and
-        fits are taken at round start (nothing moves during a round).
+        Yields ``(group, target, partner)`` lazily in (group id, target,
+        partner) order, so the preview path can reject a candidate before
+        anything is built for it; nothing moves during a round.
         """
-        groups = session.groups
-        info = session.info
-        loads = session.loads
-        neighbour_clusters: Dict[int, Set[int]] = {gid: set() for gid in session.level}
-        for gu, gv in session.group_pairs:
-            cu, cv = groups[gu], groups[gv]
-            if cu != cv:
-                neighbour_clusters[gu].add(cv)
-                neighbour_clusters[gv].add(cu)
+        clusters = range(self.machine.num_clusters)
         # Swap partners: the smallest groups of each cluster, in size order.
-        partners: List[List[int]] = [[] for _ in range(self.machine.num_clusters)]
-        for other in session.gids_by_size:
-            partners[groups[other]].append(other)
-        for row in partners:
-            del row[self.max_swaps_per_group:]
-        # A partner must free at least ``count - free`` slots of each class
-        # in the target, so a group needing more than every partner of the
-        # target holds has no swap there.
+        partners = [row[:MAX_SWAPS_PER_GROUP] for row in session.by_size]
         free = [
-            [cap - load for cap, load in zip(caps, row)]
-            for caps, row in zip(self._capacity, loads)
+            list(map(sub, caps, row))
+            for caps, row in zip(self._capacity, session.loads)
         ]
-        partner_most = [
-            [max(counts) for counts in zip(*(info[o].counts for o in row))]
-            if row else [0] * _N_CLASSES
-            for row in partners
-        ]
-        for gid in session.sorted_gids:
-            neighbours = neighbour_clusters[gid]
-            if not neighbours:
-                continue
-            source = groups[gid]
-            counts = info[gid].counts
-            for target in sorted(neighbours):
-                if self._move_fits(loads, counts, target):
-                    yield gid, target, None
+        partner_most: List[List[int]] = [[] for _ in clusters]
+        # Whether a group fits in a target, or which partners it can swap
+        # with there, depends only on its class counts and the two
+        # clusters: fits[source][target][counts] is None if the move fits,
+        # else the fitting partners.
+        fits = [[{} for _ in clusters] for _ in clusters]
+        for group in session.order:
+            near = group.near
+            source = group.cluster
+            counts = group.counts
+            known = fits[source]
+            for target, neighbours in enumerate(near):
+                if not neighbours or target == source:
                     continue
-                if any(
-                    count - room > most
-                    for count, room, most in zip(
-                        counts, free[target], partner_most[target]
+                fitting = known[target].get(counts, _UNKNOWN)
+                if fitting is _UNKNOWN:
+                    fitting = known[target][counts] = _fitting(
+                        counts, free[source], free[target], partners[target],
+                        partner_most[target],
                     )
-                ):
-                    continue
-                for other in partners[target]:
-                    if self._swap_fits(
-                        loads, counts, info[other].counts, source, target
-                    ):
-                        yield gid, target, other
+                if fitting is None:
+                    yield group, target, None
+                else:
+                    for other in fitting:
+                        yield group, target, other
 
     def minimize_cut_impact(
         self, level: Level, groups: GroupAssignment
@@ -574,32 +883,38 @@ class Refiner:
         """Apply best-improvement moves/swaps until no candidate helps."""
         session = self._enter(level, groups)
         self._minimize(session)
-        return dict(session.groups)
+        return session.groups
 
     def _minimize(self, session: RefinementSession) -> None:
         use_preview = getattr(self.estimator, "supports_preview", False)
         current = session.score()
-        for _ in range(self.max_rounds):
+        for _ in range(MAX_ROUNDS):
             if use_preview:
                 best = self._preview_round(session, current)
+                if best is None:
+                    return
+                current, chosen, preview = best
+                self._apply(session, chosen)
+                session.comm.adopt(preview)
             else:
-                best = self._apply_undo_round(session, current)
-            if best is None:
-                return
-            current, chosen = best
-            self._apply(session, chosen)
+                found = self._apply_undo_round(session, current)
+                if found is None:
+                    return
+                current, chosen = found
+                self._apply(session, chosen)
             session.remember(current)
 
-    def _apply(self, session: RefinementSession, move: Move) -> Tuple[int, ...]:
+    def _apply(
+        self, session: RefinementSession, move: Move
+    ) -> Tuple[Tuple[_Group, int], ...]:
         """Apply in place; returns the inverse recipe (moves to undo)."""
-        gid, target, other = move
-        src_g = session.groups[gid]
+        group, target, other = move
+        source = group.cluster
+        session.move(group, target)
         if other is None:
-            session.move(gid, target)
-            return (gid, src_g)
-        session.move(gid, target)
-        session.move(other, src_g)
-        return (gid, src_g, other, target)
+            return ((group, source),)
+        session.move(other, source)
+        return ((group, source), (other, target))
 
     def _apply_undo_round(
         self, session: RefinementSession, current: Score
@@ -619,8 +934,8 @@ class Refiner:
                 session.assignment, bound=incumbent[0],
                 loads=session.loads, comm=session.comm,
             )
-            for i in range(0, len(recipe), 2):
-                session.move(recipe[i], recipe[i + 1])
+            for group, cluster in recipe:
+                session.move(group, cluster)
             if score is not None and score < current and (
                 best is None or score < best[0]
             ):
@@ -629,74 +944,105 @@ class Refiner:
 
     def _preview_round(
         self, session: RefinementSession, current: Score
-    ) -> Optional[Tuple[Score, Move]]:
-        """One round over the candidates, with the transfer-count prune
-        fused into the enumeration.
+    ) -> Optional[Tuple[Score, Move, CommPreview]]:
+        """One round over the candidates, pruned from the score-delta table.
 
         A candidate whose would-be transfer count exceeds
-        ``max_ncomm(incumbent)`` loses whatever else it does, so it is
-        rejected from the delta table before it is previewed.
+        ``max_ncomm(incumbent)`` loses whatever else it does; one the
+        estimator's second prune rejects on its entry's totals, its
+        memory-route charge and the two shifted load rows loses too.  Both
+        are rejected before a preview is built.  Returns the winner with
+        its preview, whose start times the live state then adopts.
         """
-        groups = session.groups
-        info = session.info
-        ncomm = session.comm.ncomm
-        best: Optional[Tuple[Score, Move]] = None
+        est = self.estimator
+        comm = session.comm
+        loads = session.loads
+        ncomm = comm.ncomm
+        cut_count = comm.cut_count
+        slack_total = comm.slack_total
+        live_mem = comm.derive_comm_mem()
+        live_floor = comm.live_path_floor
+        best: Optional[Tuple[Score, Move, CommPreview]] = None
         incumbent = current
         cap = self._ncomm_cap(incumbent[0])
         for move in self._boundary_candidates(session):
-            gid, target, other = move
+            group, target, other = move
             if other is None:
-                delta = session.delta(info[gid], target)
+                dn = group.deltas.get(target)
+                if dn is None:
+                    dn = session.delta(group, target)
+                if ncomm + dn > cap:
+                    continue
+                entry = session.entry(group, target)
             else:
-                delta = session.swap_delta(info[gid], info[other], groups[gid], target)
-            if ncomm + delta > cap:
+                if ncomm + session.swap_delta(group, other, target) > cap:
+                    continue
+                entry = session.swap_entry(group, other, target)
+            dn, dcut, dslack, uncut, dmem = entry
+            shifted = _shifted(loads, move)
+            if not est.may_beat(
+                incumbent,
+                ncomm + dn,
+                cut_count + dcut,
+                slack_total + dslack,
+                lambda: list(map(add, live_mem, dmem)),
+                shifted,
+                lambda ii: live_floor(ii, uncut),
+            ):
                 continue
-            score = self._preview_score(session, move, incumbent)
+            found = self._preview_score(session, move, shifted, incumbent)
             # Strictly below the incumbent, which is below ``current``.
-            if score is not None and score < incumbent:
-                best = (score, move)
-                incumbent = score
+            if found is not None and found[0] < incumbent:
+                best = (found[0], move, found[1])
+                incumbent = found[0]
                 cap = self._ncomm_cap(incumbent[0])
         return best
 
     def _preview_score(
-        self, session: RefinementSession, move: Move, incumbent: Score
-    ) -> Optional[Score]:
+        self,
+        session: RefinementSession,
+        move: Move,
+        shifted: List[List[int]],
+        incumbent: Score,
+    ) -> Optional[Tuple[Score, CommPreview]]:
         """Score a candidate without mutating any state.
 
-        Returns None when the estimator's tie-aware bound prunes prove the
-        candidate cannot beat ``incumbent``.
+        ``shifted`` holds the cluster loads after the move.  Returns None
+        when the estimator's tie-aware bound prunes prove the candidate
+        cannot beat ``incumbent``.
         """
-        groups = session.groups
-        info = session.info
-        gid, target, other = move
-        src_g = groups[gid]
-        group = info[gid]
-        moves = [(group.uids, group.records, target)]
-        deltas = [(group, src_g, target)]
+        group, target, other = move
+        moves = [(group.uids, group.records.values(), target)]
         if other is not None:
-            other_group = info[other]
-            moves.append((other_group.uids, other_group.records, src_g))
-            deltas.append((other_group, target, src_g))
-        loads_preview = [row[:] for row in session.loads]
-        for moved, source, dest in deltas:
-            source_row = loads_preview[source]
-            target_row = loads_preview[dest]
-            for idx, count in enumerate(moved.counts):
-                if count:
-                    source_row[idx] -= count
-                    target_row[idx] += count
+            moves.append((other.uids, other.records.values(), group.cluster))
+        preview = session.comm.preview_moves(moves)
         est = self.estimator.estimate_preview(
-            session.comm.preview_moves(moves),
-            cluster_class_counts=loads_preview,
-            incumbent=incumbent,
+            preview, cluster_class_counts=shifted, incumbent=incumbent,
         )
-        return None if est is None else _objective(est)
+        return None if est is None else (_objective(est), preview)
 
     # ------------------------------------------------------------------
-    def refine(self, level: Level, groups: GroupAssignment) -> GroupAssignment:
-        """Balance workload, then minimize cut impact, at this level."""
-        session = self._enter(level, groups)
+    def refine(
+        self,
+        hierarchy: Hierarchy,
+        index: int,
+        groups: Optional[GroupAssignment] = None,
+    ) -> RefinementSession:
+        """Balance workload, then minimize cut impact, at level ``index``.
+
+        ``groups`` — the coarsest level's initial assignment — starts the
+        walk down ``hierarchy``; without it the session descends from level
+        ``index + 1``, which it must hold, by splitting the groups that
+        level fused.
+        """
+        level = hierarchy.levels[index]
+        if groups is not None:
+            session = self._enter(level, groups, hierarchy.ranks[index])
+        else:
+            session = self.session
+            if session is None:
+                raise PartitionError("refine() starts at the coarsest level")
+            session.descend(level, hierarchy.fused[index + 1], hierarchy.ranks[index])
         self._balance(session)
         self._minimize(session)
-        return dict(session.groups)
+        return session

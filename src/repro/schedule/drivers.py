@@ -29,6 +29,7 @@ from typing import Dict, Iterator, Optional, Union
 
 from ..ir.loop import Loop
 from ..machine.config import MachineConfig
+from ..partition.estimator import PartitionEstimator
 from ..partition.partitioner import MultilevelPartitioner, Partition, trivial_partition
 from .engine import (
     AllClustersPolicy,
@@ -221,11 +222,16 @@ class FixedPartitionScheduler(BaseScheduler):
         self._options_cache = None
         self.partition = self._compute_partition(loop, start_ii)
 
-    def _compute_partition(self, loop: Loop, ii: int) -> Partition:
+    def _compute_partition(
+        self,
+        loop: Loop,
+        ii: int,
+        estimator: Optional[PartitionEstimator] = None,
+    ) -> Partition:
         self._partitions_computed += 1
         if not self.machine.is_clustered:
             return trivial_partition(loop, ii)
-        return self.partitioner.partition(loop, ii)
+        return self.partitioner.partition(loop, ii, estimator)
 
     def _policy(self, loop: Loop, ii: int) -> ClusterPolicy:
         assert self.partition is not None
@@ -280,12 +286,13 @@ class GPScheduler(FixedPartitionScheduler):
             # only when it actually prices better than the partition we
             # already have at the new interval, otherwise keep the current
             # one (recomputation at a looser II can over-gather clusters).
-            from ..partition.estimator import PartitionEstimator
-
-            candidate = self._compute_partition(loop, next_ii)
-            current_price = PartitionEstimator(
-                loop, self.machine, next_ii
-            ).estimate(self.partition.assignment)
+            # One estimator prices both: the incumbent with the plain
+            # objective, even when the partitioner adds a pressure penalty.
+            estimator = self.partitioner.make_estimator(loop, next_ii)
+            candidate = self._compute_partition(loop, next_ii, estimator)
+            current_price = PartitionEstimator.estimate(
+                estimator, self.partition.assignment
+            )
             if candidate.estimate.exec_time < current_price.exec_time:
                 self.partition = candidate
                 self._futile_recomputes = 0

@@ -95,22 +95,31 @@ def test_golden_partition_digest_at_recompute_iis():
     assert digest("greedy", RECOMPUTE_OFFSETS) == RECOMPUTE_GOLDEN
 
 
-#: ``estimate_preview`` calls of greedy ``digest`` at MII: the set of
-#: candidates that survive the transfer-count prune.  A change here means
-#: the refiner prices a different candidate set.
-PREVIEW_CALLS = 2128
+#: ``estimate_preview`` calls of greedy ``digest`` at MII: the candidates
+#: that survive both bound prunes, run from the score-delta table.  A
+#: change here means the refiner prices a different candidate set.
+PREVIEW_CALLS = 369
 
-#: Ceiling on exact transfer-count walks (``CommState.preview_ncomm``) of
-#: the same run: the refiner's delta table does 3,518, plus 10% headroom.
+#: Ceilings on the exact walks of the same run, plus 10% headroom:
+#: transfer-count walks (``CommState.preview_ncomm``, 3,035), which every
+#: table miss pays, and score-delta walks (``CommState.preview_delta``,
+#: 747), which only candidates surviving the transfer-count prune pay.
 #: Without the table every enumerated candidate pays a walk (18,611).
-MAX_TRANSFER_WALKS = 3870
+MAX_TRANSFER_WALKS = 3340
+MAX_SCORE_WALKS = 820
+
+#: Full longest-path sweeps (``PartitionEstimator._start_times``) of the
+#: same run.  The live start times are cached per II until a move, the
+#: round's winner hands its start times to the live state, and a preview
+#: that un-cuts no tight edge relaxes from the live ones.
+FULL_SWEEPS = 707
 
 
 def test_refiner_work_counts(monkeypatch):
     """A host-independent perf gate: counted work, never timings."""
     from repro.partition.estimator import CommState, PartitionEstimator
 
-    counts = {"walks": 0, "previews": 0}
+    counts = {"walks": 0, "score_walks": 0, "previews": 0, "sweeps": 0}
 
     def counted(cls, name, key):
         original = getattr(cls, name)
@@ -122,7 +131,11 @@ def test_refiner_work_counts(monkeypatch):
         monkeypatch.setattr(cls, name, wrapper)
 
     counted(CommState, "preview_ncomm", "walks")
+    counted(CommState, "preview_delta", "score_walks")
     counted(PartitionEstimator, "estimate_preview", "previews")
+    counted(PartitionEstimator, "_start_times", "sweeps")
     assert digest("greedy") == GOLDEN["greedy"]
     assert counts["previews"] == PREVIEW_CALLS
+    assert counts["sweeps"] == FULL_SWEEPS
     assert counts["walks"] <= MAX_TRANSFER_WALKS
+    assert counts["score_walks"] <= MAX_SCORE_WALKS

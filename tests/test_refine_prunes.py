@@ -7,10 +7,12 @@ The refiner rejects most candidate moves without pricing them fully:
   :meth:`PartitionEstimator.max_ncomm`);
 * on the full ``(exec_time, -cut_slack, cut_edges)`` incumbent, with the
   uncut path or the live assignment's critical path
-  (:meth:`CommState.critical_at`) as the path floor.
+  (:meth:`CommState.critical_at`) as the path floor — from a score-delta
+  entry (:meth:`PartitionEstimator.may_beat`) before any preview exists.
 
 Each piece is checked here against its from-scratch reference —
-``preview_moves``, ``_longest_path`` and a plain Bellman-Ford,
+``preview_moves``, ``_longest_path`` and plain Bellman-Ford sweeps
+(forward start times, backward tails, incremental start times),
 ``estimate(assignment)`` — and the partitions must equal those of the
 apply/undo path, which prunes on the plain exec-time bound only.  The
 loops are the paper suite plus three large (>= 150 operation)
@@ -95,8 +97,21 @@ def _score(est):
 # ----------------------------------------------------------------------
 # Transfer-count bound
 # ----------------------------------------------------------------------
+def _entry_of(comm, moves, records):
+    """The score-delta walk of ``moves`` ((uids, target) pairs)."""
+    return comm.preview_delta(
+        [
+            (comm.index_set(group), recs, target)
+            for (group, target), recs in zip(moves, records)
+        ]
+    )
+
+
 @pytest.mark.parametrize("loop", LOOPS, ids=_ids(LOOPS))
 def test_preview_ncomm_equals_preview_moves(loop):
+    """The transfer-count and score-delta walks agree with the full
+    preview and with a fresh session of the moved assignment, field by
+    field."""
     estimator, assignment = _setup(loop)
     comm = estimator.comm_session(assignment)
     rng = random.Random(loop.name)
@@ -107,17 +122,27 @@ def test_preview_ncomm_equals_preview_moves(loop):
         full = comm.preview_moves(
             [(group, recs, target) for (group, target), recs in zip(moves, records)]
         )
+        dn, dcut, dslack, uncut, dmem = _entry_of(comm, moves, records)
         lean = comm.preview_ncomm(
             [
                 (comm.index_set(group), recs, target)
                 for (group, target), recs in zip(moves, records)
             ]
         )
-        assert lean == full.ncomm
-        # The preview's memory-route usage is a delta over the live one.
+        assert lean == comm.ncomm + dn == full.ncomm
+        assert comm.cut_count + dcut == full.cut_count
+        assert comm.slack_total + dslack == full.slack_total
+        assert set(uncut) == set(full.uncut)
+        live_mem = comm.derive_comm_mem()
+        assert [m + d for m, d in zip(live_mem, dmem)] == full.derive_comm_mem()
+        # The preview's memory-route usage is a delta over the live one,
+        # and its cut changes are those of the moved assignment.
         after = estimator.comm_session(_after(assignment, moves))
         assert full.derive_comm_mem() == after.derive_comm_mem()
         assert full.ncomm == after.ncomm
+        assert set(full.uncut) == comm.cut - after.cut
+        assert set(full.newly_cut) == after.cut - comm.cut
+        assert full.cut_for_path() == after.cut
         if step % 5 == 4:
             # Move the live state too, so later previews start elsewhere.
             group, target = moves[0]
@@ -149,10 +174,19 @@ def test_max_ncomm_is_the_first_prune(loop):
 # ----------------------------------------------------------------------
 def _reference_critical(estimator, cut, ii):
     """Plain Bellman-Ford, forward and backward, until nothing changes."""
+    bus = estimator._bus_latency
+    lengths = [
+        lat - ii * distance + (bus if i in cut else 0)
+        for i, (_si, _di, lat, distance, _c) in enumerate(estimator._iedges)
+    ]
+    return _reference_critical_of(estimator, lengths, cut)
+
+
+def _reference_critical_of(estimator, lengths, cut):
     n = estimator._n
     edges = [
-        (si, di, lat - ii * distance + (estimator._bus_latency if i in cut else 0))
-        for i, (si, di, lat, distance, _c) in enumerate(estimator._iedges)
+        (si, di, length)
+        for (si, di, _lat, _distance, _c), length in zip(estimator._iedges, lengths)
     ]
     dist = [0] * n
     changed = True
@@ -207,13 +241,73 @@ def test_critical_at_matches_longest_path(loop):
                 true_path = estimator._longest_path(preview.cut_for_path(), ii)
                 if live is not None and true_path is not None:
                     assert live <= true_path
+                # Start times, incremental or not, equal a full sweep.
+                cut = preview.cut_for_path()
+                assert preview.start_times(ii) == estimator._start_times(
+                    estimator._lengths(cut, ii)
+                )
+                assert preview.times[1] == estimator._lengths(cut, ii)
         comm.verify(assignment)
         group, target = _random_moves(rng, uids, 4, swap=False)[0]
         comm.move_uids(group, target)
         for uid in group:
             assignment[uid] = target
         assert not comm._critical  # a move drops the cache
+        assert not comm._starts and not comm._lengths
     comm.verify(assignment)
+
+
+def _relaxes(comm, preview, ii):
+    """Whether ``preview.start_times(ii)`` starts from the live vector: no
+    un-cut edge is tight in it (so shortening them changes nothing)."""
+    live = comm.start_times(ii)
+    if live is None:
+        return False
+    lengths = comm.lengths_at(ii)
+    edges = comm.est._sweep_edges
+    return all(
+        live[edges[i][0]] + lengths[i] != live[edges[i][1]] for i in preview.uncut
+    )
+
+
+@pytest.mark.parametrize("loop", LOOPS, ids=_ids(LOOPS))
+def test_previews_relax_from_the_live_start_times(loop):
+    """A preview whose un-cut edges are not tight (none, or only slack
+    ones) starts from the live start times; the result, and the live state
+    that adopts it after the moves are applied, equal full sweeps."""
+    estimator, assignment = _setup(loop)
+    comm = estimator.comm_session(assignment)
+    rng = random.Random(loop.name)
+    uids = loop.ddg.uids()
+    floor_ii = max(estimator.ii, estimator._all_cut_mii())
+    kinds = {"cut only": 0, "slack un-cut": 0, "full": 0}
+    adopted = 0
+    for step in range(200):
+        moves = _random_moves(rng, uids, 4, swap=step % 2 == 1)
+        records = [comm.records_for(g) for g, _t in moves]
+        preview = comm.preview_moves(
+            [(g, recs, t) for (g, t), recs in zip(moves, records)]
+        )
+        tight_ii = estimator._rec_mii_with_cut(sorted(comm.cut), 1)
+        for ii in (tight_ii, floor_ii):
+            relaxes = _relaxes(comm, preview, ii)
+            kind = (
+                "full" if not relaxes
+                else "slack un-cut" if preview.uncut else "cut only"
+            )
+            kinds[kind] += 1
+            dist = preview.start_times(ii)
+            lengths = estimator._lengths(preview.cut_for_path(), ii)
+            assert dist == _reference_start_times(estimator, lengths)
+        if relaxes and dist is not None and step % 4 == 0:
+            for (group, target), recs in zip(moves, records):
+                comm.move_uids(group, target, recs)
+                for uid in group:
+                    assignment[uid] = target
+            comm.adopt(preview)
+            comm.verify(assignment)  # the adopted vector is the fresh one
+            adopted += 1
+    assert all(kinds.values()) and adopted, kinds
 
 
 def _reference_start_times(estimator, lengths):
@@ -277,6 +371,47 @@ def test_start_times_at_and_below_the_recurrence_bound():
     assert infeasible and reworked
 
 
+def test_critical_edges_equal_the_fixpoint_sweeps():
+    """The search over tight edges from the path's ends finds the critical
+    edges the plain forward and backward sweeps do, on real lengths and on
+    random potentials (whose back edges relax, so a tight cycle can hide a
+    path's witness)."""
+    cyclic = 0
+    for loop in LOOPS:
+        estimator, assignment = _setup(loop)
+        comm = estimator.comm_session(assignment)
+        all_cut = [record[0] for record in estimator._carry_edges]
+        cuts = [set(comm.cut), set(all_cut)]
+        for cut in cuts:
+            tight_ii = estimator._rec_mii_with_cut(sorted(cut), 1)
+            for ii in (tight_ii, tight_ii + 1, tight_ii + 3):
+                lengths = estimator._lengths(cut, ii)
+                dist = estimator._start_times(lengths)
+                path, critical = estimator._critical_edges(dist, lengths, cut)
+                assert (path, set(critical)) == _reference_critical(
+                    estimator, cut, ii
+                )
+        rng = random.Random(loop.name)
+        for _ in range(4):
+            potential = [rng.randrange(-20, 20) for _ in range(estimator._n)]
+            lengths = [
+                potential[di] - potential[si] - rng.randrange(2)
+                for si, di, _back in estimator._sweep_edges
+            ]
+            cut = set(rng.sample(all_cut, k=len(all_cut) // 2))
+            dist = estimator._start_times(lengths)
+            path, critical = estimator._critical_edges(dist, lengths, cut)
+            assert (path, set(critical)) == _reference_critical_of(
+                estimator, lengths, cut
+            )
+            # A zero-length cycle of tight edges.
+            cyclic += any(
+                back and dist[si] + length == dist[di]
+                for (si, di, back), length in zip(estimator._sweep_edges, lengths)
+            )
+    assert cyclic
+
+
 # ----------------------------------------------------------------------
 # Tie-aware prune
 # ----------------------------------------------------------------------
@@ -302,12 +437,24 @@ def test_pruned_candidates_cannot_beat_the_incumbent(estimator_cls):
                 (full[0], full[1], full[2] + 1),
                 (full[0], full[1] - 1, full[2]),
             ):
+                records = [comm.records_for(g) for g, _t in moves]
                 preview = comm.preview_moves(
-                    [(g, comm.records_for(g), t) for g, t in moves]
+                    [(g, recs, t) for (g, t), recs in zip(moves, records)]
                 )
                 est = estimator.estimate_preview(
                     preview, cluster_class_counts=counts, incumbent=incumbent
                 )
+                # The score-delta prune runs the same prunes from the entry.
+                dn, dcut, dslack, uncut, dmem = _entry_of(comm, moves, records)
+                assert estimator.may_beat(
+                    incumbent,
+                    comm.ncomm + dn,
+                    comm.cut_count + dcut,
+                    comm.slack_total + dslack,
+                    lambda: [m + d for m, d in zip(comm.derive_comm_mem(), dmem)],
+                    counts,
+                    lambda ii: comm.live_path_floor(ii, uncut),
+                ) == (est is not None)
                 if est is None:
                     assert full >= incumbent, (loop.name, full, incumbent)
                     pruned += 1

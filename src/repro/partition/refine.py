@@ -585,22 +585,21 @@ class RefinementSession:
             ):
                 raise AssertionError(f"group {gid} differs from a fresh enter")
             fresh_comm = fresh.comm
-            for table, walk in (
-                (
-                    group.deltas,
-                    lambda moves: fresh_comm.preview_ncomm(moves) - fresh_comm.ncomm,
+            walks = {
+                "deltas": lambda moves: (
+                    fresh_comm.preview_ncomm(moves) - fresh_comm.ncomm
                 ),
-                (group.entries, fresh_comm.preview_delta),
-            ):
-                for key, cached in table.items():
+                "entries": fresh_comm.preview_delta,
+            }
+            for table, walk in walks.items():
+                for key, cached in getattr(group, table).items():
                     if isinstance(key, int):
                         moves = ((twin.members, twin.records.values(), key),)
                     else:
                         target, other = key
-                        if id(other) not in position or (
-                            group.cluster, group
-                        ) not in (
-                            other.deltas if table is group.deltas else other.entries
+                        if (
+                            id(other) not in position
+                            or (group.cluster, group) not in getattr(other, table)
                         ):
                             continue  # half of a dropped pair: never read
                         partner = fresh.order[position[id(other)]]

@@ -13,7 +13,7 @@ whether a failed schedule warrants recomputing the partition (§3.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from ..errors import PartitionError
 from ..ir.loop import Loop
@@ -83,17 +83,8 @@ class MultilevelPartitioner:
         self.pressure_aware = pressure_aware
 
     # ------------------------------------------------------------------
-    def partition(
-        self,
-        loop: Loop,
-        ii: int,
-        estimator: Optional[PartitionEstimator] = None,
-    ) -> Partition:
-        """Partition ``loop`` for a schedule at initiation interval ``ii``.
-
-        ``estimator`` — one :meth:`make_estimator` built for ``(loop, ii)``
-        — lets the caller price other assignments with the same instance.
-        """
+    def partition(self, loop: Loop, ii: int) -> Partition:
+        """Partition ``loop`` for a schedule at initiation interval ``ii``."""
         if not self.machine.is_clustered:
             return trivial_partition(loop, ii)
         if loop.ddg.num_operations == 0:
@@ -101,8 +92,10 @@ class MultilevelPartitioner:
 
         weighting = compute_edge_weights(loop, ii, self.machine.bus_latency)
         hierarchy = build_hierarchy(weighting, self.machine.num_clusters, self.matcher)
-        if estimator is None:
-            estimator = self.make_estimator(loop, ii)
+        estimator_cls = (
+            PressureAwareEstimator if self.pressure_aware else PartitionEstimator
+        )
+        estimator = estimator_cls(loop, self.machine, ii)
         refiner = Refiner(estimator, self.machine)
 
         # Refine from the coarsest level down; each finer level splits the
@@ -125,12 +118,6 @@ class MultilevelPartitioner:
         )
 
     # ------------------------------------------------------------------
-    def make_estimator(self, loop: Loop, ii: int) -> PartitionEstimator:
-        """The estimator :meth:`partition` prices ``loop`` at ``ii`` with."""
-        if self.pressure_aware:
-            return PressureAwareEstimator(loop, self.machine, ii)
-        return PartitionEstimator(loop, self.machine, ii)
-
     def _initial_assignment(self, coarsest: Level) -> GroupAssignment:
         """One coarse node per cluster; overflow goes to the least loaded.
 

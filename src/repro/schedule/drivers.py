@@ -12,9 +12,12 @@ attempt fails at an initiation interval (Figure 1 of the paper):
   partition is computed once (at MII) and the scheduler must follow it
   exactly; any failure bumps the II, keeping the partition.
 * :class:`GPScheduler` — GP variant (b), the paper's scheme: the scheduler
-  follows the partition but may fall back to other clusters per node; when
-  the II is bumped, the partition is recomputed iff its bus bound exceeds
-  the new II (``IIbus > II``) — otherwise recomputing cannot help (§3.1).
+  follows the partition but may fall back to other clusters per node.  A
+  partition for the current II can only help while the partition's bus
+  bound exceeds that II (``IIbus > II``, §3.1).  The paper recomputes
+  eagerly and adopts the result whenever the II is bumped; GP here keeps
+  the MII partition for the whole search and recomputes on demand (see
+  :class:`GPScheduler` for the rule and the measurement behind it).
 
 Every driver measures its own scheduling CPU time (Table 2) and falls back
 to list scheduling when the II search space is exhausted (as the paper does
@@ -25,11 +28,10 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, Optional, Union
+from typing import Dict, Iterator, Optional, Tuple, Union
 
 from ..ir.loop import Loop
 from ..machine.config import MachineConfig
-from ..partition.estimator import PartitionEstimator
 from ..partition.partitioner import MultilevelPartitioner, Partition, trivial_partition
 from .engine import (
     AllClustersPolicy,
@@ -109,8 +111,15 @@ class BaseScheduler:
     def _policy(self, loop: Loop, ii: int) -> ClusterPolicy:
         raise NotImplementedError
 
-    def _on_failure(self, loop: Loop, failed_ii: int, next_ii: int) -> None:
-        """Called after an attempt at ``failed_ii`` fails."""
+    def _attempts(
+        self, loop: Loop, ii: int
+    ) -> Iterator[Tuple[ClusterPolicy, EngineOptions]]:
+        """The engine attempts to make at ``ii``, in order.
+
+        The driver stops at the first attempt that schedules, so work
+        after a ``yield`` only runs when the attempts before it failed.
+        """
+        yield self._policy(loop, ii), self._engine_options(loop)
 
     # -- driver -------------------------------------------------------------
     def schedule(self, loop: Loop) -> ScheduleOutcome:
@@ -125,21 +134,19 @@ class BaseScheduler:
         ii = start_ii + next(offsets)
         feas_hits = feas_scans = 0
         while ii <= start_ii + self.max_ii_span:
-            policy = self._policy(loop, ii)
-            engine = SchedulingEngine(
-                loop, self.machine, ii, policy, self._engine_options(loop)
-            )
             attempts += 1
-            found = engine.attempt()
-            # Candidate-feasibility cache telemetry survives failed
-            # attempts (where most of the spill-round rescanning happens).
-            feas_hits += engine.stats.feas_cache_hits
-            feas_scans += engine.stats.feas_cache_scans
+            for policy, options in self._attempts(loop, ii):
+                engine = SchedulingEngine(loop, self.machine, ii, policy, options)
+                found = engine.attempt()
+                # Candidate-feasibility cache telemetry survives failed
+                # attempts (where most of the spill-round rescanning happens).
+                feas_hits += engine.stats.feas_cache_hits
+                feas_scans += engine.stats.feas_cache_scans
+                if found is not None:
+                    break
             if found is not None:
                 break
-            next_ii = start_ii + next(offsets)
-            self._on_failure(loop, ii, next_ii)
-            ii = next_ii
+            ii = start_ii + next(offsets)
         if found is not None:
             found.scheduler_name = self.name
             found.stats.ii_attempts = attempts
@@ -167,16 +174,6 @@ class BaseScheduler:
 
     def _engine_options(self, loop: Loop) -> EngineOptions:
         return self.options
-
-
-def _mem_ops_per_cluster(loop: Loop, partition: Partition) -> Dict[int, int]:
-    """Original memory operations each cluster will host (§3.3.4)."""
-    counts: Dict[int, int] = {}
-    for uid in loop.ddg.uids():
-        if loop.ddg.operation(uid).is_memory:
-            cluster = partition.assignment[uid]
-            counts[cluster] = counts.get(cluster, 0) + 1
-    return counts
 
 
 class UracamScheduler(BaseScheduler):
@@ -214,58 +211,62 @@ class FixedPartitionScheduler(BaseScheduler):
         self.partitioner = partitioner or MultilevelPartitioner(machine)
         self.partition: Optional[Partition] = None
         self._partitions_computed = 0
-        # (partition, EngineOptions) pair; see _engine_options.
-        self._options_cache = None
 
     def _prepare(self, loop: Loop, start_ii: int) -> None:
+        # The MII partition is the only one the II search schedules with
+        # on every II, so its engine options are built once per loop.
         self._partitions_computed = 0
-        self._options_cache = None
         self.partition = self._compute_partition(loop, start_ii)
+        self._partition_options = self._options_for(loop, self.partition)
 
-    def _compute_partition(
-        self,
-        loop: Loop,
-        ii: int,
-        estimator: Optional[PartitionEstimator] = None,
-    ) -> Partition:
+    def _compute_partition(self, loop: Loop, ii: int) -> Partition:
         self._partitions_computed += 1
         if not self.machine.is_clustered:
             return trivial_partition(loop, ii)
-        return self.partitioner.partition(loop, ii, estimator)
+        return self.partitioner.partition(loop, ii)
+
+    def _options_for(self, loop: Loop, partition: Partition) -> EngineOptions:
+        """The engine options with the original memory operations each
+        cluster of ``partition`` hosts (§3.3.4)."""
+        counts: Dict[int, int] = {}
+        for uid in loop.ddg.uids():
+            if loop.ddg.operation(uid).is_memory:
+                cluster = partition.assignment[uid]
+                counts[cluster] = counts.get(cluster, 0) + 1
+        return replace(self.options, mem_ops_per_cluster=counts)
 
     def _policy(self, loop: Loop, ii: int) -> ClusterPolicy:
         assert self.partition is not None
         return FixedClusterPolicy(self.partition.assignment)
 
     def _engine_options(self, loop: Loop) -> EngineOptions:
-        assert self.partition is not None
-        # The per-cluster memory-op counts are a pure function of the
-        # partition, which only changes when a recompute is adopted — cache
-        # them by partition identity so the II search stops re-scanning the
-        # loop's operations on every attempt.
-        cached = self._options_cache
-        if cached is not None and cached[0] is self.partition:
-            return cached[1]
-        options = replace(
-            self.options,
-            mem_ops_per_cluster=_mem_ops_per_cluster(loop, self.partition),
-        )
-        self._options_cache = (self.partition, options)
-        return options
+        return self._partition_options
 
 
 class GPScheduler(FixedPartitionScheduler):
-    """The paper's GP scheme: partition-guided with selective recompute."""
+    """The paper's GP scheme: partition-guided with on-demand recompute.
+
+    The MII partition guides every II of the search.  Only when it fails
+    at an II that its bus bound exceeds (``IIbus > II``) does GP compute a
+    partition for that II, and that partition gets one attempt at the
+    same II: it ends the search if it schedules and is dropped otherwise.
+    (Deviation from §3.1, which recomputes as soon as the II is bumped and
+    adopts the result for the rest of the search.)
+
+    Measured on the paper suite, GP's Figure-2 average IPC on 4x32 / 4x64
+    / 4x32 lat2 / 4x64 lat2 with ``partition()`` calls for its 40 loops:
+    the eager, always-adopted rule of §3.1 gave 5.245 (76) / 5.815 (70);
+    eager recompute adopted only when the estimator priced it better, with
+    at most two rejections in a row, gave 5.386 (76) / 5.863 (68) / 4.402
+    (136) / 4.717 (122); never recomputing gave 5.654 / 5.843 / 4.536 /
+    4.611 (40 each); this rule gives 5.695 (56) / 5.883 (48) / 4.673 (95)
+    / 4.780 (91).  Adopted recomputes raised the final II of several loops
+    (fpppp, turb3d, wave5, swim), and the estimator's price did not predict
+    which recomputes the engine could use.  On the paper suite the
+    2-cluster machines never need a recompute.
+    """
 
     name = "gp"
-
-    #: Consecutive rejected recomputations after which GP stops trying —
-    #: once higher-II partitions stop pricing better, further ones won't.
-    max_futile_recomputes = 2
-
-    def _prepare(self, loop: Loop, start_ii: int) -> None:
-        super()._prepare(loop, start_ii)
-        self._futile_recomputes = 0
 
     def _policy(self, loop: Loop, ii: int) -> ClusterPolicy:
         assert self.partition is not None
@@ -273,31 +274,22 @@ class GPScheduler(FixedPartitionScheduler):
             self.partition.assignment, self.machine.num_clusters
         )
 
-    def _on_failure(self, loop: Loop, failed_ii: int, next_ii: int) -> None:
-        assert self.partition is not None
-        if not self.machine.is_clustered:
-            return
+    def _attempts(
+        self, loop: Loop, ii: int
+    ) -> Iterator[Tuple[ClusterPolicy, EngineOptions]]:
+        yield from super()._attempts(loop, ii)
+        partition = self.partition
+        assert partition is not None
         if (
-            self.partition.ii_bus > next_ii
-            and self._futile_recomputes < self.max_futile_recomputes
+            self.machine.is_clustered
+            and partition.ii != ii
+            and partition.ii_bus > ii
         ):
-            # The bus bound still exceeds the II we are about to try: a new
-            # partition can reduce IIbus, so recompute (§3.1) — but adopt it
-            # only when it actually prices better than the partition we
-            # already have at the new interval, otherwise keep the current
-            # one (recomputation at a looser II can over-gather clusters).
-            # One estimator prices both: the incumbent with the plain
-            # objective, even when the partitioner adds a pressure penalty.
-            estimator = self.partitioner.make_estimator(loop, next_ii)
-            candidate = self._compute_partition(loop, next_ii, estimator)
-            current_price = PartitionEstimator.estimate(
-                estimator, self.partition.assignment
+            rescue = self._compute_partition(loop, ii)
+            yield (
+                AssignedFirstPolicy(rescue.assignment, self.machine.num_clusters),
+                self._options_for(loop, rescue),
             )
-            if candidate.estimate.exec_time < current_price.exec_time:
-                self.partition = candidate
-                self._futile_recomputes = 0
-            else:
-                self._futile_recomputes += 1
 
 
 #: Name -> scheduler class, for the evaluation harness and the CLI examples.

@@ -81,7 +81,10 @@ class ScheduleStats:
     bus_transfers: int = 0
     mem_comms: int = 0
     spills: int = 0
+    #: IIs the search tried (GP's rescue attempts are not counted).
     ii_attempts: int = 0
+    #: The MII partition plus one per GP rescue attempt (a partition
+    #: recomputed at a failed II); 0 for URACAM.
     partitions_computed: int = 0
     #: Candidate-feasibility cache telemetry: window slots skipped because
     #: a previous spill round proved them structurally infeasible, vs.

@@ -1,4 +1,4 @@
-"""Tests of the II-search driver behaviour (stepping, recompute guard)."""
+"""Tests of the II-search driver behaviour (stepping, GP's recompute rule)."""
 
 from itertools import islice
 
@@ -12,10 +12,11 @@ from repro.schedule.drivers import (
     UracamScheduler,
     ii_offsets,
 )
-from repro.schedule.engine import EngineOptions
+from repro.schedule.engine import EngineOptions, SchedulingEngine
 from repro.schedule.mii import mii
 from repro.workloads.generator import LoopShape, generate_loop
 from repro.workloads.kernels import daxpy
+from repro.workloads.spec import spec_suite
 
 
 class _CountingScheduler(UracamScheduler):
@@ -29,6 +30,22 @@ class _CountingScheduler(UracamScheduler):
     def _policy(self, loop, ii):
         self.tried.append(ii)
         return super()._policy(loop, ii)
+
+
+class _CountingGP(GPScheduler):
+    """Records the IIs GP's search tried (a rescue attempt adds none)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.tried = []
+
+    def _attempts(self, loop, ii):
+        self.tried.append(ii)
+        return super()._attempts(loop, ii)
+
+
+def _paper_loops():
+    return [loop for bench in spec_suite() for loop in bench.loops]
 
 
 class TestIISearch:
@@ -99,37 +116,67 @@ def test_ii_search_escalates_strictly():
     shape = LoopShape(
         40, mem_ratio=0.3, depth_bias=0.35, recurrences=1, trip_count=150
     )
-    escalated = 0
-    for seed in range(3):
-        scheduler = _CountingScheduler(four_cluster(16))
-        outcome = scheduler.schedule(generate_loop("escalate", shape, seed))
-        if not outcome.is_modulo:
-            continue
-        tried = scheduler.tried
-        assert tried == sorted(set(tried))
-        assert len(tried) == outcome.schedule.stats.ii_attempts
-        assert tried[-1] == outcome.schedule.ii
-        start = tried[-1] - list(islice(ii_offsets(), len(tried)))[-1]
-        assert tried == [start + o for o in islice(ii_offsets(), len(tried))]
-        escalated += len(tried) > 1
-    assert escalated
+    for counting in (_CountingScheduler, _CountingGP):
+        escalated = 0
+        for seed in range(3):
+            scheduler = counting(four_cluster(16))
+            outcome = scheduler.schedule(generate_loop("escalate", shape, seed))
+            if not outcome.is_modulo:
+                continue
+            tried = scheduler.tried
+            assert tried == sorted(set(tried))
+            assert len(tried) == outcome.schedule.stats.ii_attempts
+            assert tried[-1] == outcome.schedule.ii
+            start = tried[-1] - list(islice(ii_offsets(), len(tried)))[-1]
+            assert tried == [start + o for o in islice(ii_offsets(), len(tried))]
+            escalated += len(tried) > 1
+        assert escalated
 
 
 class TestGPRecomputeGuard:
-    def test_futile_recomputes_bounded(self):
-        machine = four_cluster(32, bus_latency=2)
+    def test_recomputes_are_never_adopted(self):
+        """The MII partition guides the whole search; a recompute gets at
+        most one attempt, at an II after the MII, and only after the MII
+        partition failed there.  The per-machine totals pin that work."""
+        for registers, expected in ((32, 56), (64, 48)):
+            machine = four_cluster(registers)
+            computed = 0
+            for loop in _paper_loops():
+                scheduler = GPScheduler(machine)
+                outcome = scheduler.schedule(loop)
+                assert outcome.is_modulo
+                assert scheduler.partition.ii == mii(loop, machine)
+                stats = outcome.schedule.stats
+                assert stats.partitions_computed <= stats.ii_attempts
+                computed += stats.partitions_computed
+            assert computed == expected
+
+    def test_two_clusters_never_recompute(self):
+        machine = two_cluster(64)
+        for loop in _paper_loops():
+            outcome = GPScheduler(machine).schedule(loop)
+            assert outcome.is_modulo
+            assert outcome.schedule.stats.partitions_computed == 1
+
+    def test_recompute_rescues_the_failed_ii(self):
+        """swim_loop2 on 4x64: the MII partition needs II 7, and the
+        partition recomputed at the failed II 6 schedules there."""
+        machine = four_cluster(64)
+        (loop,) = [loop for loop in _paper_loops() if loop.name == "swim_loop2"]
         scheduler = GPScheduler(machine)
-        loop = generate_loop(
-            "lat2", LoopShape(45, mem_ratio=0.25, depth_bias=0.5, trip_count=100),
-            seed=55,
-        )
         outcome = scheduler.schedule(loop)
-        if outcome.is_modulo:
-            stats = outcome.schedule.stats
-            # 1 initial partition + adopted recomputes + at most
-            # max_futile_recomputes rejected ones per adoption streak; the
-            # cap keeps the total far below the II attempts.
-            assert stats.partitions_computed <= stats.ii_attempts + 1
+        assert mii(loop, machine) == 5
+        assert outcome.schedule.ii == 6
+        assert outcome.schedule.stats.ii_attempts == 2
+        assert outcome.schedule.stats.partitions_computed == 2
+
+        def with_mii_partition(ii):
+            policy = scheduler._policy(loop, ii)
+            options = scheduler._engine_options(loop)
+            return SchedulingEngine(loop, machine, ii, policy, options).attempt()
+
+        assert with_mii_partition(6) is None
+        assert with_mii_partition(7) is not None
 
     def test_gp_partition_is_not_none_after_prepare(self):
         machine = two_cluster(64)

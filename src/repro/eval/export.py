@@ -12,6 +12,7 @@ import json
 from typing import Any, Dict
 
 from .figures import FigureResult, Table2Result
+from .metrics import aggregate_ipc, arithmetic_mean, outcome_shape
 from .runner import BenchmarkResult, SuiteResult
 
 
@@ -62,16 +63,18 @@ def suite_result_to_dict(result: SuiteResult, timing: bool = True) -> Dict[str, 
     process CPU time, and friends), leaving only the deterministic
     scheduling facts — IPC, II, stages, bus/mem-comm/spill counts.  Two
     runs of the same suite then export byte-identically, whatever
-    ``--jobs`` value produced them.
+    ``--jobs`` value produced them.  Each outcome's shape is read once:
+    the benchmark and suite IPCs derive from the per-loop cycles.
     """
+    benchmarks = {
+        name: benchmark_result_to_dict(bench, timing=timing)
+        for name, bench in result.per_benchmark.items()
+    }
     payload: Dict[str, Any] = {
         "scheduler": result.scheduler,
         "machine": result.machine,
-        "average_ipc": result.average_ipc,
-        "benchmarks": {
-            name: benchmark_result_to_dict(bench, timing=timing)
-            for name, bench in result.per_benchmark.items()
-        },
+        "average_ipc": arithmetic_mean(b["ipc"] for b in benchmarks.values()),
+        "benchmarks": benchmarks,
     }
     if timing:
         payload["total_cpu_seconds"] = result.total_cpu_seconds
@@ -90,11 +93,15 @@ def benchmark_result_to_dict(
     result: BenchmarkResult, timing: bool = True
 ) -> Dict[str, Any]:
     loops = []
+    dynamic_operations, cycles = [], []
     for outcome in result.outcomes:
+        loop_cycles, ipc, stages = outcome_shape(outcome)
+        dynamic_operations.append(outcome.loop.total_dynamic_operations())
+        cycles.append(loop_cycles)
         entry: Dict[str, Any] = {
             "loop": outcome.loop.name,
-            "ipc": outcome.ipc(),
-            "cycles": outcome.execution_cycles(),
+            "ipc": ipc,
+            "cycles": loop_cycles,
             "modulo": outcome.is_modulo,
         }
         if timing:
@@ -103,7 +110,7 @@ def benchmark_result_to_dict(
             schedule = outcome.schedule
             entry.update(
                 ii=schedule.ii,
-                stages=schedule.stage_count,
+                stages=stages,
                 bus_transfers=schedule.stats.bus_transfers,
                 mem_comms=schedule.stats.mem_comms,
                 spills=schedule.stats.spills,
@@ -116,7 +123,7 @@ def benchmark_result_to_dict(
         loops.append(entry)
     payload: Dict[str, Any] = {
         "benchmark": result.benchmark,
-        "ipc": result.ipc,
+        "ipc": aggregate_ipc(dynamic_operations, cycles),
         "modulo_fraction": result.modulo_fraction,
         "peak_registers": result.peak_registers,
         "loops": loops,

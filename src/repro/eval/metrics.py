@@ -17,9 +17,10 @@ validator and the exports.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..schedule.drivers import ii_offsets
+from ..schedule.result import ModuloSchedule
 
 
 def aggregate_ipc(
@@ -32,6 +33,27 @@ def aggregate_ipc(
     if total_cycles <= 0:
         return 0.0
     return sum(dynamic_operations) / total_cycles
+
+
+def outcome_shape(outcome) -> Tuple[int, float, int]:
+    """``(cycles, ipc, stages)`` of one outcome, for the encoders.
+
+    A live modulo schedule derives cycles and stages from one
+    :meth:`~repro.schedule.result.ModuloSchedule.span`; a list schedule
+    or a decoded ``StoredSchedule`` reads its recorded cycles (stages is
+    then the stored count, 0 for a list schedule).  IPC is total dynamic
+    operations over cycles: the same integers the schedule's ``ipc()``
+    divides, so the same float.
+    """
+    schedule = outcome.schedule
+    if isinstance(schedule, ModuloSchedule):
+        cycles, stages = schedule.shape()
+    else:
+        cycles = schedule.execution_cycles()
+        stages = getattr(schedule, "stage_count", 0)
+    if cycles <= 0:
+        return cycles, 0.0, stages
+    return cycles, outcome.loop.total_dynamic_operations() / cycles, stages
 
 
 def arithmetic_mean(values: Iterable[float]) -> float:

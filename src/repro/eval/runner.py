@@ -9,7 +9,7 @@ from ..errors import LoopTaskError
 from ..ir.loop import Loop
 from ..schedule.drivers import BaseScheduler, ScheduleOutcome
 from ..workloads.spec import Benchmark
-from .metrics import aggregate_ipc
+from .metrics import aggregate_ipc, arithmetic_mean
 
 
 @dataclass
@@ -114,8 +114,7 @@ class SuiteResult:
 
     @property
     def average_ipc(self) -> float:
-        values = [r.ipc for r in self.per_benchmark.values()]
-        return sum(values) / len(values) if values else 0.0
+        return arithmetic_mean(r.ipc for r in self.per_benchmark.values())
 
     @property
     def total_cpu_seconds(self) -> float:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Mapping, Optional
 
 from ..errors import GraphError
 from .opcodes import Opcode
@@ -142,6 +142,13 @@ class DataDependenceGraph:
             return self._ops[uid]
         except KeyError:
             raise GraphError(f"no operation with uid {uid} in graph {self.name!r}") from None
+
+    @property
+    def op_table(self) -> Mapping[int, Operation]:
+        """The uid -> operation table itself, for hot loops that index it
+        directly instead of calling :meth:`operation` per uid.  Read-only
+        by contract: build graphs through :meth:`add_operation`."""
+        return self._ops
 
     def operations(self) -> List[Operation]:
         """All operations, in creation (uid) order."""

@@ -38,7 +38,7 @@ the default for the property-test suite, opt-in for sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ValidationError
 from ..ir.loop import Loop
@@ -90,7 +90,10 @@ class ScheduleStats:
     #: a previous spill round proved them structurally infeasible, vs.
     #: slots actually evaluated.  Aggregated across every engine attempt
     #: of the II search (failed attempts included); purely observational —
-    #: never exported, so artifacts stay bit-identical.
+    #: no scheduling decision reads them, so they never move a schedule.
+    #: The codec stores both in every store entry and perfbench's Table 2
+    #: report reads ``feas_cache_scans``, so the names are part of the
+    #: stored schema.
     feas_cache_hits: int = 0
     feas_cache_scans: int = 0
 
@@ -177,36 +180,62 @@ class ModuloSchedule:
     # ------------------------------------------------------------------
     # Shape metrics
     # ------------------------------------------------------------------
+    def span(self) -> Tuple[int, int, int]:
+        """``(first issue, last loop-op issue, last result)`` of one iteration.
+
+        One uncached pass over the placements and aux ops, latencies read
+        straight off the DDG's op table; every shape metric below is a
+        thin read of it.  First issue and last result include the aux
+        ops, last issue counts loop operations only.  A schedule with no
+        placements spans nothing: all three are its first aux issue (0
+        without aux ops).  Not cached: placements and ``ii`` stay mutable.
+        """
+        if not self.placements:
+            first = min((aux.time for aux in self.aux_ops), default=0)
+            return first, first, first
+        ops = self.loop.ddg.op_table
+        uid, placed = next(iter(self.placements.items()))
+        first = last = placed.time
+        end = first + ops[uid].opcode.latency
+        for uid, placed in self.placements.items():
+            time = placed.time
+            if time < first:
+                first = time
+            elif time > last:
+                last = time
+            result = time + ops[uid].opcode.latency
+            if result > end:
+                end = result
+        for aux in self.aux_ops:
+            time = aux.time
+            if time < first:
+                first = time
+            result = time + (STORE_LATENCY if aux.is_store else LOAD_LATENCY)
+            if result > end:
+                end = result
+        return first, last, end
+
     @property
     def min_time(self) -> int:
-        times = [p.time for p in self.placements.values()]
-        times += [a.time for a in self.aux_ops]
-        return min(times) if times else 0
+        """The first issue cycle, aux ops included."""
+        return self.span()[0]
 
     @property
     def makespan(self) -> int:
         """Cycles from the first issue to the last result, one iteration."""
-        if not self.placements:
-            return 0
-        lo = self.min_time
-        hi = max(
-            p.time + self.loop.ddg.operation(uid).latency
-            for uid, p in self.placements.items()
-        )
-        for aux in self.aux_ops:
-            lat = STORE_LATENCY if aux.is_store else LOAD_LATENCY
-            hi = max(hi, aux.time + lat)
-        return hi - lo
+        first, _, end = self.span()
+        return end - first
 
     @property
     def stage_count(self) -> int:
         """Kernel stages (the software pipeline depth)."""
-        if not self.placements:
-            return 1
-        lo = self.min_time
-        return max(
-            (p.time - lo) // self.ii for p in self.placements.values()
-        ) + 1
+        return self.shape()[1]
+
+    def shape(self, trip_count: Optional[int] = None) -> Tuple[int, int]:
+        """``(execution cycles, stage count)`` off one :meth:`span`."""
+        niter = self.loop.trip_count if trip_count is None else trip_count
+        first, last, end = self.span()
+        return (niter - 1) * self.ii + end - first, (last - first) // self.ii + 1
 
     def execution_cycles(self, trip_count: Optional[int] = None) -> int:
         """Total cycles to run the loop, prolog and epilog included.
@@ -215,8 +244,7 @@ class ModuloSchedule:
         iteration — the standard static cycle count for a software-pipelined
         loop with a high trip count.
         """
-        niter = self.loop.trip_count if trip_count is None else trip_count
-        return (niter - 1) * self.ii + self.makespan
+        return self.shape(trip_count)[0]
 
     def ipc(self, trip_count: Optional[int] = None) -> float:
         """Useful (original-loop) operations per cycle."""

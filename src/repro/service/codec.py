@@ -41,6 +41,7 @@ from dataclasses import asdict, dataclass, fields
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..errors import CodecError
+from ..eval.metrics import outcome_shape
 from ..eval.parallel import BatchTelemetry
 from ..eval.runner import BenchmarkResult, SuiteResult
 from ..ir.serialize import loop_from_dict, loop_to_dict
@@ -381,11 +382,12 @@ def decode_meta(payload: Dict[str, Any]) -> ResponseMeta:
 # ----------------------------------------------------------------------
 def _encode_outcome(outcome) -> Dict[str, Any]:
     schedule = outcome.schedule
+    cycles, ipc, stages = outcome_shape(outcome)
     entry: Dict[str, Any] = {
         "loop": outcome.loop.name,
         "dynamic_operations": outcome.loop.total_dynamic_operations(),
-        "cycles": outcome.execution_cycles(),
-        "ipc": outcome.ipc(),
+        "cycles": cycles,
+        "ipc": ipc,
         "cpu_seconds": outcome.cpu_seconds,
         "scheduler": outcome.scheduler_name,
         "machine": outcome.machine.name,
@@ -396,7 +398,7 @@ def _encode_outcome(outcome) -> Dict[str, Any]:
         stats = schedule.stats
         entry.update(
             ii=schedule.ii,
-            stages=schedule.stage_count,
+            stages=stages,
             register_cycles=list(schedule.register_cycles()),
             bus_transfers=stats.bus_transfers,
             mem_comms=stats.mem_comms,

@@ -141,6 +141,37 @@ class TestResponseRoundTrip:
         )
 
 
+def test_encoders_read_each_shape_once(service, monkeypatch):
+    """A host-independent perf gate: counted work, never timings.
+
+    Both encoders of the metric surface derive an outcome's cycles, IPC
+    and stages from one ``ModuloSchedule.span`` pass per modulo outcome.
+    """
+    from repro.eval.export import suite_result_to_dict
+    from repro.schedule.result import ModuloSchedule
+
+    response = service.evaluate(EvaluationRequest(scheduler="gp", machine="4x32"))
+    modulo = sum(
+        outcome.is_modulo
+        for bench in response.result.per_benchmark.values()
+        for outcome in bench.outcomes
+    )
+    assert modulo > 0
+    calls = []
+    original = ModuloSchedule.span
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(ModuloSchedule, "span", counted)
+    dumps_response(response)
+    assert len(calls) == modulo
+    calls.clear()
+    suite_result_to_dict(response.result)
+    assert len(calls) == modulo
+
+
 class TestRequestRoundTrip:
     def test_evaluation_request_fingerprint_survives(self):
         request = EvaluationRequest(

@@ -24,7 +24,10 @@ from .ddg import DataDependenceGraph, Dependence
 
 #: Memoization of the II-parametric analyses.  Graphs are immutable once
 #: built and the schedulers re-analyze the same graph at the same II for
-#: every scheduling attempt and algorithm; weak keys let graphs die freely.
+#: every scheduling attempt and algorithm.  Weak keys let a graph and its
+#: entries die with its loop only while no cached value references its
+#: key graph (so :class:`LoopAnalysis` carries no ``ddg``);
+#: ``tests/test_memo_lifetime.py`` checks that every memo keeps this rule.
 _REC_MII_CACHE: "weakref.WeakKeyDictionary[DataDependenceGraph, int]" = (
     weakref.WeakKeyDictionary()
 )
@@ -171,8 +174,11 @@ def strongly_connected_components(ddg: DataDependenceGraph) -> List[List[int]]:
 class LoopAnalysis:
     """Earliest/latest start times and slacks of a DDG at a fixed II.
 
+    Holds no reference to the analysed graph: it is the value of the
+    weak-keyed :data:`_ANALYZE_CACHE`, and a back-reference would keep
+    that key (and every memo entry keyed on it) alive forever.
+
     Attributes:
-        ddg: The analysed graph.
         ii: The initiation interval the analysis assumes (must be >= RecMII).
         asap: Earliest start cycle of each uid.
         alap: Latest start cycle of each uid (for the same makespan).
@@ -180,7 +186,6 @@ class LoopAnalysis:
             ``max(asap[u] + latency(u))``.
     """
 
-    ddg: DataDependenceGraph
     ii: int
     asap: Dict[int, int]
     alap: Dict[int, int]
@@ -278,14 +283,15 @@ def analyze(
             break
     alap = {uid: makespan - tail[uid] for uid in uids}
 
-    result = LoopAnalysis(ddg=ddg, ii=ii, asap=asap, alap=alap, makespan=makespan)
+    result = LoopAnalysis(ii=ii, asap=asap, alap=alap, makespan=makespan)
     if extra_edge_latency is None:
         _ANALYZE_CACHE.setdefault(ddg, {})[ii] = result
     return result
 
 
-def max_edge_slack(analysis: LoopAnalysis) -> int:
-    """The paper's ``maxsl``: maximum slack over all edges of the graph."""
-    return max(
-        (analysis.edge_slack(dep) for dep in analysis.ddg.edges()), default=0
-    )
+def max_edge_slack(ddg: DataDependenceGraph, analysis: LoopAnalysis) -> int:
+    """The paper's ``maxsl``: maximum slack over all edges of ``ddg``.
+
+    ``analysis`` must be an analysis of ``ddg``.
+    """
+    return max((analysis.edge_slack(dep) for dep in ddg.edges()), default=0)

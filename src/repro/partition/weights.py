@@ -132,7 +132,7 @@ def compute_edge_weights(loop: Loop, ii: int, bus_latency: int) -> EdgeWeighting
     """
     ddg = loop.ddg
     analysis = analyze(ddg, ii)
-    maxsl = max(0, max_edge_slack(analysis))
+    maxsl = max(0, max_edge_slack(ddg, analysis))
     niter = loop.trip_count
 
     # Nodes inside a non-trivial SCC: edges within one may raise RecMII.

@@ -29,7 +29,10 @@ from typing import Dict, List, Sequence, Set
 from ..ir.analysis import LoopAnalysis, analyze, rec_mii, strongly_connected_components
 from ..ir.ddg import DataDependenceGraph
 
-#: (graph, clamped II) -> shared SMS order; weak keys let graphs die freely.
+#: (graph, clamped II) -> shared SMS order.  Weak keys let a graph and its
+#: orders die with its loop only while no cached value references its key
+#: graph (orders are plain uid lists); ``tests/test_memo_lifetime.py``
+#: checks that rule.
 _ORDER_CACHE: "weakref.WeakKeyDictionary[DataDependenceGraph, Dict[int, List[int]]]" = (
     weakref.WeakKeyDictionary()
 )

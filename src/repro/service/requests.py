@@ -82,8 +82,10 @@ def _fingerprint(payload: Any) -> str:
 #: Content digest per DDG, so fingerprinting many requests over the same
 #: suite serializes each loop body once, not once per request (a 220-loop
 #: extended suite costs ~100ms per full dump).  DDGs are immutable once
-#: built — the same invariant the ``ir.analysis`` memo caches rely on —
-#: and weak keys let them die freely.
+#: built — the same invariant the ``ir.analysis`` memo caches rely on.
+#: Weak keys let a DDG and its digest die with its loop only while no
+#: cached value references its key graph (digests are plain strings);
+#: ``tests/test_memo_lifetime.py`` checks that rule.
 _DDG_DIGESTS: "weakref.WeakKeyDictionary[DataDependenceGraph, str]" = (
     weakref.WeakKeyDictionary()
 )

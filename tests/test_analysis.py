@@ -158,5 +158,5 @@ class TestHelpers:
         assert effective_length(dep, ii=4) == 3 - 8
 
     def test_max_edge_slack_zero_for_pure_chain(self):
-        analysis = analyze(chain_graph(), ii=1)
-        assert max_edge_slack(analysis) == 0
+        ddg = chain_graph()
+        assert max_edge_slack(ddg, analyze(ddg, ii=1)) == 0

@@ -1,18 +1,17 @@
 """Shared fixtures for the benchmark harness.
 
-Every benchmark regenerates one table or figure of the paper on the full
-synthetic SPECfp95-like suite, saves the rendered artifact under
-``results/`` and asserts the qualitative shape the paper reports.  The
-experiments are deterministic, so a single round is measured
-(``benchmark.pedantic(..., rounds=1)``); the microbenchmarks in
-``test_micro_components.py`` use normal multi-round timing.
+Every test here regenerates one table or figure of the paper on the full
+synthetic SPECfp95-like suite, asserts the qualitative shape the paper
+reports and gates its rendering against the committed file under
+``results/`` (:func:`check_artifact`).  The three ``bench``-marked tests
+render CPU seconds or the 220-loop extended tier; they run only under
+``-m bench`` and rewrite their artifacts unconditionally
+(:func:`save_artifact`).  Timing belongs to ``perfbench/``.
 """
 
 from __future__ import annotations
 
-import os
 import pathlib
-import time
 
 import pytest
 
@@ -28,12 +27,12 @@ RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 def pytest_collection_modifyitems(config, items):
     """Make ``bench``-marked tests opt-in: they only run under ``-m bench``.
 
-    They time the schedulers for the committed perf baseline, which is
-    meaningless (and slow) as part of an ordinary test run.
+    Their artifacts carry CPU seconds or take minutes to render, which
+    has no place in an ordinary test run.
     """
     if "bench" in (config.getoption("-m") or ""):
         return
-    skip = pytest.mark.skip(reason="perf baseline: run with -m bench")
+    skip = pytest.mark.skip(reason="opt-in artifact: run with -m bench")
     for item in items:
         if "bench" in item.keywords:
             item.add_marker(skip)
@@ -51,69 +50,6 @@ def big_suite():
     return extended_suite()
 
 
-#: Worker count for the parallel-runner timing (capped: the point is the
-#: trend against jobs=1, not saturating a large host).
-PARALLEL_JOBS = max(2, min(4, os.cpu_count() or 1))
-
-
-@pytest.fixture(scope="session")
-def extended_parallel_timings(big_suite):
-    """Whole-extended-suite wall clock, sequential vs. pooled.
-
-    Timed once per session and shared by the BENCH_schedule.json payload
-    and the text artifact, so one ``-m bench`` run schedules the 220
-    loops twice (not four times) and both records agree by construction.
-    The sequential run's outcomes ride along so the validator timing
-    (schema v3's ``validate_wall_clock``) reuses them instead of
-    scheduling the tier a third time.
-
-    On a single-CPU host the pooled leg is skipped entirely
-    (``parallel_skipped``): with no spare core a jobs-N run times pool
-    overhead plus contention, which would poison the committed baseline
-    with a fake "slowdown".  The artifact keeps the flag so a diff
-    explains the missing leg.
-    """
-    from repro.machine.presets import four_cluster
-    from repro.service import EvaluationRequest, ReproService
-
-    cpu_count = os.cpu_count() or 1
-    parallel_skipped = cpu_count == 1
-    job_counts = (1,) if parallel_skipped else (1, PARALLEL_JOBS)
-    machine = four_cluster(64)
-    request = EvaluationRequest(
-        scheduler="gp", machine=machine, suite=tuple(big_suite)
-    )
-    # Warm the suite's content-digest cache outside the timed region: the
-    # first fingerprint serializes every loop body once (~100ms on this
-    # tier) and must not be charged to the jobs=1 leg only.
-    request.fingerprint()
-    wall_seconds = {}
-    average_ipcs = {}
-    sequential_result = None
-    # One service session per worker count: the session memoizes by
-    # request fingerprint, and this fixture exists to *measure* the
-    # second run, not to replay it from the cache.
-    for jobs in job_counts:
-        with ReproService(jobs=jobs) as service:
-            started = time.perf_counter()
-            result = service.evaluate(request).result
-            wall_seconds[jobs] = time.perf_counter() - started
-        average_ipcs[jobs] = result.average_ipc
-        if jobs == 1:
-            sequential_result = result
-    if not parallel_skipped:
-        assert average_ipcs[1] == average_ipcs[PARALLEL_JOBS]
-    return {
-        "machine": machine.name,
-        "scheduler": "gp",
-        "jobs": PARALLEL_JOBS,
-        "parallel_skipped": parallel_skipped,
-        "wall_seconds": wall_seconds,
-        "average_ipc": average_ipcs[1],
-        "sequential_result": sequential_result,
-    }
-
-
 @pytest.fixture(scope="session")
 def results_dir() -> pathlib.Path:
     RESULTS_DIR.mkdir(exist_ok=True)
@@ -121,6 +57,22 @@ def results_dir() -> pathlib.Path:
 
 
 def save_artifact(results_dir: pathlib.Path, name: str, text: str) -> None:
-    """Persist a rendered table/figure for EXPERIMENTS.md."""
+    """Persist a rendered table/figure (``-m bench`` artifacts only)."""
     path = results_dir / name
     path.write_text(text + "\n")
+
+
+def check_artifact(results_dir: pathlib.Path, name: str, text: str) -> None:
+    """Fail if a rendering drifted from its committed ``results/`` file.
+
+    On a mismatch the new text is written over the file, so ``git diff``
+    shows the drift, and the test fails naming it.
+    """
+    path = results_dir / name
+    if path.exists() and path.read_text() == text + "\n":
+        return
+    save_artifact(results_dir, name, text)
+    pytest.fail(
+        f"results/{name} drifted from its committed text; the new "
+        f"rendering was written there (see `git diff results/{name}`)"
+    )

@@ -32,9 +32,7 @@ def test_ablation_matching(suite):
 
 
 @pytest.mark.bench
-def test_ablation_matching_artifact(benchmark, suite, results_dir):
-    report = benchmark.pedantic(
-        ablation_matching, kwargs={"suite": suite}, rounds=1, iterations=1
-    )
+def test_ablation_matching_artifact(suite, results_dir):
+    report = ablation_matching(suite=suite)
     save_artifact(results_dir, "ablation_matching.txt", report)
     assert set(_average_ipcs(report)) == {"greedy", "exact"}

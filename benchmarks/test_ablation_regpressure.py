@@ -7,16 +7,14 @@ This bench evaluates that extension
 (:class:`repro.partition.pressure.PressureAwareEstimator`).
 """
 
-from conftest import save_artifact
+from conftest import check_artifact
 
 from repro.eval.figures import ablation_register_pressure
 
 
-def test_ablation_register_pressure(benchmark, suite, results_dir):
-    report = benchmark.pedantic(
-        ablation_register_pressure, kwargs={"suite": suite}, rounds=1, iterations=1
-    )
-    save_artifact(results_dir, "ablation_register_pressure.txt", report)
+def test_ablation_register_pressure(suite, results_dir):
+    report = ablation_register_pressure(suite=suite)
+    check_artifact(results_dir, "ablation_register_pressure.txt", report)
     assert "pressure-aware" in report
 
     values = {}

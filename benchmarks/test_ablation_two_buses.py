@@ -5,16 +5,14 @@ ablation regenerates the GP numbers with NBus in {1, 2} and checks that a
 second bus never hurts and the overall picture stays similar.
 """
 
-from conftest import save_artifact
+from conftest import check_artifact
 
 from repro.eval.figures import ablation_two_buses
 
 
-def test_ablation_two_buses(benchmark, suite, results_dir):
-    report = benchmark.pedantic(
-        ablation_two_buses, kwargs={"suite": suite}, rounds=1, iterations=1
-    )
-    save_artifact(results_dir, "ablation_two_buses.txt", report)
+def test_ablation_two_buses(suite, results_dir):
+    report = ablation_two_buses(suite=suite)
+    check_artifact(results_dir, "ablation_two_buses.txt", report)
     assert "2-cluster" in report and "4-cluster" in report
 
     # Parse the gain column: a second bus should not significantly hurt.

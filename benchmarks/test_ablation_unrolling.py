@@ -7,17 +7,15 @@ quantifies the effect for the GP scheduler; a subset of the suite keeps
 the doubled loop bodies affordable.
 """
 
-from conftest import save_artifact
+from conftest import check_artifact
 
 from repro.eval.figures import ablation_unrolling
 
 
-def test_ablation_unrolling(benchmark, suite, results_dir):
+def test_ablation_unrolling(suite, results_dir):
     subset = suite[:4]  # tomcatv, swim, su2cor, hydro2d
-    report = benchmark.pedantic(
-        ablation_unrolling, kwargs={"suite": subset}, rounds=1, iterations=1
-    )
-    save_artifact(results_dir, "ablation_unrolling.txt", report)
+    report = ablation_unrolling(suite=subset)
+    check_artifact(results_dir, "ablation_unrolling.txt", report)
     assert "U=1" in report and "U=2" in report
 
     values = {}

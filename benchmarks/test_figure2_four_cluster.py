@@ -7,21 +7,19 @@ on average.
 """
 
 import pytest
-from conftest import save_artifact
+from conftest import check_artifact
 
 from repro.eval.figures import figure2_panel
 
 
 @pytest.mark.parametrize("registers", [32, 64])
-def test_figure2_four_cluster(benchmark, suite, results_dir, registers):
-    panel = benchmark.pedantic(
-        figure2_panel, args=(4, registers, suite), rounds=1, iterations=1
-    )
+def test_figure2_four_cluster(suite, results_dir, registers):
+    panel = figure2_panel(4, registers, suite)
     rendered = panel.render() + "\n\nGP over URACAM: %+.1f%%  GP over Fixed: %+.1f%%" % (
         panel.gain_percent("gp", "uracam"),
         panel.gain_percent("gp", "fixed-partition"),
     )
-    save_artifact(results_dir, f"figure2_4cluster_{registers}r.txt", rendered)
+    check_artifact(results_dir, f"figure2_4cluster_{registers}r.txt", rendered)
 
     for label in ("uracam", "fixed-partition", "gp"):
         assert panel.average(label) <= panel.average("unified") * 1.02

@@ -7,21 +7,19 @@ unified bounds everything, GP wins among the clustered schedulers.
 """
 
 import pytest
-from conftest import save_artifact
+from conftest import check_artifact
 
 from repro.eval.figures import figure2_panel
 
 
 @pytest.mark.parametrize("registers", [32, 64])
-def test_figure2_two_cluster(benchmark, suite, results_dir, registers):
-    panel = benchmark.pedantic(
-        figure2_panel, args=(2, registers, suite), rounds=1, iterations=1
-    )
+def test_figure2_two_cluster(suite, results_dir, registers):
+    panel = figure2_panel(2, registers, suite)
     rendered = panel.render() + "\n\nGP over URACAM: %+.1f%%  GP over Fixed: %+.1f%%" % (
         panel.gain_percent("gp", "uracam"),
         panel.gain_percent("gp", "fixed-partition"),
     )
-    save_artifact(results_dir, f"figure2_2cluster_{registers}r.txt", rendered)
+    check_artifact(results_dir, f"figure2_2cluster_{registers}r.txt", rendered)
 
     # Paper shape: unified >= clustered schemes; GP best clustered on average.
     for label in ("uracam", "fixed-partition", "gp"):

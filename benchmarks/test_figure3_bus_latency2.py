@@ -6,20 +6,18 @@ hydro2d, apsi at 32 registers) may fall below Fixed Partition.
 """
 
 import pytest
-from conftest import save_artifact
+from conftest import check_artifact
 
 from repro.eval.figures import figure3_panel
 
 
 @pytest.mark.parametrize("registers", [32, 64])
-def test_figure3_bus_latency2(benchmark, suite, results_dir, registers):
-    panel = benchmark.pedantic(
-        figure3_panel, args=(registers, suite), rounds=1, iterations=1
-    )
+def test_figure3_bus_latency2(suite, results_dir, registers):
+    panel = figure3_panel(registers, suite)
     rendered = panel.render() + "\n\nGP over URACAM: %+.1f%%" % panel.gain_percent(
         "gp", "uracam"
     )
-    save_artifact(results_dir, f"figure3_4cluster_{registers}r_lat2.txt", rendered)
+    check_artifact(results_dir, f"figure3_4cluster_{registers}r_lat2.txt", rendered)
 
     for label in ("uracam", "fixed-partition", "gp"):
         assert panel.average(label) <= panel.average("unified") * 1.02

@@ -1,14 +1,14 @@
 """Table 1: the clustered VLIW configurations under evaluation."""
 
-from conftest import save_artifact
+from conftest import check_artifact
 
 from repro.eval.figures import table1_report
 from repro.machine.presets import table1_configurations
 
 
-def test_table1_configurations(benchmark, results_dir):
-    report = benchmark.pedantic(table1_report, rounds=1, iterations=1)
-    save_artifact(results_dir, "table1_configurations.txt", report)
+def test_table1_configurations(results_dir):
+    report = table1_report()
+    check_artifact(results_dir, "table1_configurations.txt", report)
 
     configs = table1_configurations()
     # Every configuration is 12-issue with constant total resources.

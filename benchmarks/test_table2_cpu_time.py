@@ -5,8 +5,8 @@ operation — is the most expensive scheduler (2-7x slower than GP/Fixed on
 the authors' machine); the partition-guided schemes mostly evaluate one
 cluster per operation.  The tier-1 test asserts that claim on counted,
 host-independent work: the candidate slots the engine evaluated.  The
-timing-bearing artifact (CPU seconds per benchmark) is only regenerated
-under ``-m bench``, so an ordinary test run never rewrites ``results/``.
+timing-bearing artifact (CPU seconds per benchmark) differs run to run,
+so it is not drift-gated and is only regenerated under ``-m bench``.
 """
 
 import pytest
@@ -26,14 +26,12 @@ def test_table2_cpu_time(suite):
 
 
 @pytest.mark.bench
-def test_table2_cpu_time_artifact(benchmark, suite, results_dir):
+def test_table2_cpu_time_artifact(suite, results_dir):
     machines = [
         two_cluster(32),
         two_cluster(64),
         four_cluster(32),
         four_cluster(64),
     ]
-    result = benchmark.pedantic(
-        table2, args=(suite, machines), rounds=1, iterations=1
-    )
+    result = table2(suite, machines)
     save_artifact(results_dir, "table2_cpu_time.txt", result.render())

@@ -15,15 +15,12 @@ Commands:
   with one algorithm; prints the kernel listing and the statistics.
 * ``evaluate`` — run a figure panel of the paper's evaluation on the
   synthetic suite and print the table (optionally CSV/JSON).
-* ``bench`` — run the Table 2 timing on a chosen machine preset and print
-  the scheduling CPU seconds per scheduler (a perf check without pytest);
-  ``--json`` writes the timings to a file for CI artifacts.
 * ``workloads`` — describe the synthetic suite's loop shapes.
 * ``machines`` — list the built-in machine configurations.
 * ``cache`` — inspect a content-addressed result store
   (``stats`` / ``verify`` / ``clear``).
 
-``evaluate`` and ``bench`` take ``--store SPEC`` to attach a persistent
+``evaluate`` takes ``--store SPEC`` to attach a persistent
 content-addressed result store (``memory``, ``disk``, ``disk:PATH`` or
 a bare path): identical requests across invocations are replayed from
 the store byte-identically instead of re-scheduled, and a cache
@@ -31,7 +28,7 @@ counters line goes to stderr so pipelines can assert replay rates
 without disturbing stdout.  The store is the only cache that outlives
 an invocation.
 
-``evaluate`` and ``bench`` take ``--suite paper|extended`` to pick the
+``evaluate`` takes ``--suite paper|extended`` to pick the
 workload tier (the paper's 40 loops vs. the 220-loop production-scale
 tier) and ``--jobs N`` to fan per-loop scheduling out over N worker
 processes (``0`` = one per CPU; results are bit-identical to ``--jobs
@@ -56,7 +53,6 @@ Examples::
     python -m repro schedule --kernel daxpy --machine 2x32 --algorithm gp
     python -m repro evaluate --clusters 4 --registers 32 --programs 3
     python -m repro evaluate --suite extended --jobs 0
-    python -m repro bench --machine 4x64 --programs 3 --json bench.json
     python -m repro workloads --program swim
     python -m repro machines
     python -m repro evaluate --store disk:~/.cache/repro/store
@@ -144,7 +140,7 @@ def _pick_suite(args: argparse.Namespace):
     # own bound: a negative slice would silently drop programs.
     if args.programs < 0:
         raise RequestError(f"programs must be >= 0, got {args.programs}")
-    suite = suite_for_tier(getattr(args, "suite", "paper"))
+    suite = suite_for_tier(args.suite)
     return suite[: args.programs] if args.programs else suite
 
 
@@ -231,114 +227,6 @@ def _cmd_workloads(args: argparse.Namespace) -> int:
         print(f"{name}: ({len(benchmark.loops)} loops)")
         for loop in benchmark.loops:
             print(f"  {describe(loop)}")
-    return 0
-
-
-#: Rows kept by ``bench --profile`` (stderr table and the JSON block).
-_PROFILE_TOP = 25
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json as _json
-    import os
-    import time as _time
-
-    from .eval.figures import table2
-
-    suite = _pick_suite(args)
-    if args.profile and args.jobs != 1:
-        # cProfile only sees the driving process; worker-pool scheduling
-        # would profile IPC plumbing instead of the schedulers.
-        print(
-            f"warning: --profile forces --jobs 1 (was {args.jobs})",
-            file=sys.stderr,
-        )
-        args.jobs = 1
-    with _service_for(args) as service:
-        machine = service.resolve_machine(args.machine)
-        jobs = service.jobs
-        cpu_count = os.cpu_count() or 1
-        oversubscribed = jobs > cpu_count
-        if oversubscribed:
-            # More workers than cores inflates the suite wall clock through
-            # contention: annotate instead of letting the artifact silently
-            # report a "slowdown".
-            print(
-                f"warning: --jobs {jobs} oversubscribes this host "
-                f"({cpu_count} CPU{'s' if cpu_count != 1 else ''}); parallel "
-                "wall clock measures contention, not speedup",
-                file=sys.stderr,
-            )
-        profile_block = None
-        started = _time.perf_counter()
-        if args.profile:
-            import cProfile
-            import io
-            import pstats
-
-            profiler = cProfile.Profile()
-            profiler.enable()
-            result = table2(suite, [machine], service=service)
-            profiler.disable()
-            wall_seconds = _time.perf_counter() - started
-            stats = pstats.Stats(profiler)
-            rendered = io.StringIO()
-            pstats.Stats(profiler, stream=rendered).sort_stats(
-                "cumulative"
-            ).print_stats(_PROFILE_TOP)
-            print(rendered.getvalue(), file=sys.stderr, end="")
-            entries = [
-                {
-                    "function": f"{path}:{line}({name})",
-                    "ncalls": ncalls,
-                    "tottime": tottime,
-                    "cumtime": cumtime,
-                }
-                for (path, line, name), (
-                    _cc, ncalls, tottime, cumtime, _callers,
-                ) in stats.stats.items()
-            ]
-            entries.sort(key=lambda entry: entry["cumtime"], reverse=True)
-            profile_block = {
-                "sorted_by": "cumulative",
-                "top": entries[:_PROFILE_TOP],
-            }
-        else:
-            result = table2(suite, [machine], service=service)
-            wall_seconds = _time.perf_counter() - started
-        stats_line = _cache_stats_line(service) if args.store else None
-    print(result.render())
-    config = result.configs[0]
-    per = result.seconds[config]
-    print()
-    print(
-        "schedule CPU seconds per benchmark "
-        f"({len(suite)} benchmarks, {config}):"
-    )
-    for name in ("uracam", "fixed-partition", "gp"):
-        print(f"  {name:16s} {per[name]:.4f}")
-    print(f"suite wall clock: {wall_seconds:.2f}s (jobs={jobs})")
-    if args.json:
-        payload = {
-            "schema": "repro-bench-cli/v8",
-            "machine": config,
-            "suite": args.suite,
-            "benchmarks": len(suite),
-            "loops": sum(len(b.loops) for b in suite),
-            "jobs": jobs,
-            "cpu_count": os.cpu_count(),
-            "oversubscribed": oversubscribed,
-            "cpu_seconds_per_benchmark": dict(per),
-            "wall_seconds": wall_seconds,
-        }
-        if profile_block is not None:
-            payload["profile"] = profile_block
-        with open(args.json, "w") as handle:
-            _json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.json}")
-    if stats_line:
-        print(stats_line, file=sys.stderr)
     return 0
 
 
@@ -429,30 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=SCHEDULERS.names())
     p_sched.set_defaults(func=_cmd_schedule)
 
-    def add_suite_options(p) -> None:
-        p.add_argument("--suite", default="paper", choices=SUITE_TIERS,
-                       help="workload tier: the paper's 40 loops or the "
-                       "220-loop extended tier")
-        p.add_argument("--programs", type=int, default=0,
-                       help="limit to the first N programs (0 = all)")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for per-loop scheduling "
-                       "(1 = sequential, 0 = one per CPU)")
-        p.add_argument("--chunksize", type=int, default=None,
-                       help="loops batched per worker task (default: "
-                       "automatic heuristic; results are identical at "
-                       "any value)")
-        p.add_argument("--mp-context", default=None,
-                       choices=("spawn", "forkserver"),
-                       help="worker start method (default: forkserver "
-                       "where the platform offers it; results are "
-                       "identical under either)")
-        p.add_argument("--store", default=None, metavar="SPEC",
-                       help="content-addressed result store: 'memory', "
-                       "'disk' (the default cache root), 'disk:PATH' or "
-                       "a bare path; identical requests replay from the "
-                       "store byte-identically across invocations")
-
     p_eval = sub.add_parser("evaluate", help="run a figure panel")
     p_eval.add_argument("--clusters", type=int, default=2, choices=(2, 4))
     p_eval.add_argument("--registers", type=int, default=32, choices=(32, 64))
@@ -465,26 +329,31 @@ def build_parser() -> argparse.ArgumentParser:
                         help="re-validate every modulo schedule through "
                         "its cached sessions as it is produced (the "
                         "sweep-integrated validation cost)")
-    add_suite_options(p_eval)
+    p_eval.add_argument("--suite", default="paper", choices=SUITE_TIERS,
+                        help="workload tier: the paper's 40 loops or the "
+                        "220-loop extended tier")
+    p_eval.add_argument("--programs", type=int, default=0,
+                        help="limit to the first N programs (0 = all)")
+    p_eval.add_argument("--jobs", type=int, default=1,
+                        help="worker processes for per-loop scheduling "
+                        "(1 = sequential, 0 = one per CPU)")
+    p_eval.add_argument("--chunksize", type=int, default=None,
+                        help="loops batched per worker task (default: "
+                        "automatic heuristic; results are identical at "
+                        "any value)")
+    p_eval.add_argument("--mp-context", default=None,
+                        choices=("spawn", "forkserver"),
+                        help="worker start method (default: forkserver "
+                        "where the platform offers it; results are "
+                        "identical under either)")
+    p_eval.add_argument("--store", default=None, metavar="SPEC",
+                        help="content-addressed result store: 'memory', "
+                        "'disk' (the default cache root), 'disk:PATH' or "
+                        "a bare path; identical requests replay from the "
+                        "store byte-identically across invocations")
     p_eval.add_argument("--format", default="table",
                         choices=("table", "csv", "json"))
     p_eval.set_defaults(func=_cmd_evaluate)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="time the schedulers (Table 2) on one machine preset",
-    )
-    p_bench.add_argument("--machine", default="4x64",
-                         help="NxR[xB[xL]] or c6x/lx/tigersharc")
-    add_suite_options(p_bench)
-    p_bench.add_argument("--json", default=None, metavar="PATH",
-                         help="also write the timings as JSON (CI artifact)")
-    p_bench.add_argument("--profile", action="store_true",
-                         help="run the Table 2 loops under cProfile "
-                         "(forces --jobs 1); prints the top cumulative "
-                         "entries to stderr and adds a 'profile' block "
-                         "to --json")
-    p_bench.set_defaults(func=_cmd_bench)
 
     p_cache = sub.add_parser(
         "cache",

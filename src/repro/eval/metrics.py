@@ -16,10 +16,8 @@ validator and the exports.
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
-from ..schedule.drivers import ii_offsets
 from ..schedule.result import ModuloSchedule
 
 
@@ -104,54 +102,3 @@ def total_register_cycles(outcomes: Iterable) -> int:
         if outcome.is_modulo:
             total += sum(outcome.schedule.register_cycles())
     return total
-
-
-# ----------------------------------------------------------------------
-# Engine telemetry (observational; never part of the exported artifacts)
-# ----------------------------------------------------------------------
-def feasibility_cache_stats(outcomes: Iterable) -> Dict[str, float]:
-    """Aggregate candidate-feasibility cache telemetry over outcomes.
-
-    ``hits`` are window slots the engine skipped because an earlier spill
-    round proved them structurally infeasible; ``scans`` are slots it
-    actually evaluated.  The hit rate is hits over all slot visits —
-    the fraction of the ``_window`` rescan the cache retired.
-    """
-    hits = scans = 0
-    for outcome in outcomes:
-        if not outcome.is_modulo:
-            continue
-        stats = outcome.schedule.stats
-        hits += stats.feas_cache_hits
-        scans += stats.feas_cache_scans
-    visits = hits + scans
-    return {
-        "hits": hits,
-        "scans": scans,
-        "hit_rate": hits / visits if visits else 0.0,
-    }
-
-
-def ii_search_stats(outcomes: Iterable) -> Dict[str, object]:
-    """Aggregate II-search telemetry over outcomes.
-
-    ``attempts`` counts every engine attempt across all II searches;
-    ``per_ii_attempts`` histograms them by the II tried (JSON-friendly
-    string keys), replayed from each schedule's final II and attempt
-    count along the driver's fixed escalation (:func:`ii_offsets`).
-    """
-    attempts = 0
-    per_ii: Dict[int, int] = {}
-    for outcome in outcomes:
-        if not outcome.is_modulo:
-            continue
-        schedule = outcome.schedule
-        tried = list(islice(ii_offsets(), schedule.stats.ii_attempts))
-        attempts += len(tried)
-        start_ii = schedule.ii - tried[-1]
-        for offset in tried:
-            per_ii[start_ii + offset] = per_ii.get(start_ii + offset, 0) + 1
-    return {
-        "attempts": attempts,
-        "per_ii_attempts": {str(ii): per_ii[ii] for ii in sorted(per_ii)},
-    }

@@ -91,15 +91,6 @@ class TestCommands:
         assert lines[0].startswith("benchmark,")
         assert lines[-1].startswith("AVERAGE,")
 
-    def test_bench_prints_per_scheduler_seconds(self, capsys):
-        code = main(["bench", "--machine", "2x32", "--programs", "1"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "Table 2" in out
-        assert "schedule CPU seconds per benchmark" in out
-        for name in ("uracam", "fixed-partition", "gp"):
-            assert name in out
-
     def test_workloads_listing(self, capsys):
         assert main(["workloads", "--program", "swim"]) == 0
         out = capsys.readouterr().out
@@ -113,50 +104,6 @@ class TestCommands:
         assert "swim_ext0" in out
         assert "(22 loops)" in out
 
-    def test_bench_json_artifact(self, tmp_path, capsys):
-        path = tmp_path / "bench.json"
-        code = main(
-            ["bench", "--machine", "2x32", "--programs", "1",
-             "--json", str(path)]
-        )
-        assert code == 0
-        payload = json.loads(path.read_text())
-        assert payload["schema"] == "repro-bench-cli/v8"
-        assert payload["suite"] == "paper"
-        assert "wire" not in payload
-        assert payload["jobs"] == 1
-        assert payload["oversubscribed"] is False
-        assert "engine_options" not in payload
-        assert "profile" not in payload
-        assert payload["wall_seconds"] > 0
-        assert set(payload["cpu_seconds_per_benchmark"]) == {
-            "uracam", "fixed-partition", "gp"
-        }
-        assert "fault_tolerance" not in payload
-
-    def test_bench_profile_block(self, tmp_path, capsys):
-        path = tmp_path / "bench.json"
-        code = main(
-            ["bench", "--machine", "2x32", "--programs", "1",
-             "--profile", "--jobs", "2", "--json", str(path)]
-        )
-        assert code == 0
-        captured = capsys.readouterr()
-        # --profile forces sequential scheduling and prints the pstats
-        # table to stderr, keeping stdout's rendered table unchanged.
-        assert "--profile forces --jobs 1" in captured.err
-        assert "cumulative" in captured.err
-        payload = json.loads(path.read_text())
-        assert payload["jobs"] == 1
-        profile = payload["profile"]
-        assert profile["sorted_by"] == "cumulative"
-        assert 0 < len(profile["top"]) <= 25
-        top = profile["top"][0]
-        assert set(top) == {"function", "ncalls", "tottime", "cumtime"}
-        # The profile is sorted by cumulative time, schedulers on top.
-        cumtimes = [entry["cumtime"] for entry in profile["top"]]
-        assert cumtimes == sorted(cumtimes, reverse=True)
-
     def test_evaluate_verify_matches_default(self, capsys):
         # The paranoid mode cross-checks every commit and re-validates
         # every schedule from scratch; it must not change a single byte.
@@ -165,20 +112,6 @@ class TestCommands:
         default = capsys.readouterr().out
         assert main(argv + ["--verify"]) == 0
         assert capsys.readouterr().out == default
-
-    def test_bench_warns_when_jobs_oversubscribe_host(self, tmp_path, capsys):
-        import os
-
-        path = tmp_path / "bench.json"
-        jobs = (os.cpu_count() or 1) + 2
-        code = main(
-            ["bench", "--machine", "2x32", "--programs", "1",
-             "--jobs", str(jobs), "--json", str(path)]
-        )
-        assert code == 0
-        captured = capsys.readouterr()
-        assert "oversubscribes this host" in captured.err
-        assert json.loads(path.read_text())["oversubscribed"] is True
 
     def test_evaluate_jobs_matches_sequential(self, capsys):
         argv = ["evaluate", "--programs", "1", "--format", "csv"]
@@ -216,9 +149,8 @@ class TestCommands:
         [
             ["evaluate", "--programs", "-9"],
             ["evaluate", "--programs", "-10"],
-            ["bench", "--machine", "2x32", "--programs", "-9"],
         ],
-        ids=["evaluate-9", "evaluate-10", "bench-9"],
+        ids=["evaluate-9", "evaluate-10"],
     )
     def test_negative_programs_is_a_clean_cli_error(self, capsys, argv):
         assert main(argv) == 1
@@ -231,9 +163,8 @@ class TestCommands:
         [
             ["evaluate", "--programs", "1", "--chunksize", "0"],
             ["evaluate", "--programs", "1", "--chunksize", "0", "--jobs", "2"],
-            ["bench", "--machine", "2x32", "--programs", "1", "--chunksize", "-1"],
         ],
-        ids=["evaluate-jobs1", "evaluate-jobs2", "bench-jobs1"],
+        ids=["evaluate-jobs1", "evaluate-jobs2"],
     )
     def test_bad_chunksize_is_a_clean_cli_error(self, capsys, argv):
         # Rejected at every --jobs, before anything is scheduled.
@@ -254,7 +185,7 @@ class TestCommands:
 
 
 class TestStoreAndCacheCommands:
-    """``--store`` on evaluate/bench and the ``repro cache`` subcommand."""
+    """``--store`` on evaluate and the ``repro cache`` subcommand."""
 
     def _store(self, tmp_path):
         return str(tmp_path / "store")
@@ -341,14 +272,3 @@ class TestStoreAndCacheCommands:
         err = capsys.readouterr().err
         assert "unknown store 'redis'" in err
         assert "memory" in err
-
-    def test_bench_with_store(self, tmp_path, capsys):
-        args = [
-            "bench", "--machine", "2x32", "--programs", "1",
-            "--store", self._store(tmp_path),
-        ]
-        assert main(args) == 0
-        assert "cache:" in capsys.readouterr().err
-        assert main(args) == 0
-        captured = capsys.readouterr()
-        assert "cache: hits=3 misses=0" in captured.err

@@ -113,28 +113,3 @@ class TestFigureHelpers:
         panel = figure2_panel(2, 64, suite=[mini])
         assert set(panel.series) == {"unified", "uracam", "fixed-partition", "gp"}
         assert all(v[0] > 0 for v in panel.series.values())
-
-
-def test_ii_search_stats_aggregation():
-    from repro.eval.metrics import ii_search_stats
-    from repro.machine.presets import four_cluster
-    from repro.schedule.drivers import GPScheduler
-    from repro.workloads.generator import LoopShape, generate_loop
-
-    shape = LoopShape(
-        40, mem_ratio=0.3, depth_bias=0.35, recurrences=1, trip_count=150
-    )
-    outcomes = [
-        GPScheduler(four_cluster(16)).schedule(generate_loop("iis", shape, seed))
-        for seed in range(3)
-    ]
-    stats = ii_search_stats(outcomes)
-    modulo = [o for o in outcomes if o.is_modulo]
-    assert stats["attempts"] == sum(
-        o.schedule.stats.ii_attempts for o in modulo
-    )
-    assert sum(stats["per_ii_attempts"].values()) == stats["attempts"]
-    # Every search ends at the II its schedule landed on.
-    for outcome in modulo:
-        assert str(outcome.schedule.ii) in stats["per_ii_attempts"]
-    assert set(stats) == {"attempts", "per_ii_attempts"}

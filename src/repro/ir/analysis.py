@@ -11,27 +11,37 @@ longest-path computation over edges of **effective length**
 ``lat - II * dist``.  These lengths may be negative; the computation
 converges iff ``II`` is at least the recurrence-constrained minimum
 initiation interval (RecMII), which :func:`rec_mii` computes.
+
+Every RecMII question (the graph's, a recurrence's for the SMS node sets,
+a recurrence's with a bus delay on one edge for the partition weights)
+goes through one kernel, :func:`recurrence_mii`: a binary search over a
+Bellman-Ford positive-cycle test on one SCC's edges, O(V_c * E_c) per test
+instead of O(V * E).  That is exact: every cycle lies inside one SCC, every
+cycle has distance >= 1 so the test is monotone in II (the graph's RecMII
+is the maximum over its recurrences), and an SCC's latency sum bounds each
+of its simple cycles, so it is a feasible upper end for the search.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import GraphError
-from .ddg import DataDependenceGraph, Dependence
+from .ddg import DataDependenceGraph, Dependence, memo_get
 
-#: Memoization of the II-parametric analyses.  Graphs are immutable once
-#: built and the schedulers re-analyze the same graph at the same II for
-#: every scheduling attempt and algorithm.  Weak keys let a graph and its
+#: Memoization of the II-parametric analyses.  The schedulers re-analyze
+#: the same graph at the same II for every scheduling attempt and
+#: algorithm.  Entries are read through :func:`~repro.ir.ddg.memo_get`,
+#: so mutating a graph invalidates them.  Weak keys let a graph and its
 #: entries die with its loop only while no cached value references its
 #: key graph (so :class:`LoopAnalysis` carries no ``ddg``);
 #: ``tests/test_memo_lifetime.py`` checks that every memo keeps this rule.
-_REC_MII_CACHE: "weakref.WeakKeyDictionary[DataDependenceGraph, int]" = (
+_REC_MII_CACHE: "weakref.WeakKeyDictionary[DataDependenceGraph, Tuple[int, int]]" = (
     weakref.WeakKeyDictionary()
 )
-_ANALYZE_CACHE: "weakref.WeakKeyDictionary[DataDependenceGraph, Dict[int, LoopAnalysis]]" = (
+_ANALYZE_CACHE: "weakref.WeakKeyDictionary[DataDependenceGraph, Tuple[int, Dict[int, LoopAnalysis]]]" = (
     weakref.WeakKeyDictionary()
 )
 
@@ -50,7 +60,7 @@ def _has_positive_cycle(
     """True if some dependence cycle has positive total effective length.
 
     ``edges`` holds ``(src index, dst index, latency, distance)`` of every
-    edge of a graph with ``n`` operations, in edge order.
+    edge of a graph with ``n`` operations.
     """
     relax = [(si, di, lat - ii * distance) for si, di, lat, distance in edges]
     dist = [0] * n
@@ -70,43 +80,67 @@ def _has_positive_cycle(
     return False
 
 
+def recurrences(ddg: DataDependenceGraph) -> List[Tuple[List[int], List[Dependence]]]:
+    """Every SCC with an edge inside it (a recurrence), with those edges."""
+    components = strongly_connected_components(ddg)
+    component_of = {uid: idx for idx, comp in enumerate(components) for uid in comp}
+    inner: List[List[Dependence]] = [[] for _ in components]
+    for dep in ddg.edges():
+        idx = component_of[dep.src]
+        if component_of[dep.dst] == idx:
+            inner[idx].append(dep)
+    return [(comp, deps) for comp, deps in zip(components, inner) if deps]
+
+
+def recurrence_mii(
+    component: Sequence[int],
+    deps: Sequence[Dependence],
+    extra_edge_latency: Optional[Tuple[Dependence, int]] = None,
+    lower_bound: int = 1,
+) -> int:
+    """Smallest ``II >= lower_bound`` with no positive cycle in one
+    :func:`recurrences` entry, optionally with ``(dep, added)`` on ``dep``."""
+    index = {uid: i for i, uid in enumerate(component)}
+    target, added = extra_edge_latency or (None, 0)
+    edges = [
+        (index[dep.src], index[dep.dst],
+         dep.latency + (added if dep is target else 0), dep.distance)
+        for dep in deps
+    ]
+    n = len(component)
+    if not _has_positive_cycle(n, edges, lower_bound):
+        return lower_bound
+    lo = lower_bound  # known infeasible
+    hi = max(lower_bound + 1, sum(edge[2] for edge in edges))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _has_positive_cycle(n, edges, mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def rec_mii(ddg: DataDependenceGraph) -> int:
     """Recurrence-constrained minimum initiation interval.
 
     The smallest ``II >= 1`` such that every dependence cycle ``c`` satisfies
-    ``sum(latency) <= II * sum(distance)``.  Found by binary search with a
-    Bellman-Ford positive-cycle test, so no explicit cycle enumeration is
-    needed.
+    ``sum(latency) <= II * sum(distance)``: the maximum of
+    :func:`recurrence_mii` over the graph's recurrences, so no explicit
+    cycle enumeration is needed.
 
-    The result is memoized per graph (graphs are immutable once built):
-    the II search loop and every scheduler re-ask for the same bound.
+    The result is memoized per graph revision: the II search loop and
+    every scheduler re-ask for the same bound.
     """
-    cached = _REC_MII_CACHE.get(ddg)
+    cached = memo_get(_REC_MII_CACHE, ddg)
     if cached is not None:
         return cached
     ddg.validate()
-    if ddg.num_operations == 0:
-        result = 1
-    else:
-        n = ddg.num_operations
-        index = {uid: i for i, uid in enumerate(ddg.uids())}
-        edges = [
-            (index[dep.src], index[dep.dst], dep.latency, dep.distance)
-            for dep in ddg.edges()
-        ]
-        hi = max(1, sum(dep.latency for dep in ddg.edges()))
-        if not _has_positive_cycle(n, edges, 1):
-            result = 1
-        else:
-            lo = 1  # known infeasible
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if _has_positive_cycle(n, edges, mid):
-                    lo = mid
-                else:
-                    hi = mid
-            result = hi
-    _REC_MII_CACHE[ddg] = result
+    result = max(
+        (recurrence_mii(comp, deps) for comp, deps in recurrences(ddg)),
+        default=1,
+    )
+    _REC_MII_CACHE[ddg] = (ddg.revision, result)
     return result
 
 
@@ -117,53 +151,50 @@ def strongly_connected_components(ddg: DataDependenceGraph) -> List[List[int]]:
     """SCCs of the DDG (all edges, including loop-carried), deterministic.
 
     Returned as lists of uids; components and their members are sorted so
-    repeated runs produce identical output.
+    repeated runs produce identical output.  Each node's successor list
+    is fetched once, when the node is entered.
     """
     index: Dict[int, int] = {}
     lowlink: Dict[int, int] = {}
-    on_stack: Dict[int, bool] = {}
+    on_stack: Set[int] = set()
     stack: List[int] = []
-    counter = [0]
     components: List[List[int]] = []
+
+    def enter(node: int) -> Tuple[int, List[int], int]:
+        index[node] = lowlink[node] = len(index)
+        stack.append(node)
+        on_stack.add(node)
+        return node, ddg.successors(node), 0
 
     for root in ddg.uids():
         if root in index:
             continue
-        # Iterative Tarjan with an explicit work stack of (node, succ-iter).
-        work: List[Tuple[int, int]] = [(root, 0)]
+        # Iterative Tarjan with an explicit work stack of
+        # (node, its successors, next successor position).
+        work: List[Tuple[int, List[int], int]] = [enter(root)]
         while work:
-            node, child_idx = work.pop()
-            if child_idx == 0:
-                index[node] = counter[0]
-                lowlink[node] = counter[0]
-                counter[0] += 1
-                stack.append(node)
-                on_stack[node] = True
-            recurse = False
-            succs = ddg.successors(node)
+            node, succs, child_idx = work.pop()
             for i in range(child_idx, len(succs)):
                 succ = succs[i]
                 if succ not in index:
-                    work.append((node, i + 1))
-                    work.append((succ, 0))
-                    recurse = True
+                    work.append((node, succs, i + 1))
+                    work.append(enter(succ))
                     break
-                if on_stack.get(succ, False):
+                if succ in on_stack:
                     lowlink[node] = min(lowlink[node], index[succ])
-            if recurse:
-                continue
-            if lowlink[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == node:
-                        break
-                components.append(sorted(comp))
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
+            else:
+                if lowlink[node] == index[node]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp.append(w)
+                        if w == node:
+                            break
+                    components.append(sorted(comp))
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[node])
     return sorted(components)
 
 
@@ -227,57 +258,57 @@ def analyze(
         GraphError: if the longest-path computation does not converge, i.e.
             ``ii`` is below the (possibly modified) recurrence bound.
 
-    Plain analyses (no ``extra_edge_latency``) are memoized per (graph, II);
-    the returned :class:`LoopAnalysis` is shared and must not be mutated.
+    Plain analyses (no ``extra_edge_latency``) are memoized per (graph
+    revision, II); the returned :class:`LoopAnalysis` is shared and must
+    not be mutated.
     """
+    per_ii: Optional[Dict[int, LoopAnalysis]] = None
     if extra_edge_latency is None:
-        per_ii = _ANALYZE_CACHE.get(ddg)
+        per_ii = memo_get(_ANALYZE_CACHE, ddg)
         if per_ii is not None and ii in per_ii:
             return per_ii[ii]
 
-    def length(dep: Dependence) -> int:
-        lat = dep.latency
-        if extra_edge_latency is not None and dep is extra_edge_latency[0]:
-            lat += extra_edge_latency[1]
-        return lat - ii * dep.distance
-
+    target, added = extra_edge_latency or (None, 0)
+    relax = [
+        (dep.src, dep.dst,
+         dep.latency + (added if dep is target else 0) - ii * dep.distance)
+        for dep in ddg.edges()
+    ]
     uids = ddg.uids()
-    edges = list(ddg.edges())
     n = len(uids)
+    ops = ddg.op_table
 
     # ASAP by Bellman-Ford longest path from a virtual source at cycle 0.
     asap = {uid: 0 for uid in uids}
     for iteration in range(n):
         changed = False
-        for dep in edges:
-            cand = asap[dep.src] + length(dep)
-            if cand > asap[dep.dst]:
-                asap[dep.dst] = cand
+        for src, dst, length in relax:
+            cand = asap[src] + length
+            if cand > asap[dst]:
+                asap[dst] = cand
                 changed = True
         if not changed:
             break
     else:
-        for dep in edges:
-            if asap[dep.src] + length(dep) > asap[dep.dst]:
+        for src, dst, length in relax:
+            if asap[src] + length > asap[dst]:
                 raise GraphError(
                     f"analysis of {ddg.name!r} at II={ii} does not converge "
                     "(II below recurrence bound)"
                 )
 
-    makespan = max(
-        (asap[uid] + ddg.operation(uid).latency for uid in uids), default=0
-    )
+    makespan = max((asap[uid] + ops[uid].latency for uid in uids), default=0)
 
     # ALAP: longest path to the sink, computed on the reversed graph.
     tail = {
-        uid: ddg.operation(uid).latency for uid in uids
+        uid: ops[uid].latency for uid in uids
     }  # longest path from uid to completion, >= its own latency
     for iteration in range(n):
         changed = False
-        for dep in edges:
-            cand = length(dep) + tail[dep.dst]
-            if cand > tail[dep.src]:
-                tail[dep.src] = cand
+        for src, dst, length in relax:
+            cand = length + tail[dst]
+            if cand > tail[src]:
+                tail[src] = cand
                 changed = True
         if not changed:
             break
@@ -285,7 +316,10 @@ def analyze(
 
     result = LoopAnalysis(ii=ii, asap=asap, alap=alap, makespan=makespan)
     if extra_edge_latency is None:
-        _ANALYZE_CACHE.setdefault(ddg, {})[ii] = result
+        if per_ii is None:
+            per_ii = {}
+            _ANALYZE_CACHE[ddg] = (ddg.revision, per_ii)
+        per_ii[ii] = result
     return result
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from ..errors import GraphError
 from .opcodes import Opcode
@@ -88,6 +88,7 @@ class DataDependenceGraph:
         self._succ: Dict[int, List[Dependence]] = {}
         self._pred: Dict[int, List[Dependence]] = {}
         self._next_uid = 0
+        self._num_edges = 0
 
     # ------------------------------------------------------------------
     # Construction
@@ -131,6 +132,7 @@ class DataDependenceGraph:
         )
         self._succ[src.uid].append(dep)
         self._pred[dst.uid].append(dep)
+        self._num_edges += 1
         return dep
 
     # ------------------------------------------------------------------
@@ -236,7 +238,13 @@ class DataDependenceGraph:
 
     @property
     def num_edges(self) -> int:
-        return sum(len(deps) for deps in self._succ.values())
+        return self._num_edges
+
+    @property
+    def revision(self) -> int:
+        """Mutation count: each :meth:`add_operation`/:meth:`add_dependence`
+        raises it by one (see :func:`memo_get`)."""
+        return self._next_uid + self._num_edges
 
     def count_by_class(self) -> Dict[str, int]:
         """Number of operations per functional-unit class (by class value)."""
@@ -323,3 +331,12 @@ class DataDependenceGraph:
             f"DataDependenceGraph({self.name!r}, ops={self.num_operations}, "
             f"edges={self.num_edges})"
         )
+
+
+def memo_get(
+    memo: Mapping[DataDependenceGraph, Tuple[int, Any]], ddg: DataDependenceGraph
+) -> Any:
+    """``memo``'s value for ``ddg``, or None unless it was stored (as
+    ``(ddg.revision, value)``) at the graph's current revision."""
+    entry = memo.get(ddg)
+    return entry[1] if entry is not None and entry[0] == ddg.revision else None

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from .analysis import analyze, rec_mii, strongly_connected_components
+from .analysis import analyze, rec_mii, recurrences
 from .loop import Loop
 
 
@@ -71,13 +71,6 @@ def graph_stats(loop: Loop) -> GraphStats:
     mem_ops = [op for op in ddg.operations() if op.is_memory]
     stores = [op for op in mem_ops if op.is_store]
 
-    recurrences = 0
-    for comp in strongly_connected_components(ddg):
-        if len(comp) > 1:
-            recurrences += 1
-        elif any(dep.dst == comp[0] for dep in ddg.out_edges(comp[0])):
-            recurrences += 1
-
     return GraphStats(
         operations=ddg.num_operations,
         by_class=ddg.count_by_class(),
@@ -85,7 +78,7 @@ def graph_stats(loop: Loop) -> GraphStats:
         loop_carried_edges=sum(1 for d in ddg.edges() if d.distance),
         critical_path=analysis.makespan,
         rec_mii=bound,
-        recurrences=recurrences,
+        recurrences=len(recurrences(ddg)),
         max_width=max(levels.values(), default=0),
         avg_fan_out=(sum(fan_outs) / len(fan_outs)) if fan_outs else 0.0,
         store_fraction=(len(stores) / len(mem_ops)) if mem_ops else 0.0,

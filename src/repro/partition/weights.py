@@ -24,7 +24,9 @@ dominates any difference in slack), plus one so no edge weighs zero::
 
 For edges outside every recurrence, ``new_max_path`` is computed in O(1)
 from the base analysis (longest path through the edge plus the extra
-latency); only edges inside a non-trivial SCC need a full re-analysis.
+latency); only edges inside a recurrence need a full re-analysis, and
+their ``II_e`` probes only that recurrence
+(:func:`~repro.ir.analysis.recurrence_mii`).
 """
 
 from __future__ import annotations
@@ -37,52 +39,11 @@ from ..ir.analysis import (
     analyze,
     effective_length,
     max_edge_slack,
-    strongly_connected_components,
+    recurrence_mii,
+    recurrences,
 )
 from ..ir.ddg import DataDependenceGraph, Dependence
 from ..ir.loop import Loop
-
-
-def _rec_mii_with_extra(
-    ddg: DataDependenceGraph, dep: Dependence, extra: int, lower_bound: int
-) -> int:
-    """RecMII of the graph if ``dep``'s latency were ``dep.latency + extra``.
-
-    Binary search identical to :func:`repro.ir.analysis.rec_mii`, but with
-    the modified latency applied inline.
-    """
-
-    def has_positive_cycle(ii: int) -> bool:
-        dist = {uid: 0 for uid in ddg.uids()}
-        edges = list(ddg.edges())
-        n = ddg.num_operations
-        for _ in range(n):
-            changed = False
-            for e in edges:
-                lat = e.latency + (extra if e is dep else 0)
-                cand = dist[e.src] + lat - ii * e.distance
-                if cand > dist[e.dst]:
-                    dist[e.dst] = cand
-                    changed = True
-            if not changed:
-                return False
-        for e in edges:
-            lat = e.latency + (extra if e is dep else 0)
-            if dist[e.src] + lat - ii * e.distance > dist[e.dst]:
-                return True
-        return False
-
-    if not has_positive_cycle(lower_bound):
-        return lower_bound
-    lo = lower_bound
-    hi = max(lower_bound + 1, sum(e.latency for e in ddg.edges()) + extra)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if has_positive_cycle(mid):
-            lo = mid
-        else:
-            hi = mid
-    return hi
 
 
 @dataclass
@@ -135,11 +96,9 @@ def compute_edge_weights(loop: Loop, ii: int, bus_latency: int) -> EdgeWeighting
     maxsl = max(0, max_edge_slack(ddg, analysis))
     niter = loop.trip_count
 
-    # Nodes inside a non-trivial SCC: edges within one may raise RecMII.
-    scc_of: Dict[int, int] = {}
-    for idx, comp in enumerate(strongly_connected_components(ddg)):
-        for uid in comp:
-            scc_of[uid] = idx if len(comp) > 1 else -1 - uid
+    # Only an edge inside a recurrence can raise RecMII, and only its own
+    # recurrence's: ``ii`` is at least every other recurrence's RecMII.
+    recurrence_of = {uid: rec for rec in recurrences(ddg) for uid in rec[0]}
 
     tail = {uid: analysis.makespan - analysis.alap[uid] for uid in ddg.uids()}
     edges = list(ddg.edges())
@@ -147,11 +106,11 @@ def compute_edge_weights(loop: Loop, ii: int, bus_latency: int) -> EdgeWeighting
     weights: Dict[int, int] = {}
 
     for index, dep in enumerate(edges):
-        in_recurrence = (
-            scc_of[dep.src] == scc_of[dep.dst] and scc_of[dep.src] >= 0
-        ) or dep.src == dep.dst
-        if in_recurrence:
-            ii_e = _rec_mii_with_extra(ddg, dep, bus_latency, lower_bound=ii)
+        recurrence = recurrence_of.get(dep.src)
+        if recurrence is not None and recurrence is recurrence_of.get(dep.dst):
+            ii_e = recurrence_mii(
+                *recurrence, extra_edge_latency=(dep, bus_latency), lower_bound=ii
+            )
             new_analysis = analyze(
                 ddg, ii_e, extra_edge_latency=(dep, bus_latency)
             )

@@ -459,11 +459,23 @@ class SchedulingEngine:
             return None
         op = self.ddg.operation(uid)
         stats = self.stats
+        # Inline FU reject: a cycle whose flat FU row (this op's class in
+        # this cluster) is full fails on "fu" alone, with no reason set.
+        table, ii = self.table, self.ii
+        capacity = table.fu_capacity(cluster, op.op_class)
+        fu_used = table._fu
+        row_base = (cluster * table._n_classes + op.op_class.index) * ii
+        prune_fu = "fu" in self._SPILL_INVARIANT
         for time in window:
             if (cluster, time) in pruned:
                 stats.feas_cache_hits += 1
                 continue
             stats.feas_cache_scans += 1
+            if fu_used[row_base + time % ii] >= capacity:
+                reasons.add("fu")
+                if prune_fu:
+                    pruned.add((cluster, time))
+                continue
             slot_reasons: Set[str] = set()
             candidate = self._evaluate_slot(
                 uid, op, cluster, time, slot_reasons, plan
@@ -479,11 +491,7 @@ class SchedulingEngine:
         self, uid: int, op, cluster: int, time: int, reasons: Set[str],
         plan: "_NodePlan",
     ) -> Optional[Candidate]:
-        # The overlay is empty at this point, so check the table directly
-        # and only pay for an Overlay once the op's own slot fits.
-        if not self.table.fu_free_at(cluster, op.op_class, time):
-            reasons.add("fu")
-            return None
+        # _evaluate has checked the op's own FU slot against the table.
         overlay = Overlay(self.table)
         overlay.add_fu(FUSlot(cluster, op.op_class, time))
 

@@ -12,67 +12,39 @@ The algorithm has two phases:
    per-recurrence RecMII; each set consists of the recurrence plus all nodes
    lying on directed paths between it and previously selected sets (so the
    connective tissue is ordered together with the recurrences it joins).
-   Remaining nodes form the final sets, one per weakly connected component.
+   Remaining nodes form the final set.
 
 2. **Alternating sweeps.**  Within each set, nodes adjacent to the ordered
    prefix are appended in directional sweeps: a *top-down* sweep repeatedly
    takes the candidate with the greatest height (most critical), appending
    nodes whose ordered neighbours are predecessors, then switches to a
    *bottom-up* sweep by greatest depth, and so on until the set is ordered.
+
+**Sweep invariant.**  A top-down sweep's candidates are exactly the set's
+unordered nodes with an ordered predecessor, a bottom-up sweep's exactly
+those with an ordered successor.  :func:`_order_set` keeps both sets as
+nodes are placed, each mirrored by a heap of keys computed once per node,
+so ordering V nodes and E edges costs O((V + E) log V), not a rescan of
+every remaining node per sweep and of the frontier per pick.
 """
 
 from __future__ import annotations
 
+import heapq
 import weakref
-from typing import Dict, List, Sequence, Set
+from typing import Dict, List, Sequence, Set, Tuple
 
-from ..ir.analysis import LoopAnalysis, analyze, rec_mii, strongly_connected_components
-from ..ir.ddg import DataDependenceGraph
+from ..ir.analysis import LoopAnalysis, analyze, rec_mii, recurrence_mii, recurrences
+from ..ir.ddg import DataDependenceGraph, memo_get
 
-#: (graph, clamped II) -> shared SMS order.  Weak keys let a graph and its
-#: orders die with its loop only while no cached value references its key
-#: graph (orders are plain uid lists); ``tests/test_memo_lifetime.py``
-#: checks that rule.
-_ORDER_CACHE: "weakref.WeakKeyDictionary[DataDependenceGraph, Dict[int, List[int]]]" = (
+#: (graph, clamped II) -> shared SMS order, stored as ``(ddg.revision,
+#: {II: order})`` so mutating a graph invalidates its orders.  Weak keys
+#: let a graph and its orders die with its loop only while no cached
+#: value references its key graph (orders are plain uid lists);
+#: ``tests/test_memo_lifetime.py`` checks that rule.
+_ORDER_CACHE: "weakref.WeakKeyDictionary[DataDependenceGraph, Tuple[int, Dict[int, List[int]]]]" = (
     weakref.WeakKeyDictionary()
 )
-
-
-def _scc_rec_mii(ddg: DataDependenceGraph, component: Sequence[int]) -> int:
-    """RecMII restricted to the cycles inside ``component``."""
-    members = set(component)
-    edges = [
-        dep for dep in ddg.edges() if dep.src in members and dep.dst in members
-    ]
-    if not edges:
-        return 1
-
-    def has_positive_cycle(ii: int) -> bool:
-        dist = {uid: 0 for uid in members}
-        for _ in range(len(members)):
-            changed = False
-            for dep in edges:
-                cand = dist[dep.src] + dep.latency - ii * dep.distance
-                if cand > dist[dep.dst]:
-                    dist[dep.dst] = cand
-                    changed = True
-            if not changed:
-                return False
-        for dep in edges:
-            if dist[dep.src] + dep.latency - ii * dep.distance > dist[dep.dst]:
-                return True
-        return False
-
-    if not has_positive_cycle(1):
-        return 1
-    lo, hi = 1, max(2, sum(dep.latency for dep in edges))
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if has_positive_cycle(mid):
-            lo = mid
-        else:
-            hi = mid
-    return hi
 
 
 def _reachable(ddg: DataDependenceGraph, roots: Set[int], forward: bool) -> Set[int]:
@@ -91,18 +63,14 @@ def _reachable(ddg: DataDependenceGraph, roots: Set[int], forward: bool) -> Set[
 
 def _node_sets(ddg: DataDependenceGraph) -> List[List[int]]:
     """Phase 1: recurrence sets (plus path nodes), then the leftovers."""
-    components = strongly_connected_components(ddg)
-    recurrences = [
-        comp
-        for comp in components
-        if len(comp) > 1
-        or any(dep.dst == comp[0] for dep in ddg.out_edges(comp[0]))
-    ]
-    recurrences.sort(key=lambda comp: (-_scc_rec_mii(ddg, comp), comp[0]))
+    ranked = sorted(
+        (-recurrence_mii(comp, deps), comp[0], comp)
+        for comp, deps in recurrences(ddg)
+    )
 
     sets: List[List[int]] = []
     consumed: Set[int] = set()
-    for comp in recurrences:
+    for _, _, comp in ranked:
         members = set(comp) - consumed
         if not members:
             continue
@@ -131,16 +99,19 @@ def sms_order(ddg: DataDependenceGraph, ii: int = 0) -> List[int]:
         ii: Initiation interval for the height/depth analysis; defaults to
             (and is clamped below by) the graph's RecMII.
 
-    Memoized per (graph, clamped II): every scheduling attempt of every
-    algorithm re-derives the same order.  The returned list is shared —
-    callers must not mutate it.
+    Memoized per (graph revision, clamped II): every scheduling attempt
+    of every algorithm re-derives the same order.  The returned list is
+    shared — callers must not mutate it.
     """
     if ddg.num_operations == 0:
         return []
     floor_ii = rec_mii(ddg)
     effective_ii = max(ii, floor_ii)
-    per_ii = _ORDER_CACHE.get(ddg)
-    if per_ii is not None and effective_ii in per_ii:
+    per_ii = memo_get(_ORDER_CACHE, ddg)
+    if per_ii is None:
+        per_ii = {}
+        _ORDER_CACHE[ddg] = (ddg.revision, per_ii)
+    elif effective_ii in per_ii:
         return per_ii[effective_ii]
     analysis = analyze(ddg, effective_ii)
 
@@ -148,7 +119,7 @@ def sms_order(ddg: DataDependenceGraph, ii: int = 0) -> List[int]:
     placed: Set[int] = set()
     for node_set in _node_sets(ddg):
         _order_set(ddg, analysis, node_set, ordered, placed)
-    _ORDER_CACHE.setdefault(ddg, {})[effective_ii] = ordered
+    per_ii[effective_ii] = ordered
     return ordered
 
 
@@ -159,46 +130,52 @@ def _order_set(
     ordered: List[int],
     placed: Set[int],
 ) -> None:
-    """Phase 2: alternating directional sweeps over one node set."""
+    """Phase 2: alternating directional sweeps over one node set.
+
+    ``below``/``above`` are the top-down/bottom-up frontiers (module
+    docstring).  Picks take the greatest height (least ALAP) top-down and
+    the greatest depth (ASAP) bottom-up, then the least mobility and uid.
+    With neither frontier, a top-down sweep starts at the earliest node.
+    """
     remaining: Set[int] = set(node_set) - placed
+    asap, alap = analysis.asap, analysis.alap
+    below: Set[int] = set()
+    above: Set[int] = set()
+    below_heap: List[Tuple[int, int, int]] = []
+    above_heap: List[Tuple[int, int, int]] = []
 
-    def top_down_key(uid: int):
-        return (-analysis.height(uid), analysis.mobility(uid), uid)
+    def join(uid: int, top_down: bool) -> None:
+        frontier, heap = (below, below_heap) if top_down else (above, above_heap)
+        if uid in remaining and uid not in frontier:
+            frontier.add(uid)
+            first = alap[uid] if top_down else -asap[uid]
+            heapq.heappush(heap, (first, alap[uid] - asap[uid], uid))
 
-    def bottom_up_key(uid: int):
-        return (-analysis.depth(uid), analysis.mobility(uid), uid)
+    for uid in remaining:
+        if any(p in placed for p in ddg.predecessors(uid)):
+            join(uid, True)
+        if any(s in placed for s in ddg.successors(uid)):
+            join(uid, False)
+    seeds = iter(sorted((asap[uid], uid) for uid in remaining))
+
+    def place(uid: int) -> None:
+        ordered.append(uid)
+        placed.add(uid)
+        for pool in (remaining, below, above):
+            pool.discard(uid)
+        for other in ddg.successors(uid):
+            join(other, True)
+        for other in ddg.predecessors(uid):
+            join(other, False)
 
     while remaining:
-        succ_candidates = {
-            uid
-            for uid in remaining
-            if any(p in placed for p in ddg.predecessors(uid))
-        }
-        pred_candidates = {
-            uid
-            for uid in remaining
-            if any(s in placed for s in ddg.successors(uid))
-        }
-        if succ_candidates:
-            frontier, direction = succ_candidates, "top-down"
-        elif pred_candidates:
-            frontier, direction = pred_candidates, "bottom-up"
-        else:
-            seed = min(remaining, key=lambda uid: (analysis.asap[uid], uid))
-            frontier, direction = {seed}, "top-down"
-
-        key = top_down_key if direction == "top-down" else bottom_up_key
+        if not (below or above):
+            place(next(uid for _, uid in seeds if uid in remaining))
+            continue
+        frontier, heap = (below, below_heap) if below else (above, above_heap)
+        # One sweep.  Nodes leave a frontier only by being placed, so a
+        # popped key whose node has left it is stale.
         while frontier:
-            uid = min(frontier, key=key)
-            ordered.append(uid)
-            placed.add(uid)
-            remaining.discard(uid)
-            frontier.discard(uid)
-            follow = (
-                ddg.successors(uid)
-                if direction == "top-down"
-                else ddg.predecessors(uid)
-            )
-            for other in follow:
-                if other in remaining:
-                    frontier.add(other)
+            uid = heapq.heappop(heap)[2]
+            if uid in frontier:
+                place(uid)

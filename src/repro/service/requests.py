@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass, fields
 from typing import Any, Dict, Optional, Tuple, Union
 
 from ..errors import ReproError
-from ..ir.ddg import DataDependenceGraph
+from ..ir.ddg import DataDependenceGraph, memo_get
 from ..ir.loop import Loop
 from ..ir.serialize import loop_to_dict
 from ..machine.config import MachineConfig
@@ -81,12 +81,13 @@ def _fingerprint(payload: Any) -> str:
 
 #: Content digest per DDG, so fingerprinting many requests over the same
 #: suite serializes each loop body once, not once per request (a 220-loop
-#: extended suite costs ~100ms per full dump).  DDGs are immutable once
-#: built — the same invariant the ``ir.analysis`` memo caches rely on.
-#: Weak keys let a DDG and its digest die with its loop only while no
-#: cached value references its key graph (digests are plain strings);
-#: ``tests/test_memo_lifetime.py`` checks that rule.
-_DDG_DIGESTS: "weakref.WeakKeyDictionary[DataDependenceGraph, str]" = (
+#: extended suite costs ~100ms per full dump).  Entries are
+#: ``(ddg.revision, digest)``, the rule of the ``ir.analysis`` memos, so
+#: a mutated graph is re-digested.  Weak keys let a DDG and its digest
+#: die with its loop only while no cached value references its key graph
+#: (digests are plain strings); ``tests/test_memo_lifetime.py`` checks
+#: that rule.
+_DDG_DIGESTS: "weakref.WeakKeyDictionary[DataDependenceGraph, Tuple[int, str]]" = (
     weakref.WeakKeyDictionary()
 )
 
@@ -97,7 +98,7 @@ def _canonical_loop(loop: Loop) -> Dict[str, Any]:
     Built from the serialized form, so two independently built loops
     with equal content canonicalize equally.
     """
-    digest = _DDG_DIGESTS.get(loop.ddg)
+    digest = memo_get(_DDG_DIGESTS, loop.ddg)
     if digest is None:
         body = loop_to_dict(loop)
         digest = _fingerprint(
@@ -106,7 +107,7 @@ def _canonical_loop(loop: Loop) -> Dict[str, Any]:
                 "dependences": body["dependences"],
             }
         )
-        _DDG_DIGESTS[loop.ddg] = digest
+        _DDG_DIGESTS[loop.ddg] = (loop.ddg.revision, digest)
     return {"name": loop.name, "trip_count": loop.trip_count, "body": digest}
 
 

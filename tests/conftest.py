@@ -2,12 +2,29 @@
 
 from __future__ import annotations
 
+import atexit
+import shutil
+import tempfile
+
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from repro.ir.builder import LoopBuilder
 from repro.machine.presets import four_cluster, two_cluster, unified
 from repro.workloads.generator import LoopShape, generate_loop
 from repro.workloads.kernels import daxpy, dot_product, recurrence_chain, stencil5
+
+# Tier-1 is deterministic and side-effect free: every run draws the same
+# examples, and no example database is written under ``.hypothesis/``.
+# Each test's own ``max_examples`` still applies.  Hypothesis also caches
+# the constants it mines from the tested modules; that cache goes to a
+# temporary directory removed at exit.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
+_HYPOTHESIS_HOME = tempfile.mkdtemp(prefix="repro-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME)
+atexit.register(shutil.rmtree, _HYPOTHESIS_HOME, ignore_errors=True)
 
 
 @pytest.fixture

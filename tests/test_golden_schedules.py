@@ -19,7 +19,11 @@ Workloads:
 * every paper-suite loop on the 4x32 Table-1 machine;
 * eight seeded spill-heavy loops on a halved 2-cluster register file
   (``two_cluster(16)``), which drives the spill transformation and
-  communication through memory.
+  communication through memory;
+* the six largest extended-tier loops (242-282 operations) on 4x64,
+  where the SMS ordering, the recurrence analysis and the slot scans
+  work on bodies four times the size of the paper loops.  Recorded
+  before the ordering sweeps became heap-ordered.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from repro.schedule.drivers import (
 )
 from repro.schedule.result import ModuloSchedule
 from repro.workloads.generator import LoopShape, generate_loop
-from repro.workloads.spec import spec_suite
+from repro.workloads.spec import extended_suite, spec_suite
 
 SCHEDULERS = {
     cls.name: cls
@@ -60,6 +64,12 @@ GOLDEN = {
         "1554575e303ecf1c66642b8300af682dc4bf9578f99f30df3f702209ae6bd001",
     ("spill-2x16", "gp"):
         "cbb8ca06edbcd6b2887ffb15a745023e409c263f467d4ceb957789ac72688818",
+    ("extended-4x64", "uracam"):
+        "19ef469c7365342520431b7c4caa5181b070958f97939617ab01c7f8f372f75d",
+    ("extended-4x64", "fixed-partition"):
+        "02938ab45bf112366f8849246554524c98dcfa0ae81a8b9115974915115ff7c1",
+    ("extended-4x64", "gp"):
+        "c871edb894479fdaa8da145a554734b8b1d9dfc7c824598005bbcf238ff6df02",
 }
 
 
@@ -67,6 +77,12 @@ def _workload(name):
     if name == "paper-4x32":
         loops = [loop for bench in spec_suite() for loop in bench.loops]
         return four_cluster(32), loops
+    if name == "extended-4x64":
+        loops = sorted(
+            (loop for bench in extended_suite() for loop in bench.loops),
+            key=lambda loop: (-loop.ddg.num_operations, loop.name),
+        )
+        return four_cluster(64), loops[:6]
     loops = [generate_loop("golden-spill", SPILL_SHAPE, seed) for seed in range(8)]
     return two_cluster(16), loops
 

@@ -10,6 +10,9 @@ drop everything but weak references to their graphs, and check that
 the graphs and their memo entries are gone — by reference counting
 alone, so a long-lived process neither grows nor makes the cyclic
 collector re-walk every loop it ever scheduled.
+
+Every entry also records the graph's ``revision``, so a graph mutated
+after its first analysis never gets a stale value back.
 """
 
 import gc
@@ -17,10 +20,13 @@ import weakref
 
 import pytest
 
+from repro.errors import GraphError
 from repro.ir import analysis
+from repro.ir.opcodes import opcode
 from repro.schedule import ordering
 from repro.service import EvaluationRequest, ReproService, ScheduleRequest
 from repro.service import requests
+from repro.workloads.kernels import daxpy
 from repro.workloads.spec import Benchmark, make_benchmark
 
 
@@ -70,3 +76,44 @@ def test_graphs_and_memo_entries_die_with_their_loops(scheduler):
     gc.collect()
     assert all(ref() is None for ref in refs)
     assert memo_sizes() == before
+
+
+def _with_self_recurrence(loop):
+    """Close a latency-9, distance-1 recurrence on ``a*x+y`` (RecMII 9)."""
+    fadd = loop.ddg.operation(3)
+    loop.ddg.add_dependence(fadd, fadd, latency=9, distance=1)
+    return loop
+
+
+def test_mutating_a_graph_invalidates_every_memo():
+    loop = daxpy()
+    ddg = loop.ddg
+
+    def fingerprint(of):
+        return ScheduleRequest(
+            machine="4x32", scheduler="uracam", loop=of
+        ).fingerprint()
+
+    assert analysis.rec_mii(ddg) == 1
+    assert analysis.analyze(ddg, 1).makespan > 0
+    stale_order = list(ordering.sms_order(ddg))
+    stale_fingerprint = fingerprint(loop)
+    assert all(ddg in memo for memo in (
+        analysis._REC_MII_CACHE, analysis._ANALYZE_CACHE,
+        ordering._ORDER_CACHE, requests._DDG_DIGESTS,
+    ))
+
+    _with_self_recurrence(loop)
+    fresh = _with_self_recurrence(daxpy())
+    assert analysis.rec_mii(ddg) == analysis.rec_mii(fresh.ddg) == 9
+    with pytest.raises(GraphError):
+        analysis.analyze(ddg, 1)
+    assert ordering.sms_order(ddg) == ordering.sms_order(fresh.ddg)
+    assert ordering.sms_order(ddg) != stale_order
+    assert fingerprint(loop) == fingerprint(fresh) != stale_fingerprint
+
+    # A new operation invalidates them too.
+    added = ddg.add_operation(opcode("fadd"))
+    assert added.uid in analysis.analyze(ddg, 9).asap
+    assert added.uid in ordering.sms_order(ddg)
+    assert fingerprint(loop) != fingerprint(fresh)

@@ -10,8 +10,9 @@ consumer of the MaxLives register model goes through this session:
 
 * the **scheduling engine** creates one per attempt and maintains it by
   delta as values are committed, mutated and spilled (this is the
-  ``PressureTracker`` role: O(routes) candidate previews via
-  :meth:`preview_effect`);
+  ``PressureTracker`` role); each candidate hands :meth:`preview_effect`
+  only the segment growth its routes cause, read against the rings
+  without mutating them;
 * the **finished schedule** carries the very same session
   (:meth:`~repro.schedule.result.ModuloSchedule.attach_analysis`), so the
   independent validator and the evaluation metrics read cached peaks and
@@ -94,9 +95,10 @@ class ScheduleAnalysis:
       into the rings.
 
     The engine mirrors its committed value set through
-    :meth:`track`/:meth:`update`; candidate previews go through
-    :meth:`preview_effect` (no mutation) or the snapshot primitives
-    :meth:`set_segments`/:meth:`forget`.
+    :meth:`track`/:meth:`update`; its candidate previews go through
+    :meth:`preview_effect` (no mutation).  The snapshot primitives
+    :meth:`set_segments`/:meth:`forget` back the tests' apply/rollback
+    reference (:class:`~repro.schedule.pressure.PressurePreview`).
     """
 
     def __init__(
@@ -284,8 +286,8 @@ class ScheduleAnalysis:
         """Assert the incremental state equals the full recompute.
 
         Raises :class:`AssertionError` naming the first mismatching
-        quantity.  This is the escape hatch that keeps the O(routes) fast
-        path honest against the pure functions the validator trusts.
+        quantity.  This is the escape hatch that keeps the incremental
+        state honest against the pure functions the validator trusts.
         ``values`` defaults to the session's own ledger.
         """
         values = list(self.values.values() if values is None else values)

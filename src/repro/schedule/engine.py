@@ -24,8 +24,9 @@ which is also how the paper's "communication through memory" and spill
 machinery coincide.
 
 Candidate evaluation never mutates committed state: resource claims are
-staged in an :class:`~repro.schedule.mrt.Overlay`, and value/lifetime edits
-are applied and rolled back around the register-pressure check.
+staged in an :class:`~repro.schedule.mrt.Overlay`, and the register check
+previews the lifetime growth a candidate's routes would cause without
+editing any value.
 
 Hot-path architecture (reference vs. incremental accounting)
 ------------------------------------------------------------
@@ -44,23 +45,30 @@ the engine keeps two implementations of the register accounting:
   the finished :class:`~repro.schedule.result.ModuloSchedule` then carries
   for its validator and the eval metrics) — mirrors the committed values
   with a per-cluster pressure ring (``counts[cluster][m]`` over the II
-  kernel cycles) and running register-cycle totals.  A candidate evaluation applies only the *delta
-  segments* of the values its routes touch (plus the would-be new value),
-  reads the ring peaks and totals, and rolls the delta back exactly —
-  O(routes) instead of O(all values) per candidate.  Commits, spills
-  (which truncate the home lifetime) and dead-transfer releases update the
-  tracker the same way, so it always equals the reference recompute.
+  kernel cycles) and running register-cycle totals.  A route only adds
+  reads, transfers or a store to a value, so its segments only grow: a
+  candidate preview starts from the touched values' cached segments,
+  applies the routes as max/min updates to each home death and each
+  copy's ``[birth, death)``, and hands the tracker only the extensions,
+  the new copy and load segments and the would-be new value's segments —
+  O(routes) per candidate, with no value mutated and nothing to roll
+  back.  Commits, spills (which truncate the home lifetime) and
+  dead-transfer releases re-derive the values they touch from the
+  ledger (:meth:`~repro.schedule.analysis_core.ScheduleAnalysis.update`),
+  so the tracked state always equals the reference recompute.
 
 ``EngineOptions.verify_pressure`` is the escape hatch: when set, the
 engine cross-checks the tracker against the reference functions after
-every commit, spill and candidate rollback
-(:meth:`~repro.schedule.pressure.PressureTracker.verify`).  The
-equivalence tests run whole schedules in this mode.
+every commit and spill
+(:meth:`~repro.schedule.pressure.PressureTracker.verify`), and every
+candidate preview against a full re-derivation of the touched values
+(``_reference_register_effect``).  The equivalence tests run whole
+schedules in this mode.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..ir.analysis import analyze
@@ -69,6 +77,7 @@ from ..ir.loop import Loop
 from ..ir.opcodes import OpClass
 from ..machine.config import MachineConfig
 from .analysis_core import ScheduleAnalysis
+from .lifetimes import LiveSegment
 from .merit import DEFAULT_THRESHOLD, MeritVector, compare, consumption
 from .mrt import FUSlot, Overlay, ReservationTable
 from .ordering import sms_order
@@ -222,7 +231,8 @@ class EngineOptions:
     #: None, the single global headroom component of §3.3.2 is used.
     mem_ops_per_cluster: Optional[Dict[int, int]] = None
     #: Cross-check the incremental pressure tracker against the reference
-    #: recompute after every commit, spill and candidate rollback, and the
+    #: recompute after every commit and spill, every candidate's register
+    #: preview against a full re-derivation of its values, and the
     #: structural (reservation-table) handover against the reference
     #: sweeps before it is attached to the schedule (slow; used by the
     #: equivalence tests and the CLI's ``--verify`` mode).
@@ -617,6 +627,8 @@ class SchedulingEngine:
     ) -> Optional[_Route]:
         new_store: Optional[AuxOp] = None
         if create_store:
+            if value.birth + STORE_LATENCY > read_time - LOAD_LATENCY:
+                return None  # no load window after the earliest store
             store_time = self._find_mem_slot(
                 value.home, value.birth, value.birth + self.ii - 1, overlay,
                 prefer="early",
@@ -693,6 +705,11 @@ class SchedulingEngine:
             )
 
         if self.options.allow_memory_comm:
+            if birth + STORE_LATENCY > read_time - LOAD_LATENCY:
+                # No load window after the earliest store (any pending
+                # store issues at or after the birth too).
+                reasons.add("mem")
+                return None, pending_store
             new_store: Optional[AuxOp] = None
             if pending_store is None:
                 store_time = self._find_mem_slot(
@@ -750,9 +767,17 @@ class SchedulingEngine:
             if prefer == "early"
             else range(latest, earliest - 1, -1)
         )
-        fu_free_at = self.table.fu_free_at
+        # The flat MEM row of ``cluster`` plus the overlay's pending counts
+        # (ReservationTable.fu_free_at, inlined).
+        table, ii = self.table, self.ii
+        row = cluster * table._n_classes + OpClass.MEM.index
+        capacity = table._capacity[row]
+        base = row * ii
+        fu_used = table._fu
+        pending = overlay._fu
         for cycle in cycles:
-            if fu_free_at(cluster, OpClass.MEM, cycle, overlay):
+            idx = base + cycle % ii
+            if fu_used[idx] + pending.get(idx, 0) < capacity:
                 return cycle
         return None
 
@@ -767,55 +792,147 @@ class SchedulingEngine:
         creates_value: bool,
         routes: List[_Route],
     ) -> Tuple[List[int], bool]:
-        """(register-cycle delta per cluster, fits) after a tentative apply.
+        """(register-cycle delta per cluster, fits) of committing ``routes``.
 
-        Incremental: only the values the routes touch (plus the would-be new
-        value) have their segments re-derived; the delta segments are
-        previewed against the pressure tracker's rings without mutating
-        them — O(routes), not O(all values) — so only the value-state edits
-        need rolling back.
+        A route only adds reads, transfers or a store to a committed value,
+        so its home death only grows and each copy's birth only moves
+        earlier while its reads only grow.  Each touched value starts from
+        its cached segments; only the growth (``[old_death, new_death)``),
+        brand-new copy and load segments and the would-be new value's
+        segments are previewed against the tracker's rings — nothing is
+        mutated.  A copy whose birth moves earlier is replaced whole: its
+        ``delivery + 1`` floor moves with the birth, so its death can drop
+        by one cycle when every committed read sits on the old delivery.
         """
         tracker = self.pressure
-        applied: List[Tuple[ValueState, str, object]] = []
-        touched: List[int] = []
+        added: List[LiveSegment] = []
+        removed: List[LiveSegment] = []
         new_value: Optional[ValueState] = None
         if creates_value:
             new_value = ValueState(producer=uid, home=cluster, birth=birth)
-        try:
-            for route in routes:
-                if route.value_key is None:
-                    target = new_value
-                else:
-                    target = self.values[route.value_key]
-                    if route.value_key not in touched:
-                        touched.append(route.value_key)
-                target.uses.append(route.use)
-                applied.append((target, "use", route.use))
+        # producer -> [cached segments, home, home death, {cluster:
+        # [earliest new delivery (None: none), latest new read]}]
+        grown: Dict[int, list] = {}
+        for route in routes:
+            key = route.value_key
+            use = route.use
+            if key is None:
+                new_value.uses.append(use)
                 if route.new_transfer is not None:
-                    target.transfers.append(route.new_transfer)
-                    applied.append((target, "transfer", route.new_transfer))
+                    new_value.transfers.append(route.new_transfer)
                 if route.new_store is not None:
-                    applied.append((target, "store", target.store_time))
-                    target.store_time = route.new_store.time
-            changes: List[Tuple[Sequence[object], int]] = []
-            for key in touched:
-                changes.append((tracker.segments_of(key), -1))
-                changes.append((segments_of_value(self.values[key]), +1))
-            if new_value is not None:
-                changes.append((segments_of_value(new_value), +1))
-            return tracker.preview_effect(
-                changes, self._registers, self._committed_peaks()
-            )
-        finally:
-            for target, kind, payload in reversed(applied):
-                if kind == "use":
-                    target.uses.remove(payload)
-                elif kind == "transfer":
-                    target.transfers.remove(payload)
+                    new_value.store_time = route.new_store.time
+                continue
+            state = grown.get(key)
+            if state is None:
+                segments = tracker.segments_of(key)
+                home = segments[0]
+                state = grown[key] = [segments, home.cluster, home.death, {}]
+            if use.route == "mem":
+                ready = use.load_time + LOAD_LATENCY
+                added.append(
+                    LiveSegment(use.cluster, ready, max(use.read_time, ready + 1))
+                )
+                if route.new_store is not None:
+                    state[2] = max(state[2], route.new_store.time + 1)
+                continue
+            if use.cluster == state[1]:
+                state[2] = max(state[2], use.read_time)
+                continue
+            copy = state[3].get(use.cluster)
+            if copy is None:
+                copy = state[3][use.cluster] = [None, use.read_time]
+            elif use.read_time > copy[1]:
+                copy[1] = use.read_time
+            transfer = route.new_transfer
+            if transfer is not None:
+                delivered = transfer.delivered_at
+                state[2] = max(state[2], delivered)
+                if copy[0] is None or delivered < copy[0]:
+                    copy[0] = delivered
+        for key, (segments, home, home_death, copies) in grown.items():
+            old_home = segments[0]
+            if home_death > old_home.death:
+                added.append(LiveSegment(home, old_home.death, home_death))
+            if not copies:
+                continue
+            value = self.values[key]
+            remote = sorted({t.dst_cluster for t in value.transfers})
+            for copy_cluster, (copy_birth, last_read) in copies.items():
+                old = (
+                    segments[1 + remote.index(copy_cluster)]
+                    if copy_cluster in remote else None
+                )
+                if old is None:
+                    added.append(LiveSegment(
+                        copy_cluster, copy_birth, max(copy_birth + 1, last_read)
+                    ))
+                elif copy_birth is None or copy_birth >= old.birth:
+                    if last_read > old.death:
+                        added.append(LiveSegment(copy_cluster, old.death, last_read))
                 else:
-                    target.store_time = payload  # type: ignore[assignment]
-            if self.options.verify_pressure:
-                tracker.verify(self.values.values())
+                    for read in value.reg_uses_in(copy_cluster):
+                        last_read = max(last_read, read.read_time)
+                    removed.append(old)
+                    added.append(LiveSegment(
+                        copy_cluster, copy_birth, max(copy_birth + 1, last_read)
+                    ))
+        if new_value is not None:
+            added.extend(segments_of_value(new_value))
+        changes: List[Tuple[Sequence[LiveSegment], int]] = [(added, +1)]
+        if removed:
+            changes.append((removed, -1))
+        effect = tracker.preview_effect(
+            changes, self._registers, self._committed_peaks()
+        )
+        if self.options.verify_pressure:
+            expected = self._reference_register_effect(
+                uid, cluster, birth, creates_value, routes
+            )
+            if effect != expected:
+                raise AssertionError(
+                    f"register preview of node {uid} in cluster {cluster} "
+                    f"diverged: incremental {effect} != reference {expected}"
+                )
+        return effect
+
+    def _reference_register_effect(
+        self,
+        uid: int,
+        cluster: int,
+        birth: int,
+        creates_value: bool,
+        routes: List[_Route],
+    ) -> Tuple[List[int], bool]:
+        """:meth:`_register_effect` by full re-derivation (the cross-check).
+
+        Applies the routes to copies of the touched values and previews
+        their whole old segments out and whole new segments in.
+        """
+        touched: Dict[Optional[int], ValueState] = {}
+        if creates_value:
+            touched[None] = ValueState(producer=uid, home=cluster, birth=birth)
+        for route in routes:
+            target = touched.get(route.value_key)
+            if target is None:
+                value = self.values[route.value_key]
+                target = touched[route.value_key] = replace(
+                    value, transfers=list(value.transfers), uses=list(value.uses)
+                )
+            target.uses.append(route.use)
+            if route.new_transfer is not None:
+                target.transfers.append(route.new_transfer)
+            if route.new_store is not None:
+                target.store_time = route.new_store.time
+        tracker = self.pressure
+        changes: List[Tuple[Sequence[LiveSegment], int]] = []
+        for key, value in touched.items():
+            if key is not None:
+                changes.append((tracker.segments_of(key), -1))
+            changes.append((segments_of_value(value), +1))
+        return tracker.preview_effect(
+            changes, self._registers, self._committed_peaks()
+        )
 
     # ------------------------------------------------------------------
     # Figure of merit

@@ -96,8 +96,11 @@ class ReservationTable:
         cycle: int,
         overlay: "Optional[Overlay]" = None,
     ) -> bool:
-        """:meth:`fu_free` without requiring a FUSlot — the engine's slot
-        scans call this once per candidate cycle."""
+        """:meth:`fu_free` without requiring a FUSlot.
+
+        The engine's slot and memory-port scans inline this probe over the
+        flat row; this method is the checked form (it rejects an
+        out-of-range cluster)."""
         if not 0 <= cluster < self._num_clusters:
             self.machine.cluster(cluster)  # raises ConfigError
         row = cluster * self._n_classes + op_class.index

@@ -5,15 +5,18 @@ placements per loop; rebuilding the full lifetime picture for every
 candidate (``value_segments`` over *all* values, then ``register_cycles``
 and ``max_live``) makes each evaluation O(all values).  The incremental
 session that avoids this — per-cluster pressure rings, running
-register-cycle totals, per-value segment caches, O(routes) candidate
-previews — now lives in :mod:`repro.schedule.analysis_core` as
+register-cycle totals, per-value segment caches, and a preview that reads
+a candidate's segment growth against the rings without mutating them —
+now lives in :mod:`repro.schedule.analysis_core` as
 :class:`~repro.schedule.analysis_core.ScheduleAnalysis`, because the same
 session is shared with the schedule validator and the evaluation metrics
 after the attempt finishes (see that module's docstring).
 
 This module keeps the engine-facing name — :class:`PressureTracker` *is*
-``ScheduleAnalysis`` — plus :class:`PressurePreview`, the scoped
-apply/rollback convenience used by the equivalence tests.
+``ScheduleAnalysis`` — plus :class:`PressurePreview`, a scoped
+apply/rollback over the tracker that the equivalence tests check
+:meth:`~PressureTracker.preview_effect` against.  The engine never rolls
+anything back: its candidate previews mutate neither values nor rings.
 
 The pure functions in :mod:`repro.schedule.lifetimes` and
 :mod:`repro.schedule.values` stay the reference implementation (and the
@@ -45,8 +48,8 @@ class PressurePreview:
             fits = tracker.fits(registers)
         # tracker restored exactly
 
-    The engine's hot path inlines these calls (one function call fewer per
-    candidate); the context manager is the readable form used by tests.
+    The engine does not use it (its previews never mutate the tracker);
+    the tests use it as the mutate-then-rollback reference.
     """
 
     def __init__(self, tracker: PressureTracker) -> None:

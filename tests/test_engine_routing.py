@@ -152,3 +152,66 @@ class TestWindowSemantics:
         assert engine._schedule_node(order[0])
         window = engine._window(order[1])
         assert len(list(window)) <= 4
+
+
+class TestEarlyMemoryReject:
+    """A memory route whose load window is empty fails before any scan.
+
+    The earliest store issues at the producer's birth, so when
+    ``birth + STORE_LATENCY > read_time - LOAD_LATENCY`` no load slot can
+    follow it.  The route fails without scanning a memory row, with the
+    reasons a scan would have produced.
+    """
+
+    @staticmethod
+    def _engine_with_full_bus(monkeypatch):
+        from repro.schedule.mrt import BusSlot, Overlay
+
+        machine = two_cluster(64)
+        _loop, engine = split_daxpy_engine(machine, 4)
+        for cycle in range(4):
+            engine.table.reserve_bus(BusSlot(0, cycle, 1))
+        scans = []
+        monkeypatch.setattr(
+            engine, "_find_mem_slot", lambda *args, **kw: scans.append(args)
+        )
+        return engine, Overlay(engine.table), scans
+
+    def test_operand_route(self, monkeypatch):
+        from repro.schedule.values import ValueState
+
+        engine, overlay, scans = self._engine_with_full_bus(monkeypatch)
+        value = ValueState(producer=0, home=0, birth=3)
+        read_time = value.birth + STORE_LATENCY + LOAD_LATENCY - 1
+        reasons = set()
+        route = engine._plan_operand_route(
+            value, 5, 1, read_time, overlay, reasons, {}
+        )
+        assert route is None
+        assert reasons == {"mem", "bus"}
+        assert scans == []
+
+    @pytest.mark.parametrize("pending", [False, True])
+    def test_delivery_route(self, monkeypatch, pending):
+        from repro.schedule.result import AuxOp
+
+        engine, overlay, scans = self._engine_with_full_bus(monkeypatch)
+        birth = 3
+        store = AuxOp("comm_store", 0, 0, birth) if pending else None
+        read_time = birth + STORE_LATENCY + LOAD_LATENCY - 1
+        reasons = set()
+        route, pending_after = engine._plan_delivery_route(
+            0, birth, 0, 1, 5, read_time, {0: birth}, store, overlay, reasons
+        )
+        assert route is None and pending_after is store
+        assert reasons == {"mem"}
+        assert scans == []
+
+    def test_one_more_cycle_reaches_the_scan(self, monkeypatch):
+        from repro.schedule.values import ValueState
+
+        engine, overlay, scans = self._engine_with_full_bus(monkeypatch)
+        value = ValueState(producer=0, home=0, birth=3)
+        read_time = value.birth + STORE_LATENCY + LOAD_LATENCY
+        engine._plan_operand_route(value, 5, 1, read_time, overlay, set(), {})
+        assert scans

@@ -17,6 +17,10 @@ at a higher one).
 Workloads:
 
 * every paper-suite loop on the 4x32 Table-1 machine;
+* the same loops on 4x32 with two buses of latency 2, the only cells
+  that pin the reservation table's generic multi-bus, multi-cycle
+  transfer path (``find_bus_slot`` through ``bus_free``).  Recorded
+  before the engine's register preview became extension-only;
 * eight seeded spill-heavy loops on a halved 2-cluster register file
   (``two_cluster(16)``), which drives the spill transformation and
   communication through memory;
@@ -58,6 +62,12 @@ GOLDEN = {
         "5dc959c4c777c1fe532bc77da4afdb41ec1239c172106a38cef20c54c7d2a78d",
     ("paper-4x32", "gp"):
         "8e2f93fe86e16dd9b01d8e87d9e6936e52f0832edebbe2f4f3ce6c442a67734f",
+    ("paper-4x32-2bus-lat2", "uracam"):
+        "95673abf553f172cca0a4296a645b9d712720a3125f5224bfb843b6b5fe20464",
+    ("paper-4x32-2bus-lat2", "fixed-partition"):
+        "6fe3c83ec047283a624dd5988c676c7ef246cb04a6d2617f00349f0bb6fb210b",
+    ("paper-4x32-2bus-lat2", "gp"):
+        "f80b2e6df2ade4c59c57293389a27de71b4d6d204f57882f9719e2e7f92dd3a0",
     ("spill-2x16", "uracam"):
         "bfefdeee6570a52d1623ddaf4a5472d47114e93693dab9533b8a5cab498d099d",
     ("spill-2x16", "fixed-partition"):
@@ -74,9 +84,11 @@ GOLDEN = {
 
 
 def _workload(name):
-    if name == "paper-4x32":
+    if name in ("paper-4x32", "paper-4x32-2bus-lat2"):
         loops = [loop for bench in spec_suite() for loop in bench.loops]
-        return four_cluster(32), loops
+        if name == "paper-4x32":
+            return four_cluster(32), loops
+        return four_cluster(32, num_buses=2, bus_latency=2), loops
     if name == "extended-4x64":
         loops = sorted(
             (loop for bench in extended_suite() for loop in bench.loops),

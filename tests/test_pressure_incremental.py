@@ -8,7 +8,8 @@ the reference implementation; these tests assert the two never diverge:
 * whole schedules run with ``EngineOptions.verify_pressure``, which makes
   the engine cross-check the :class:`PressureTracker` against
   ``value_segments`` + ``pressure_by_cycle`` + ``register_cycles`` after
-  every commit, every spill and every candidate rollback;
+  every commit and every spill, and every candidate's register preview
+  against a full re-derivation of the values it touches;
 * randomized move sequences drive a :class:`CommState` session and its
   previews against fresh full-sweep derivations;
 * the tracker's candidate preview is checked against mutate-then-rollback.

@@ -94,29 +94,6 @@ def ii_bus_bound(ncomm: int, machine: MachineConfig) -> int:
     return math.ceil(ncomm * machine.bus_latency / machine.num_buses)
 
 
-def cluster_res_mii(
-    ddg: DataDependenceGraph, assignment: Assignment, machine: MachineConfig
-) -> int:
-    """Max over clusters of the resource-constrained MII of its operations.
-
-    A cluster holding operations of a class it has no units for makes the
-    partition infeasible; a prohibitively large II is returned so the
-    refinement heuristics steer away from it.
-    """
-    counts: Dict[Tuple[int, OpClass], int] = {}
-    for uid in ddg.uids():
-        op = ddg.operation(uid)
-        key = (assignment[uid], op.op_class)
-        counts[key] = counts.get(key, 0) + 1
-    worst = 1
-    for (cluster_idx, op_class), count in counts.items():
-        units = machine.cluster(cluster_idx).units_for_class(op_class)
-        if units == 0:
-            return _INFEASIBLE_II
-        worst = max(worst, math.ceil(count / units))
-    return worst
-
-
 def _loses(
     exec_floor: int,
     slack_total: int,
@@ -515,9 +492,8 @@ class PartitionEstimator:
 
     #: Whether refiners may score candidate moves through
     #: :meth:`estimate_preview`.  Subclasses whose objective cannot be
-    #: previewed from deltas should set this False; the pressure-aware
-    #: estimator keeps it True by pairing its penalty with a
-    #: delta-maintained session (see :mod:`repro.partition.pressure`).
+    #: previewed from deltas set this False, as the pressure-aware
+    #: estimator does (see :mod:`repro.partition.pressure`).
     supports_preview = True
 
     def estimate_preview(
@@ -897,14 +873,8 @@ class CommState:
     updated per moved operation instead of per edge.  It also caches, per
     II, the live cut set's edge lengths, longest-path start times and
     critical cut edges until the next move; an applied preview hands its
-    start times over (:meth:`adopt`).  :meth:`verify` cross-checks all of it against the
-    full sweep and is exercised by the tests.
-
-    Subclasses may piggyback further delta-maintained quantities on the
-    same move stream — :class:`~repro.partition.pressure.PressureCommState`
-    keeps the register-pressure session of the pressure-aware estimator in
-    step this way, which is what lets that estimator support the refiner's
-    preview fast path.
+    start times over (:meth:`adopt`).  :meth:`verify` cross-checks all of
+    it against the full sweep and is exercised by the tests.
     """
 
     __slots__ = (

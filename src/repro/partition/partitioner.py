@@ -44,9 +44,6 @@ class Partition:
     ncomm: int
     estimate: PartitionEstimate
 
-    def cluster_of(self, uid: int) -> int:
-        return self.assignment[uid]
-
 
 def trivial_partition(loop: Loop, ii: int) -> Partition:
     """Everything on cluster 0 — used for unified machines."""

@@ -26,7 +26,6 @@ from .merit import DEFAULT_THRESHOLD, MeritVector, compare, consumption
 from .mii import mii, rec_mii, res_mii
 from .mrt import BusSlot, FUSlot, Overlay, ReservationTable
 from .ordering import sms_order
-from .pressure import PressurePreview, PressureTracker
 from .result import AuxOp, ModuloSchedule, Placed, ScheduleStats
 from .structural_core import StructuralAnalysis
 from .values import BusTransfer, Use, ValueState, segments_of_value, value_segments
@@ -53,8 +52,6 @@ __all__ = [
     "ModuloSchedule",
     "Overlay",
     "Placed",
-    "PressurePreview",
-    "PressureTracker",
     "ReservationTable",
     "SCHEDULERS",
     "ScheduleAnalysis",

@@ -9,10 +9,9 @@ laid out as one flat list) and the running register-cycle totals.  Every
 consumer of the MaxLives register model goes through this session:
 
 * the **scheduling engine** creates one per attempt and maintains it by
-  delta as values are committed, mutated and spilled (this is the
-  ``PressureTracker`` role); each candidate hands :meth:`preview_effect`
-  only the segment growth its routes cause, read against the rings
-  without mutating them;
+  delta as values are committed, mutated and spilled; each candidate
+  hands :meth:`preview_effect` only the segment growth its routes cause,
+  read against the rings without mutating them;
 * the **finished schedule** carries the very same session
   (:meth:`~repro.schedule.result.ModuloSchedule.attach_analysis`), so the
   independent validator and the evaluation metrics read cached peaks and
@@ -96,9 +95,7 @@ class ScheduleAnalysis:
 
     The engine mirrors its committed value set through
     :meth:`track`/:meth:`update`; its candidate previews go through
-    :meth:`preview_effect` (no mutation).  The snapshot primitives
-    :meth:`set_segments`/:meth:`forget` back the tests' apply/rollback
-    reference (:class:`~repro.schedule.pressure.PressurePreview`).
+    :meth:`preview_effect` (no mutation).
     """
 
     def __init__(
@@ -113,10 +110,9 @@ class ScheduleAnalysis:
         #: Running register-cycle totals per cluster.
         self.reg_cycles: List[int] = [0] * num_clusters
         # producer uid -> the segment list currently folded into the rings.
-        # Lists are always *replaced*, never mutated in place, so a caller
-        # may hold one as a rollback snapshot.
+        # Lists are always *replaced*, never mutated in place.
         self._segments: Dict[int, List[LiveSegment]] = {}
-        #: The value ledger this session analyzes.  ``track``/``forget``
+        #: The value ledger this session analyzes.  ``track``/``update``
         #: keep it in step with the tracked segment set.
         self.values: Dict[int, ValueState] = {}
         if values:
@@ -175,21 +171,6 @@ class ScheduleAnalysis:
         self._apply(new, +1)
         self._segments[value.producer] = new
         self.values[value.producer] = value
-
-    def set_segments(self, producer: int, segments: List[LiveSegment]) -> None:
-        """Restore a value's folded-in segments to a snapshot (rollback)."""
-        old = self._segments.get(producer)
-        if old is not None:
-            self._apply(old, -1)
-        self._apply(segments, +1)
-        self._segments[producer] = segments
-
-    def forget(self, producer: int) -> None:
-        """Stop tracking a value (rollback of a previewed new value)."""
-        old = self._segments.pop(producer, None)
-        if old is not None:
-            self._apply(old, -1)
-        self.values.pop(producer, None)
 
     def segments_of(self, producer: int) -> Sequence[LiveSegment]:
         """The segment list currently folded in for ``producer``."""

@@ -39,9 +39,8 @@ the engine keeps two implementations of the register accounting:
   :mod:`~repro.schedule.lifetimes` — recomputes the full lifetime picture
   from the value states.  It stays the validator's source of truth and is
   what the independent schedule validation uses.
-* The **incremental** path — :class:`~repro.schedule.pressure.PressureTracker`
-  (the engine-facing name of the shared
-  :class:`~repro.schedule.analysis_core.ScheduleAnalysis` session, which
+* The **incremental** path — the shared
+  :class:`~repro.schedule.analysis_core.ScheduleAnalysis` session (which
   the finished :class:`~repro.schedule.result.ModuloSchedule` then carries
   for its validator and the eval metrics) — mirrors the committed values
   with a per-cluster pressure ring (``counts[cluster][m]`` over the II
@@ -60,7 +59,7 @@ the engine keeps two implementations of the register accounting:
 ``EngineOptions.verify_pressure`` is the escape hatch: when set, the
 engine cross-checks the tracker against the reference functions after
 every commit and spill
-(:meth:`~repro.schedule.pressure.PressureTracker.verify`), and every
+(:meth:`~repro.schedule.analysis_core.ScheduleAnalysis.verify`), and every
 candidate preview against a full re-derivation of the touched values
 (``_reference_register_effect``).  The equivalence tests run whole
 schedules in this mode.
@@ -767,8 +766,8 @@ class SchedulingEngine:
             if prefer == "early"
             else range(latest, earliest - 1, -1)
         )
-        # The flat MEM row of ``cluster`` plus the overlay's pending counts
-        # (ReservationTable.fu_free_at, inlined).
+        # The flat MEM row of ``cluster`` plus the overlay's pending
+        # counts, probed in place (the layout is ReservationTable's).
         table, ii = self.table, self.ii
         row = cluster * table._n_classes + OpClass.MEM.index
         capacity = table._capacity[row]

@@ -55,8 +55,8 @@ def add_segment_to_ring(
 
     This is the single definition of the per-cycle accounting arithmetic;
     both the reference recompute (:func:`pressure_by_cycle`) and the
-    incremental tracker (:mod:`repro.schedule.pressure`) go through it, so
-    they cannot drift apart.
+    incremental session (:mod:`repro.schedule.analysis_core`) go through
+    it, so they cannot drift apart.
     """
     whole, rem = divmod(length, ii)
     if whole:

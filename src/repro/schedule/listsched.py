@@ -68,7 +68,7 @@ def list_schedule(loop: Loop, machine: MachineConfig) -> ListSchedule:
     bus_used: Dict[Tuple[int, int], bool] = {}
     placements: Dict[int, Tuple[int, int]] = {}
 
-    def fu_free(cluster: int, op_class: OpClass, cycle: int) -> bool:
+    def unit_free(cluster: int, op_class: OpClass, cycle: int) -> bool:
         cap = machine.cluster(cluster).units_for_class(op_class)
         return fu_used.get((cluster, op_class, cycle), 0) < cap
 
@@ -102,7 +102,7 @@ def list_schedule(loop: Loop, machine: MachineConfig) -> ListSchedule:
                     avail += machine.bus_latency  # transfer booked on commit
                 ready = max(ready, avail)
             cycle = ready
-            while cycle < horizon and not fu_free(cluster, op.op_class, cycle):
+            while cycle < horizon and not unit_free(cluster, op.op_class, cycle):
                 cycle += 1
             if cycle >= horizon:
                 continue

@@ -85,33 +85,6 @@ class ReservationTable:
             self.machine.cluster(cluster)  # raises ConfigError
         return self._capacity[cluster * self._n_classes + op_class.index]
 
-    def fu_free(self, slot: FUSlot, overlay: "Optional[Overlay]" = None) -> bool:
-        """True if one more op of the class can issue at the slot's cycle."""
-        return self.fu_free_at(slot.cluster, slot.op_class, slot.cycle, overlay)
-
-    def fu_free_at(
-        self,
-        cluster: int,
-        op_class: OpClass,
-        cycle: int,
-        overlay: "Optional[Overlay]" = None,
-    ) -> bool:
-        """:meth:`fu_free` without requiring a FUSlot.
-
-        The engine's slot and memory-port scans inline this probe over the
-        flat row; this method is the checked form (it rejects an
-        out-of-range cluster)."""
-        if not 0 <= cluster < self._num_clusters:
-            self.machine.cluster(cluster)  # raises ConfigError
-        row = cluster * self._n_classes + op_class.index
-        idx = row * self.ii + cycle % self.ii
-        used = self._fu[idx]
-        if overlay is not None:
-            pending = overlay._fu.get(idx)
-            if pending:
-                used += pending
-        return used < self._capacity[row]
-
     def reserve_fu(self, slot: FUSlot) -> None:
         row = slot.cluster * self._n_classes + slot.op_class.index
         self._fu[row * self.ii + slot.cycle % self.ii] += 1

@@ -126,8 +126,8 @@ def segments_of_value(val: ValueState) -> List[LiveSegment]:
     * One short segment per memory-routed use: from the load's completion to
       the read.
 
-    This per-value decomposition is what lets the incremental tracker
-    (:mod:`repro.schedule.pressure`) maintain pressure by *delta*: a
+    This per-value decomposition is what lets the incremental session
+    (:mod:`repro.schedule.analysis_core`) maintain pressure by *delta*: a
     candidate or spill mutates a handful of values, so only their segments
     need re-deriving.
     """

@@ -9,12 +9,9 @@ Two contracts are enforced here:
   behaviour), including on mutated/corrupted schedules; and a cached
   session that went stale against the ledger must be caught by the
   full recheck.
-* The partition layer's delta-maintained pressure session
-  (:class:`~repro.partition.pressure.PressureState` and its previews)
-  must match the from-scratch :func:`estimate_register_pressure`
-  derivation exactly — including on extended-tier-sized loop bodies —
-  and the pressure-aware ablation's preview scoring must produce
-  bit-identical partitions to apply-and-undo scoring.
+* The pressure-aware partition estimator must price an assignment the
+  same whether the refiner hands it its delta-maintained communication
+  session or not.
 """
 
 from __future__ import annotations
@@ -26,13 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ValidationError
 from repro.machine.presets import four_cluster, two_cluster
-from repro.partition.partitioner import MultilevelPartitioner
-from repro.partition.pressure import (
-    PressureAwareEstimator,
-    PressureCommState,
-    PressureState,
-    estimate_register_pressure,
-)
+from repro.partition.pressure import PressureAwareEstimator
 from repro.schedule.analysis_core import ScheduleAnalysis
 from repro.schedule.drivers import GPScheduler, UracamScheduler
 from repro.schedule.mii import mii
@@ -202,68 +193,12 @@ def test_attach_analysis_rejects_mismatched_ii():
 
 
 # ----------------------------------------------------------------------
-# Partition-layer pressure sessions == from-scratch derivation
+# The pressure-aware estimator prices a refiner session like a full sweep
 # ----------------------------------------------------------------------
-@settings(max_examples=15, deadline=None)
-@given(shape=loop_shapes, seed=seeds, clusters=st.sampled_from([2, 4]))
-def test_pressure_state_matches_reference_under_random_moves(
-    shape, seed, clusters
-):
-    loop = generate_loop("pstate", shape, seed)
-    machine = two_cluster(64) if clusters == 2 else four_cluster(64)
-    estimator = PressureAwareEstimator(loop, machine, ii=mii(loop, machine))
-    rng = random.Random(seed)
-    uids = loop.ddg.uids()
-    assignment = {uid: rng.randrange(clusters) for uid in uids}
-    state = PressureState(estimator, assignment)
-    state.verify(assignment)
-
-    for _ in range(8):
-        moved = rng.sample(uids, k=min(len(uids), rng.randrange(1, 4)))
-        target = rng.randrange(clusters)
-        # Preview first: it must predict exactly what the move produces.
-        home_life, remote = state.preview_moves([(moved, target)])
-        for uid in moved:
-            assignment[uid] = target
-        state.move_uids(moved, target)
-        state.verify(assignment)
-        assert home_life == state.home_life
-        assert remote == state.remote
-        assert state.pressure() == estimate_register_pressure(
-            loop, assignment, estimator.ii
-        )
-
-
-def test_pressure_state_exact_on_extended_tier_body():
-    """The delta session stays exact on a production-scale (>200-op) body."""
-    loop = generate_loop(
-        "pstate-big",
-        LoopShape(220, mem_ratio=0.3, depth_bias=0.4, recurrences=2,
-                  trip_count=200),
-        seed=17,
-    )
-    machine = four_cluster(32)
-    estimator = PressureAwareEstimator(loop, machine, ii=mii(loop, machine))
-    rng = random.Random(17)
-    uids = loop.ddg.uids()
-    assignment = {uid: rng.randrange(4) for uid in uids}
-    state = PressureState(estimator, assignment)
-    for _ in range(20):
-        moved = rng.sample(uids, k=rng.randrange(1, 6))
-        target = rng.randrange(4)
-        for uid in moved:
-            assignment[uid] = target
-        state.move_uids(moved, target)
-    state.verify(assignment)
-    assert state.pressure() == estimate_register_pressure(
-        loop, assignment, estimator.ii
-    )
-
-
 @settings(max_examples=10, deadline=None)
 @given(shape=loop_shapes, seed=seeds)
 def test_pressure_comm_state_estimates_agree_every_path(shape, seed):
-    """estimate(), estimate(comm_state) and estimate_preview() all agree."""
+    """estimate(comm_state=session) equals estimate() under random moves."""
     loop = generate_loop("pcomm", shape, seed)
     machine = four_cluster(32)
     estimator = PressureAwareEstimator(loop, machine, ii=mii(loop, machine))
@@ -271,57 +206,13 @@ def test_pressure_comm_state_estimates_agree_every_path(shape, seed):
     uids = loop.ddg.uids()
     assignment = {uid: rng.randrange(4) for uid in uids}
     session = estimator.comm_session(assignment)
-    assert isinstance(session, PressureCommState)
-    session.verify(assignment)
 
     for _ in range(5):
         moved = rng.sample(uids, k=min(len(uids), rng.randrange(1, 3)))
         target = rng.randrange(4)
-        records = session.records_for(moved)
-        preview = estimator.estimate_preview(
-            session.preview_moves([(moved, records, target)]),
-            cluster_class_counts=_counts_after(loop, assignment, moved,
-                                               target, machine),
-        )
         for uid in moved:
             assignment[uid] = target
-        session.move_uids(moved, target, records)
+        session.move_uids(moved, target)
         session.verify(assignment)
         reference = estimator.estimate(assignment)
-        assert preview == reference
-        with_state = estimator.estimate(assignment, comm_state=session)
-        assert with_state == reference
-
-
-def _counts_after(loop, assignment, moved, target, machine):
-    from repro.partition.estimator import _CLASS_INDEX
-
-    after = dict(assignment)
-    for uid in moved:
-        after[uid] = target
-    counts = [[0] * len(_CLASS_INDEX) for _ in range(machine.num_clusters)]
-    for uid in loop.ddg.uids():
-        counts[after[uid]][_CLASS_INDEX[loop.ddg.operation(uid).op_class]] += 1
-    return counts
-
-
-@settings(max_examples=6, deadline=None)
-@given(shape=loop_shapes, seed=seeds)
-def test_pressure_aware_partition_preview_path_bit_identical(shape, seed):
-    """The ablation's preview fast path changes nothing about its output."""
-    loop = generate_loop("pablate", shape, seed)
-    machine = four_cluster(32)
-    ii = mii(loop, machine)
-    with_preview = MultilevelPartitioner(machine, pressure_aware=True).partition(
-        loop, ii
-    )
-    assert PressureAwareEstimator.supports_preview
-    PressureAwareEstimator.supports_preview = False
-    try:
-        apply_undo = MultilevelPartitioner(
-            machine, pressure_aware=True
-        ).partition(loop, ii)
-    finally:
-        PressureAwareEstimator.supports_preview = True
-    assert with_preview.assignment == apply_undo.assignment
-    assert with_preview.estimate == apply_undo.estimate
+        assert estimator.estimate(assignment, comm_state=session) == reference

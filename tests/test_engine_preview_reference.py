@@ -1,24 +1,22 @@
-"""The engine's register preview against a mutate/re-derive/rollback reference.
+"""The engine's register preview against its from-scratch reference.
 
 ``SchedulingEngine._register_effect`` previews a candidate's register
 effect from the *extensions* its routes add to the touched values' cached
 segments (plus the would-be new value's segments), without touching any
-``ValueState``.  The reference kept here is the earlier formulation: apply
-every route to the committed values, re-derive each touched value's whole
-segment list with ``segments_of_value``, preview ``-old/+new`` through
-``preview_effect``, then roll the mutation back.  Both must return equal
-``(delta, fits)`` for every candidate:
+``ValueState``.  ``SchedulingEngine._reference_register_effect`` is the
+reference: it applies every route to copies of the touched values,
+re-derives each one's whole segment list with ``segments_of_value`` and
+previews ``-old/+new``.  Both must return equal ``(delta, fits)`` for
+every candidate:
 
-* whole schedules of derandomized hypothesis loops, with the preview
-  wrapped so every call is compared (four clusters, spill-heavy shapes on
-  a halved two-cluster register file, two buses of latency 2);
+* whole schedules of derandomized hypothesis loops run with
+  ``EngineOptions(verify_pressure=True)``, which compares every preview
+  in-engine (four clusters, spill-heavy shapes on a halved two-cluster
+  register file, two buses of latency 2);
 * one hand-built case per route shape the extension rules distinguish.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
-from typing import List, Optional, Sequence, Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,97 +25,21 @@ from repro.machine.presets import four_cluster, two_cluster
 from repro.schedule.drivers import GPScheduler, UracamScheduler
 from repro.schedule.engine import (
     AllClustersPolicy,
+    EngineOptions,
     SchedulingEngine,
     _Route,
 )
 from repro.schedule.mrt import BusSlot
 from repro.schedule.result import AuxOp
-from repro.schedule.values import (
-    LOAD_LATENCY,
-    BusTransfer,
-    Use,
-    ValueState,
-    segments_of_value,
-)
+from repro.schedule.values import LOAD_LATENCY, BusTransfer, Use, ValueState
 from repro.workloads.generator import LoopShape, generate_loop
 from repro.workloads.kernels import daxpy
 
-
-def reference_register_effect(
-    engine: SchedulingEngine,
-    uid: int,
-    cluster: int,
-    birth: int,
-    creates_value: bool,
-    routes: List[_Route],
-) -> Tuple[List[int], bool]:
-    """Mutate the touched values, re-derive them whole, roll back."""
-    tracker = engine.pressure
-    applied: List[Tuple[ValueState, str, object]] = []
-    touched: List[int] = []
-    new_value: Optional[ValueState] = None
-    if creates_value:
-        new_value = ValueState(producer=uid, home=cluster, birth=birth)
-    try:
-        for route in routes:
-            if route.value_key is None:
-                target = new_value
-            else:
-                target = engine.values[route.value_key]
-                if route.value_key not in touched:
-                    touched.append(route.value_key)
-            target.uses.append(route.use)
-            applied.append((target, "use", route.use))
-            if route.new_transfer is not None:
-                target.transfers.append(route.new_transfer)
-                applied.append((target, "transfer", route.new_transfer))
-            if route.new_store is not None:
-                applied.append((target, "store", target.store_time))
-                target.store_time = route.new_store.time
-        changes: List[Tuple[Sequence[object], int]] = []
-        for key in touched:
-            changes.append((tracker.segments_of(key), -1))
-            changes.append((segments_of_value(engine.values[key]), +1))
-        if new_value is not None:
-            changes.append((segments_of_value(new_value), +1))
-        return tracker.preview_effect(
-            changes, engine._registers, engine._committed_peaks()
-        )
-    finally:
-        for target, kind, payload in reversed(applied):
-            if kind == "use":
-                target.uses.remove(payload)
-            elif kind == "transfer":
-                target.transfers.remove(payload)
-            else:
-                target.store_time = payload
-        tracker.verify(engine.values.values())
-
-
-@contextmanager
-def compared_previews():
-    """Compare every engine preview with the reference while active."""
-    fast = SchedulingEngine._register_effect
-    calls = []
-
-    def checked(self, uid, cluster, birth, creates_value, routes):
-        expected = reference_register_effect(
-            self, uid, cluster, birth, creates_value, routes
-        )
-        got = fast(self, uid, cluster, birth, creates_value, routes)
-        assert got == expected, (uid, cluster, routes)
-        calls.append(got[1])
-        return got
-
-    SchedulingEngine._register_effect = checked
-    try:
-        yield calls
-    finally:
-        SchedulingEngine._register_effect = fast
+VERIFYING = EngineOptions(verify_pressure=True)
 
 
 # ----------------------------------------------------------------------
-# Whole schedules: every candidate compared
+# Whole schedules: every candidate compared in-engine
 # ----------------------------------------------------------------------
 loop_shapes = st.builds(
     LoopShape,
@@ -140,10 +62,8 @@ spill_shapes = st.builds(
 seeds = st.integers(min_value=0, max_value=10_000)
 
 
-def _schedule_compared(scheduler, loop):
-    with compared_previews() as calls:
-        outcome = scheduler.schedule(loop)
-    assert calls
+def _schedule_verified(scheduler, loop):
+    outcome = scheduler.schedule(loop)
     if outcome.is_modulo:
         outcome.schedule.validate(full_recheck=True)
 
@@ -152,24 +72,24 @@ def _schedule_compared(scheduler, loop):
 @given(shape=loop_shapes, seed=seeds)
 def test_previews_match_reference_on_four_clusters(shape, seed):
     loop = generate_loop("preview-ref", shape, seed)
-    _schedule_compared(UracamScheduler(four_cluster(32)), loop)
+    _schedule_verified(UracamScheduler(four_cluster(32), options=VERIFYING), loop)
 
 
 @settings(max_examples=8, deadline=None)
 @given(shape=spill_shapes, seed=seeds)
 def test_previews_match_reference_on_spill_heavy_loops(shape, seed):
     loop = generate_loop("preview-spill", shape, seed)
-    _schedule_compared(UracamScheduler(two_cluster(16)), loop)
-    _schedule_compared(GPScheduler(two_cluster(16)), loop)
+    machine = two_cluster(16)
+    _schedule_verified(UracamScheduler(machine, options=VERIFYING), loop)
+    _schedule_verified(GPScheduler(machine, options=VERIFYING), loop)
 
 
 @settings(max_examples=8, deadline=None)
 @given(shape=loop_shapes, seed=seeds)
 def test_previews_match_reference_on_two_latency_2_buses(shape, seed):
     loop = generate_loop("preview-lat2", shape, seed)
-    _schedule_compared(
-        UracamScheduler(four_cluster(32, num_buses=2, bus_latency=2)), loop
-    )
+    machine = four_cluster(32, num_buses=2, bus_latency=2)
+    _schedule_verified(UracamScheduler(machine, options=VERIFYING), loop)
 
 
 # ----------------------------------------------------------------------
@@ -204,8 +124,8 @@ def _preview(engine, cluster, birth, creates_value, routes):
         key: (list(v.uses), list(v.transfers), v.store_time)
         for key, v in engine.values.items()
     }
-    expected = reference_register_effect(
-        engine, NEW, cluster, birth, creates_value, routes
+    expected = engine._reference_register_effect(
+        NEW, cluster, birth, creates_value, routes
     )
     assert got == expected
     return got
@@ -234,6 +154,19 @@ def test_earlier_transfer_moves_a_committed_copy_birth():
     routes = [_Route(1, Use(NEW, 1, 4), new_transfer=_transfer(3, 1))]
     delta, _fits = _preview(engine, 1, birth=6, creates_value=False, routes=routes)
     assert delta == [0, 1, 0, 0]
+
+
+def test_later_read_extends_a_committed_copy():
+    # The committed copy in cluster 1 arrives at 6 and is read at 7:
+    # home [2, 6), copy [6, 7).
+    value = ValueState(producer=1, home=0, birth=2)
+    value.transfers.append(_transfer(5, 1))
+    value.uses.append(Use(10, 1, 7))
+    engine = _engine(value)
+    routes = [_Route(1, Use(NEW, 1, 10))]
+    delta, fits = _preview(engine, 1, birth=11, creates_value=False, routes=routes)
+    # Only the copy grows, by [7, 10).
+    assert delta == [0, 3, 0, 0] and fits
 
 
 def test_two_operands_share_a_copy_planned_in_the_same_candidate():

@@ -221,7 +221,10 @@ def test_table_matches_reference_sweeps_under_random_traffic():
                     rng.randrange(machine.num_clusters), op_class,
                     rng.randint(0, 3 * ii),
                 )
-                if uid not in placements and table.fu_free(slot):
+                row = table.fu_occupancy_rows().get((slot.cluster, op_class))
+                used = row[slot.cycle % ii] if row else 0
+                capacity = table.fu_capacity(slot.cluster, op_class)
+                if uid not in placements and used < capacity:
                     table.reserve_fu(slot)
                     placements[uid] = Placed(slot.cluster, slot.cycle)
             elif action < 0.65 and placements:
@@ -254,18 +257,14 @@ def test_table_matches_reference_sweeps_under_random_traffic():
                 for op_class in OpClass:
                     row = fu_rows.get((cluster, op_class), [0] * ii)
                     assert table.fu_slots_used(cluster, op_class) == sum(row)
-                    capacity = machine.cluster(cluster).units_for_class(op_class)
-                    for cycle in range(ii):
-                        assert table.fu_free_at(cluster, op_class, cycle) == (
-                            row[cycle] < capacity
-                        )
+                    assert table.fu_capacity(cluster, op_class) == (
+                        machine.cluster(cluster).units_for_class(op_class)
+                    )
 
 
 def test_fu_probe_surfaces_config_error_out_of_range():
     table = ReservationTable(two_cluster(32), 4)
     for cluster in (99, -1):
-        with pytest.raises(ConfigError):
-            table.fu_free_at(cluster, OpClass.INT, 0)
         with pytest.raises(ConfigError):
             table.fu_capacity(cluster, OpClass.INT)
         assert table.fu_slots_used(cluster, OpClass.INT) == 0

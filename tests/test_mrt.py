@@ -12,35 +12,42 @@ def table():
     return ReservationTable(two_cluster(64), ii=4)
 
 
+def has_room(table, slot):
+    """One more op of the slot's class can issue at its kernel cycle."""
+    row = table.fu_occupancy_rows().get((slot.cluster, slot.op_class))
+    used = row[slot.cycle % table.ii] if row else 0
+    return used < table.fu_capacity(slot.cluster, slot.op_class)
+
+
 class TestFunctionalUnits:
     def test_capacity_matches_machine(self, table):
         assert table.fu_capacity(0, OpClass.FP) == 2
 
     def test_reserve_until_full(self, table):
         slot = FUSlot(0, OpClass.FP, 3)
-        assert table.fu_free(slot)
+        assert has_room(table, slot)
         table.reserve_fu(slot)
-        assert table.fu_free(slot)  # one unit left
+        assert has_room(table, slot)  # one unit left
         table.reserve_fu(slot)
-        assert not table.fu_free(slot)
+        assert not has_room(table, slot)
 
     def test_modulo_wraparound(self, table):
         table.reserve_fu(FUSlot(0, OpClass.FP, 1))
         table.reserve_fu(FUSlot(0, OpClass.FP, 5))  # same kernel cycle (1)
-        assert not table.fu_free(FUSlot(0, OpClass.FP, 9))
+        assert not has_room(table, FUSlot(0, OpClass.FP, 9))
 
     def test_release_restores_capacity(self, table):
         slot = FUSlot(0, OpClass.MEM, 0)
         table.reserve_fu(slot)
         table.reserve_fu(slot)
-        assert not table.fu_free(slot)
+        assert not has_room(table, slot)
         table.release_fu(slot)
-        assert table.fu_free(slot)
+        assert has_room(table, slot)
 
     def test_clusters_independent(self, table):
         table.reserve_fu(FUSlot(0, OpClass.INT, 2))
         table.reserve_fu(FUSlot(0, OpClass.INT, 2))
-        assert table.fu_free(FUSlot(1, OpClass.INT, 2))
+        assert has_room(table, FUSlot(1, OpClass.INT, 2))
 
     def test_usage_counters(self, table):
         table.reserve_fu(FUSlot(0, OpClass.MEM, 0))
@@ -110,9 +117,11 @@ class TestOverlay:
         slot = FUSlot(0, OpClass.FP, 0)
         overlay.add_fu(slot)
         overlay.add_fu(slot)
-        assert not table.fu_free(slot, overlay)
-        # The underlying table is untouched.
-        assert table.fu_free(slot)
+        # Staged only: the underlying table is untouched until commit.
+        assert overlay.fu_slots == [slot, slot]
+        assert has_room(table, slot)
+        overlay.commit()
+        assert not has_room(table, slot)
 
     def test_overlay_bus_blocks(self, table):
         overlay = Overlay(table)
@@ -179,10 +188,10 @@ class TestRunningCounters:
         table.release_bus(slot)
         assert table.bus_cycles_used() == 0
 
-    def test_fu_free_at_matches_fu_free(self, table):
+    def test_fu_occupancy_rows_fold_cycles_modulo_ii(self, table):
         slot = FUSlot(1, OpClass.FP, 2)
         table.reserve_fu(slot)
-        table.reserve_fu(slot)
-        assert table.fu_free_at(1, OpClass.FP, 2) == table.fu_free(slot)
-        assert not table.fu_free_at(1, OpClass.FP, 6)  # same kernel cycle
-        assert table.fu_free_at(1, OpClass.FP, 3)
+        table.reserve_fu(FUSlot(1, OpClass.FP, 6))  # same kernel cycle
+        assert table.fu_occupancy_rows() == {(1, OpClass.FP): [0, 0, 2, 0]}
+        assert not has_room(table, slot)
+        assert has_room(table, FUSlot(1, OpClass.FP, 3))

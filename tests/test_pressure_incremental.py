@@ -6,13 +6,14 @@ transfer-pair communication state).  The pure functions they mirror stay
 the reference implementation; these tests assert the two never diverge:
 
 * whole schedules run with ``EngineOptions.verify_pressure``, which makes
-  the engine cross-check the :class:`PressureTracker` against
+  the engine cross-check its :class:`ScheduleAnalysis` session against
   ``value_segments`` + ``pressure_by_cycle`` + ``register_cycles`` after
   every commit and every spill, and every candidate's register preview
   against a full re-derivation of the values it touches;
 * randomized move sequences drive a :class:`CommState` session and its
   previews against fresh full-sweep derivations;
-* the tracker's candidate preview is checked against mutate-then-rollback.
+* the session's candidate preview is checked against a fresh session
+  built from the mutated ledger.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from hypothesis import given, settings, strategies as st
 from repro.machine.presets import four_cluster, two_cluster
 from repro.partition.estimator import CommState, PartitionEstimator
 from repro.schedule.drivers import GPScheduler, UracamScheduler
+from repro.schedule.analysis_core import ScheduleAnalysis
 from repro.schedule.engine import EngineOptions
 from repro.schedule.lifetimes import max_live, pressure_by_cycle, register_cycles
 from repro.schedule.mii import mii
-from repro.schedule.pressure import PressurePreview, PressureTracker
 from repro.schedule.values import BusTransfer, Use, ValueState, value_segments
 from repro.schedule.mrt import BusSlot
 from repro.workloads.generator import LoopShape, generate_loop
@@ -117,7 +118,7 @@ def _random_value(rng: random.Random, producer: int, clusters: int, ii: int) -> 
 )
 def test_tracker_matches_reference_under_random_mutations(seed, ii, clusters):
     rng = random.Random(seed)
-    tracker = PressureTracker(ii, clusters)
+    tracker = ScheduleAnalysis(ii, clusters)
     values = {}
     for producer in range(rng.randrange(1, 8)):
         value = _random_value(rng, producer, clusters, ii)
@@ -154,7 +155,7 @@ def test_tracker_matches_reference_under_random_mutations(seed, ii, clusters):
 )
 def test_preview_effect_equals_mutate_and_rollback(seed, ii, clusters):
     rng = random.Random(seed)
-    tracker = PressureTracker(ii, clusters)
+    tracker = ScheduleAnalysis(ii, clusters)
     values = [
         _random_value(rng, producer, clusters, ii) for producer in range(4)
     ]
@@ -165,6 +166,7 @@ def test_preview_effect_equals_mutate_and_rollback(seed, ii, clusters):
 
     victim = rng.choice(values)
     before_counts = [row[:] for row in tracker.counts]
+    before_cycles = list(tracker.reg_cycles)
     old_segments = list(tracker.segments_of(victim.producer))
     victim.uses.append(
         Use(3000, rng.randrange(clusters), victim.birth + rng.randrange(1, 2 * ii), "reg")
@@ -178,18 +180,15 @@ def test_preview_effect_equals_mutate_and_rollback(seed, ii, clusters):
     delta, fits = tracker.preview_effect(changes, registers, peaks)
     # The preview must not have mutated anything.
     assert tracker.counts == before_counts
-
-    # Reference: apply for real, compare, roll back via PressurePreview.
-    before_cycles = list(tracker.reg_cycles)
-    with PressurePreview(tracker) as preview:
-        preview.update(victim)
-        preview.track(new_value)
-        assert [
-            tracker.reg_cycles[c] - before_cycles[c] for c in range(clusters)
-        ] == delta
-        assert tracker.fits(registers) == fits
-    assert tracker.counts == before_counts
     assert tracker.reg_cycles == before_cycles
+
+    # Reference: a fresh session of the mutated ledger.
+    ledger = {value.producer: value for value in values + [new_value]}
+    fresh = ScheduleAnalysis.from_values(ledger, ii, clusters)
+    assert [
+        fresh.reg_cycles[c] - before_cycles[c] for c in range(clusters)
+    ] == delta
+    assert fresh.fits(registers) == fits
 
 
 # ----------------------------------------------------------------------

@@ -25,20 +25,19 @@ place.
 
 The estimator is the refinement loop's inner cost function, so everything
 graph-shaped (edge tuples, topological order, operation classes) is
-precomputed at construction, and the refiner prices a candidate in three
-steps of rising cost, each exact:
+precomputed at construction.  The refiner describes a candidate only by
+its score-delta entry over the live :class:`CommState`
+(:meth:`CommState.preview_delta`: the changes of the transfer count, cut
+edges, cut slack and memory-route charge, and the edges the moves un-cut
+and newly cut), and prices it in two steps of rising cost, each exact:
 
-* :meth:`PartitionEstimator.may_beat` runs the bound prunes from a
-  score-delta entry (:meth:`CommState.preview_delta`: the changes of the
-  transfer count, cut edges, cut slack and memory-route charge, and the
-  un-cut edges) plus the shifted class counts — no preview, no path;
-* a survivor is previewed (:meth:`CommState.preview_moves`) and priced by
-  :meth:`PartitionEstimator.estimate_preview`;
-* its critical path starts from the live :class:`CommState`'s cached
-  start times when the move un-cuts no edge on a longest path to its
-  destination (it then only relaxes the edges it cuts), and from one full
-  sweep otherwise.  The round's applied winner hands its start times to
-  the live state.
+* :meth:`PartitionEstimator.may_beat` runs the bound prunes from the
+  entry plus the shifted class counts — no path;
+* :meth:`PartitionEstimator.estimate_preview` prices a survivor.  Its
+  critical path starts from the live state's cached start times when the
+  move un-cuts no edge on a longest path to its destination (it then only
+  relaxes the edges it cuts), and from one full sweep otherwise.  The
+  round's applied winner hands its start times to the live state.
 """
 
 from __future__ import annotations
@@ -326,56 +325,53 @@ class PartitionEstimator:
         cluster_class_counts: Optional[Sequence[Sequence[int]]],
         assignment: Optional[Assignment] = None,
         asg: Optional[List[int]] = None,
-        incumbent: Optional[Tuple[int, int, int]] = None,
-        live_floor: Optional[Callable[[int], Optional[int]]] = None,
         start_times: Optional[Callable[[int], Optional[List[int]]]] = None,
     ) -> Optional[PartitionEstimate]:
-        """Shared pricing tail of :meth:`estimate` and :meth:`estimate_preview`.
+        """Pricing tail of :meth:`estimate`.
 
-        ``get_comm_mem`` and ``cut_idx`` may be lazy: the memory-route usage
-        is only derived on bus overflow, and a callable ``cut_idx`` is only
-        materialized when the critical path is actually computed (i.e. the
-        candidate survived both prunes).  ``start_times(ii)`` — when given —
-        supplies the longest-path start times of the priced cut set, which
-        a live session caches and a preview derives incrementally.
-
-        ``incumbent`` — a full ``(exec_time, -cut_slack, cut_edges)`` score
-        to beat — implies ``bound = incumbent[0]`` and lets the second prune
-        settle exec-time ties on the slack and cut count it already knows.
-        ``live_floor(ii)`` may return a further lower bound on the critical
-        path at a feasible ``ii`` (see :meth:`CommState.live_path_floor`).
+        ``get_comm_mem`` is lazy: the memory-route usage is only derived on
+        bus overflow.  ``start_times(ii)`` — when given — supplies the
+        longest-path start times of the priced cut set, which a live
+        session caches.
         """
-        if incumbent is not None:
-            bound = incumbent[0]
         if cluster_class_counts is None and asg is None:
             asg = [assignment[uid] for uid in self._uids]
         bounded = self._bounded_ii(
             ncomm, cut_count, slack_total, get_comm_mem, cluster_class_counts,
-            asg, bound, incumbent, live_floor,
+            asg, bound,
         )
         if bounded is None:
             return None
         ii_bus, ii_est = bounded
         if start_times is None:
-            if callable(cut_idx):
-                cut_idx = cut_idx()
 
             def start_times(ii: int) -> Optional[List[int]]:
                 return self._start_times(self._lengths(cut_idx, ii))
 
         dist = start_times(ii_est)
         if dist is None:
-            if callable(cut_idx):
-                cut_idx = cut_idx()
             ii_est = self._rec_mii_with_cut(cut_idx, lower_bound=ii_est)
             dist = start_times(ii_est)
             if dist is None:  # pragma: no cover - defensive
                 raise PartitionError("estimator failed to converge")
-        path = max(map(add, dist, self._latency_arr)) if dist else 0
+        return self._estimate_of(
+            ii_bus, ii_est, dist, ncomm, cut_count, slack_total
+        )
 
-        exec_time = (self.loop.trip_count - 1) * ii_est + path
+    def _estimate_of(
+        self,
+        ii_bus: int,
+        ii_est: int,
+        dist: List[int],
+        ncomm: int,
+        cut_count: int,
+        slack_total: int,
+    ) -> PartitionEstimate:
+        """The estimate of a partition priced at ``ii_est`` with longest-path
+        start times ``dist``."""
+        path = max(map(add, dist, self._latency_arr)) if dist else 0
         return PartitionEstimate(
-            exec_time=exec_time,
+            exec_time=(self.loop.trip_count - 1) * ii_est + path,
             ii_est=ii_est,
             ii_bus=ii_bus,
             ncomm=ncomm,
@@ -393,8 +389,8 @@ class PartitionEstimator:
         counts: Optional[Sequence[Sequence[int]]],
         asg: Optional[Sequence[int]],
         bound: Optional[int],
-        incumbent: Optional[Tuple[int, int, int]],
-        live_floor: Optional[Callable[[int], Optional[int]]],
+        incumbent: Optional[Tuple[int, int, int]] = None,
+        live_floor: Optional[Callable[[int], Optional[int]]] = None,
     ) -> Optional[Tuple[int, int]]:
         """``(ii_bus, ii_est)`` of a partition, or None when the exact bound
         prunes prove it cannot beat ``bound`` (or ``incumbent``).
@@ -403,6 +399,12 @@ class PartitionEstimator:
         (``counts``, else recounted from ``asg``) and, on bus overflow, its
         memory-route usage — never the cut set itself, so the refiner can
         run it from a score-delta table entry (:meth:`may_beat`).
+
+        ``incumbent`` — a full ``(exec_time, -cut_slack, cut_edges)`` score
+        to beat — lets the second prune settle exec-time ties on the slack
+        and cut count it already knows.  ``live_floor(ii)`` may return a
+        further lower bound on the critical path at a feasible ``ii`` (see
+        :meth:`CommState.live_path_floor`).
         """
         ii_bus = (
             math.ceil(ncomm * self._bus_latency / self._num_buses)
@@ -471,68 +473,82 @@ class PartitionEstimator:
     def may_beat(
         self,
         incumbent: Tuple[int, int, int],
-        ncomm: int,
-        cut_count: int,
-        slack_total: int,
-        get_comm_mem,
+        comm: "CommState",
+        entry: "ScoreDelta",
         cluster_class_counts: Sequence[Sequence[int]],
-        live_floor: Optional[Callable[[int], Optional[int]]] = None,
-    ) -> bool:
-        """Whether a candidate with these totals survives the bound prunes
-        :meth:`estimate_preview` would run against ``incumbent``.
+    ) -> Optional[Tuple[int, int]]:
+        """The bound prunes of a candidate described by its score-delta
+        ``entry`` over the live ``comm``, against the full score
+        ``incumbent``.
 
-        The refiner calls this from its score-delta table, before any
-        :class:`CommPreview` exists: False proves the candidate's score is
-        not strictly below ``incumbent``.
+        ``cluster_class_counts`` are the class counts after the moves.  The
+        path floor is the uncut path or, when the moves un-cut no critical
+        edge, the live critical path (:meth:`CommState.live_path_floor`).
+        None proves the candidate's score is not strictly below
+        ``incumbent``; a survivor gets its ``(ii_bus, ii_est)``, which
+        :meth:`estimate_preview` prices it from.
         """
+        dn, dcut, dslack, uncut, _newly_cut, dmem = entry
         return self._bounded_ii(
-            ncomm, cut_count, slack_total, get_comm_mem, cluster_class_counts,
-            None, incumbent[0], incumbent, live_floor,
-        ) is not None
+            comm.ncomm + dn,
+            comm.cut_count + dcut,
+            comm.slack_total + dslack,
+            lambda: list(map(add, comm.derive_comm_mem(), dmem)),
+            cluster_class_counts,
+            None,
+            incumbent[0],
+            incumbent,
+            lambda ii: comm.live_path_floor(ii, uncut),
+        )
 
     #: Whether refiners may score candidate moves through
     #: :meth:`estimate_preview`.  Subclasses whose objective cannot be
-    #: previewed from deltas set this False, as the pressure-aware
-    #: estimator does (see :mod:`repro.partition.pressure`).
+    #: priced from a score-delta entry set this False, as the
+    #: pressure-aware estimator does (see :mod:`repro.partition.pressure`).
     supports_preview = True
 
     def estimate_preview(
         self,
-        preview: "CommPreview",
-        bound: Optional[int] = None,
-        cluster_class_counts: Optional[Sequence[Sequence[int]]] = None,
-        incumbent: Optional[Tuple[int, int, int]] = None,
-    ) -> Optional[PartitionEstimate]:
-        """Price a previewed move set without mutating any state.
+        comm: "CommState",
+        entry: "ScoreDelta",
+        bounded: Tuple[int, int],
+    ) -> Tuple[PartitionEstimate, "StartTimes"]:
+        """Price a candidate that survived :meth:`may_beat`, without
+        mutating any state.
 
-        ``cluster_class_counts`` is required (there is no assignment to
-        recount from).  With ``incumbent`` — the full score to beat — the
-        prunes are tie-aware and may use the live assignment's critical
-        path as a floor; None then means the candidate's full score is not
-        strictly below ``incumbent``.
+        ``entry`` is the candidate's score-delta entry over the live
+        ``comm`` and ``bounded`` the ``(ii_bus, ii_est)`` :meth:`may_beat`
+        returned for it.  The estimate comes with the ``(ii, lengths,
+        start times)`` it priced, which :meth:`CommState.adopt` takes once
+        the moves are applied.
         """
-        if cluster_class_counts is None:
-            raise PartitionError("estimate_preview requires cluster_class_counts")
-        return self._price(
-            ncomm=preview.ncomm,
-            cut_count=preview.cut_count,
-            slack_total=preview.slack_total,
-            get_comm_mem=preview.derive_comm_mem,
-            cut_idx=preview.cut_for_path,
-            bound=bound,
-            cluster_class_counts=cluster_class_counts,
-            incumbent=incumbent,
-            live_floor=preview.live_path_floor,
-            start_times=preview.start_times,
+        dn, dcut, dslack, uncut, newly_cut, _dmem = entry
+        ii_bus, ii_est = bounded
+        lengths, dist = comm.start_times_after(ii_est, uncut, newly_cut)
+        if dist is None:
+            cut = comm.cut.difference(uncut).union(newly_cut)
+            ii_est = self._rec_mii_with_cut(cut, lower_bound=ii_est)
+            lengths, dist = comm.start_times_after(ii_est, uncut, newly_cut)
+            if dist is None:  # pragma: no cover - defensive
+                raise PartitionError("estimator failed to converge")
+        estimate = self._estimate_of(
+            ii_bus,
+            ii_est,
+            dist,
+            comm.ncomm + dn,
+            comm.cut_count + dcut,
+            comm.slack_total + dslack,
         )
+        return estimate, (ii_est, lengths, dist)
 
     def max_ncomm(self, bound: int) -> float:
         """The largest transfer count that survives the first bound prune.
 
         A candidate with more transfers than this has ``exec_time > bound``
         whatever else it does, so the refiner rejects it from its transfer
-        count alone, before building a preview.  Returns ``math.inf`` when
-        the prune cannot fire and -1 when it rejects every candidate.
+        count alone, before walking its full score delta.  Returns
+        ``math.inf`` when the prune cannot fire and -1 when it rejects
+        every candidate.
         """
         floor = self._path_floor()
         if floor is None:
@@ -569,16 +585,6 @@ class PartitionEstimator:
             all_cut = [record[0] for record in self._carry_edges]
             self._all_cut_rec_mii = self._rec_mii_with_cut(all_cut, lower_bound=1)
         return self._all_cut_rec_mii
-
-    def cut_slack_total(self, assignment: Assignment) -> int:
-        """Total slack of cut DATA edges (first refinement tie-breaker)."""
-        total = 0
-        for (src, dst, _lat, _dist, carries), slack in zip(
-            self._edges, self._sorted_edge_slacks
-        ):
-            if carries and assignment[src] != assignment[dst]:
-                total += slack
-        return total
 
     # ------------------------------------------------------------------
     def _cluster_res_mii(
@@ -855,13 +861,19 @@ class PartitionEstimator:
 
 
 #: A score-delta entry: the change a move set makes to the transfer count,
-#: the cut-edge count and the cut slack, the carry edges it un-cuts, and
-#: the per-cluster change of the memory-route charge (see
-#: :meth:`CommState.preview_delta`).
-ScoreDelta = Tuple[int, int, int, Tuple[int, ...], Tuple[int, ...]]
+#: the cut-edge count and the cut slack, the carry edges it un-cuts and
+#: those it newly cuts, and the per-cluster change of the memory-route
+#: charge (see :meth:`CommState.preview_delta`).
+ScoreDelta = Tuple[
+    int, int, int, Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]
+]
 
-#: One group move of a preview: (uid index set, carry records, target).
+#: One group move of a score-delta walk: (uid index set, carry records,
+#: target).
 GroupMove = Tuple[FrozenSet[int], Sequence[Tuple[int, int, int, int]], int]
+
+#: A priced cut set's ``(ii, edge lengths, longest-path start times)``.
+StartTimes = Tuple[int, List[int], List[int]]
 
 
 class CommState:
@@ -872,9 +884,10 @@ class CommState:
     transfer pairs, cut slack and per-cluster memory-route usage — but
     updated per moved operation instead of per edge.  It also caches, per
     II, the live cut set's edge lengths, longest-path start times and
-    critical cut edges until the next move; an applied preview hands its
-    start times over (:meth:`adopt`).  :meth:`verify` cross-checks all of
-    it against the full sweep and is exercised by the tests.
+    critical cut edges until the next move; the refinement round's applied
+    winner hands its start times over (:meth:`adopt`).  :meth:`verify`
+    cross-checks all of it against the full sweep and is exercised by the
+    tests.
     """
 
     __slots__ = (
@@ -1006,87 +1019,24 @@ class CommState:
                 self._add_cut(i, si, slack, new_cd)
             edge_clusters[i] = (new_cs, new_cd)
 
-    def adopt(self, preview: "CommPreview") -> None:
-        """Take over the start times an applied ``preview`` computed.
+    def adopt(self, times: StartTimes) -> None:
+        """Take over the ``times`` :meth:`PartitionEstimator.estimate_preview`
+        priced a candidate at.
 
-        The caller has just applied the preview's moves, so its cut set is
+        The caller has just applied the candidate's moves, so its cut set is
         the live one and its lengths and start times are the live ones at
         the II it priced.
         """
-        times = preview.times
-        if times is not None:
-            ii, lengths, dist = times
-            self._lengths[ii] = lengths
-            self._starts[ii] = dist
-
-    def preview_moves(
-        self,
-        moves: Sequence[Tuple[Sequence[int], Sequence[Tuple[int, int, int, int]], int]],
-    ) -> "CommPreview":
-        """Price-relevant state after applying ``moves``, without mutating.
-
-        ``moves`` is a sequence of ``(uids, records, target_cluster)`` —
-        one entry per group move (two entries model a swap).  The refiner
-        scores every surviving candidate through a preview and only
-        mutates for the round's single winner.
-        """
-        est = self.est
-        index_of = est._index_of
-        asg = self.asg
-        over: Dict[int, int] = {}
-        records_union: Dict[int, Tuple[int, int, int, int]] = {}
-        for uids, records, target in moves:
-            for uid in uids:
-                over[index_of[uid]] = target
-            for record in records:
-                records_union[record[0]] = record
-        slack_total = self.slack_total
-        cut_count = len(self.cut)
-        ncomm = len(self.pair_counts)
-        pair_delta: Dict[Tuple[int, int], int] = {}
-        uncut: List[int] = []
-        newly_cut: List[int] = []
-        edge_clusters = self.edge_clusters
-        pair_counts = self.pair_counts
-        for i, si, di, slack in records_union.values():
-            old_cs, old_cd = edge_clusters[i]
-            new_cs = over.get(si, asg[si])
-            new_cd = over.get(di, asg[di])
-            if old_cs == new_cs and old_cd == new_cd:
-                continue
-            was_cut = old_cs != old_cd
-            is_cut = new_cs != new_cd
-            if was_cut:
-                pair = (si, old_cd)
-                delta = pair_delta.get(pair, 0) - 1
-                pair_delta[pair] = delta
-                if pair_counts.get(pair, 0) + delta == 0:
-                    ncomm -= 1
-                if not is_cut:
-                    cut_count -= 1
-                    slack_total -= slack
-                    uncut.append(i)
-            if is_cut:
-                pair = (si, new_cd)
-                delta = pair_delta.get(pair, 0)
-                if pair_counts.get(pair, 0) + delta == 0:
-                    ncomm += 1
-                pair_delta[pair] = delta + 1
-                if not was_cut:
-                    cut_count += 1
-                    slack_total += slack
-                    newly_cut.append(i)
-        return CommPreview(
-            self, over, ncomm, cut_count, slack_total, pair_delta,
-            uncut, newly_cut,
-        )
+        ii, lengths, dist = times
+        self._lengths[ii] = lengths
+        self._starts[ii] = dist
 
     def preview_ncomm(self, moves: Sequence[GroupMove]) -> int:
         """The transfer count after ``moves``, and nothing else.
 
-        Takes ``moves`` as :meth:`preview_delta` does and equals
-        ``preview_moves(...).ncomm`` at a fraction of the cost: the refiner
-        rejects most candidates on this count alone (see
+        Takes ``moves`` as :meth:`preview_delta` does and equals the live
+        count plus that entry's transfer-count change, at a fraction of the
+        cost: the refiner rejects most candidates on this count alone (see
         :meth:`PartitionEstimator.max_ncomm`).
         """
         members, records, target = moves[0]
@@ -1131,11 +1081,10 @@ class CommState:
 
         ``moves`` holds one ``(index_set, records, target_cluster)`` group
         move, or two for a swap; ``index_set`` is the group's
-        :meth:`index_set`.  The totals equal those of
-        ``preview_moves(...)`` minus the live ones, the un-cut edges its
-        ``uncut`` and the memory-route change its ``derive_comm_mem()``
-        minus the live usage — at a fraction of the cost, so the refiner
-        can prune a candidate before any preview exists.
+        :meth:`index_set`.  The entry is the candidate's only description:
+        its totals minus the live ones, the edges it un-cuts and newly
+        cuts, and its memory-route usage minus the live usage equal those
+        of a fresh session of the moved assignment.
         """
         members, records, target = moves[0]
         if len(moves) > 1:
@@ -1147,6 +1096,7 @@ class CommState:
         pair_counts = self.pair_counts
         dn = dcut = dslack = 0
         uncut: List[int] = []
+        newly_cut: List[int] = []
         pair_delta: Dict[Tuple[int, int], int] = {}
         for i, si, di, slack in records:
             old_cs = asg[si]
@@ -1182,8 +1132,11 @@ class CommState:
                 if not was_cut:
                     dcut += 1
                     dslack += slack
-        # Only pairs in ``pair_delta`` change their charge; see
-        # :meth:`CommPreview.derive_comm_mem`.
+                    newly_cut.append(i)
+        # Only pairs in ``pair_delta`` change their charge.  That includes
+        # every live pair whose producer changes cluster, because the
+        # producer's edge behind such a pair was cut and changes its
+        # clusters, so the walk counted it down.
         mem = [0] * self.est.machine.num_clusters
         for (si, cd), delta in pair_delta.items():
             count = pair_counts.get((si, cd), 0)
@@ -1196,7 +1149,7 @@ class CommState:
                     else other_target if si in other else asg[si]
                 ] += 1
                 mem[cd] += 1
-        return dn, dcut, dslack, tuple(uncut), tuple(mem)
+        return dn, dcut, dslack, tuple(uncut), tuple(newly_cut), tuple(mem)
 
     # -- queries -------------------------------------------------------
     @property
@@ -1240,6 +1193,36 @@ class CommState:
             )
         return critical[ii]
 
+    def start_times_after(
+        self, ii: int, uncut: Sequence[int], newly_cut: Sequence[int]
+    ) -> Tuple[List[int], Optional[List[int]]]:
+        """Edge lengths and longest-path start times at ``ii`` (None if
+        infeasible) of the live cut set less ``uncut`` plus ``newly_cut``.
+
+        When no edge of ``uncut`` is tight in the live start times
+        (:meth:`PartitionEstimator._keeps_fixpoint`), the live fixpoint
+        stays in place, and lengthening the newly cut edges only raises
+        it: the start times relax from the live ones
+        (:meth:`PartitionEstimator._raise`).  Otherwise they pay a full
+        sweep.
+        """
+        est = self.est
+        live_lengths = self.lengths_at(ii)
+        lengths = est._recut(live_lengths, uncut, newly_cut)
+        # Only live start times already derived are worth checking when
+        # edges are un-cut: a tight one would pay a second sweep.
+        live = self._starts.get(ii) if uncut else self.start_times(ii)
+        if live is not None and est._keeps_fixpoint(live, live_lengths, uncut):
+            if newly_cut:
+                dist = est._raise(list(live), lengths, newly_cut)
+            else:
+                dist = live
+        elif uncut:
+            dist = est._start_times(lengths)
+        else:
+            dist = None  # infeasible live, and only lengthened
+        return lengths, dist
+
     def live_path_floor(self, ii: int, uncut: Sequence[int]) -> Optional[int]:
         """A floor on the critical path, at a feasible ``ii``, of a move
         set that un-cuts the carry edges ``uncut``.
@@ -1282,113 +1265,3 @@ class CommState:
                 "delta-maintained CommState diverged from the full sweep"
             )
 
-
-class CommPreview:
-    """The communication state a move set *would* produce (see
-    :meth:`CommState.preview_moves`).
-
-    Everything is computed as deltas over the live state; the expensive
-    derivations (full cut set, per-cluster memory usage, start times) stay
-    lazy.  ``uncut`` lists the carry edges the moves un-cut and
-    ``newly_cut`` those they cut; an edge that stays cut keeps its length.
-    """
-
-    __slots__ = (
-        "state",
-        "over",
-        "ncomm",
-        "cut_count",
-        "slack_total",
-        "pair_delta",
-        "uncut",
-        "newly_cut",
-        "times",
-    )
-
-    def __init__(
-        self,
-        state: CommState,
-        over: Dict[int, int],
-        ncomm: int,
-        cut_count: int,
-        slack_total: int,
-        pair_delta: Dict[Tuple[int, int], int],
-        uncut: List[int],
-        newly_cut: List[int],
-    ) -> None:
-        self.state = state
-        self.over = over
-        self.ncomm = ncomm
-        self.cut_count = cut_count
-        self.slack_total = slack_total
-        self.pair_delta = pair_delta
-        self.uncut = uncut
-        self.newly_cut = newly_cut
-        #: (ii, lengths, start times) of the last :meth:`start_times` call.
-        self.times: Optional[Tuple[int, List[int], Optional[List[int]]]] = None
-
-    def cut_for_path(self) -> Set[int]:
-        """The full cut edge set under this preview (materialized lazily)."""
-        cut = set(self.state.cut)
-        cut.difference_update(self.uncut)
-        cut.update(self.newly_cut)
-        return cut
-
-    def start_times(self, ii: int) -> Optional[List[int]]:
-        """Longest-path start times of this preview at ``ii`` (None if
-        infeasible).
-
-        When no edge the preview un-cuts is tight in the live start times
-        (:meth:`PartitionEstimator._keeps_fixpoint`), the live fixpoint
-        stays in place, and lengthening the newly cut edges only raises
-        it: the preview relaxes from the live start times
-        (:meth:`PartitionEstimator._raise`).  Otherwise it pays a full
-        sweep.
-        """
-        state = self.state
-        est = state.est
-        live_lengths = state.lengths_at(ii)
-        lengths = est._recut(live_lengths, self.uncut, self.newly_cut)
-        # Only live start times already derived are worth checking when
-        # the preview un-cuts edges: a tight one would pay a second sweep.
-        live = state._starts.get(ii) if self.uncut else state.start_times(ii)
-        if live is not None and est._keeps_fixpoint(live, live_lengths, self.uncut):
-            if self.newly_cut:
-                dist = est._raise(list(live), lengths, self.newly_cut)
-            else:
-                dist = live
-        elif self.uncut:
-            dist = est._start_times(lengths)
-        else:
-            dist = None  # infeasible live, and only lengthened
-        self.times = (ii, lengths, dist)
-        return dist
-
-    def live_path_floor(self, ii: int) -> Optional[int]:
-        """A floor on this preview's critical path at a feasible ``ii``
-        (see :meth:`CommState.live_path_floor`)."""
-        return self.state.live_path_floor(ii, self.uncut)
-
-    def derive_comm_mem(self) -> List[int]:
-        """Per-cluster memory-route usage under this preview.
-
-        A delta over the live usage: only pairs in ``pair_delta`` can
-        change their charge.  That includes every live pair whose producer
-        changes cluster, because the producer's edge behind such a pair was
-        cut and changes its clusters, so the preview counted it down.
-        """
-        state = self.state
-        asg = state.asg
-        over = self.over
-        pair_counts = state.pair_counts
-        mem = state.derive_comm_mem()
-        for pair, delta in self.pair_delta.items():
-            si, cd = pair
-            count = pair_counts.get(pair, 0)
-            if count:
-                mem[asg[si]] -= 1
-                mem[cd] -= 1
-            if count + delta > 0:
-                mem[over.get(si, asg[si])] += 1
-                mem[cd] += 1
-        return mem

@@ -31,17 +31,18 @@ since projecting to a finer level moves no operation:
   and the size-ordered swap partners are updated around the split.
 * A score-delta table holds, per (group, target cluster), what moving the
   group there changes: the transfer count, the cut edges, the cut slack,
-  the edges it un-cuts and the memory-route charge.  Every candidate
-  reads the transfer count, and most die on it; for the rest the
-  estimator's exact bound prunes run from the full entry plus load
-  arithmetic on the two clusters the move touches
-  (:meth:`PartitionEstimator.may_beat`), so only a surviving candidate is
-  previewed, and the round's applied winner hands its critical-path start
-  times to the live state.
+  the edges it un-cuts and newly cuts, and the memory-route charge.
+  Every candidate reads the transfer count, and most die on it; for the
+  rest the estimator's exact bound prunes run from the full entry plus
+  load arithmetic on the two clusters the move touches
+  (:meth:`PartitionEstimator.may_beat`).  A survivor is priced from its
+  entry and the live communication state
+  (:meth:`PartitionEstimator.estimate_preview`), and the round's applied
+  winner hands its critical-path start times to the live state.
 
-An estimator without previews is priced by mutating the assignment in
-place (and restoring it) around each trial estimate, the from-scratch
-reference of the preview path.
+An estimator that cannot price from entries is priced by mutating the
+assignment in place (and restoring it) around each trial estimate, the
+from-scratch reference of the entry path.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from ..ir.opcodes import OpClass
 from ..machine.config import MachineConfig
 from .coarsen import Hierarchy, Level, Rank
 from .estimator import (
-    CommPreview, PartitionEstimate, PartitionEstimator, ScoreDelta,
+    PartitionEstimate, PartitionEstimator, ScoreDelta, StartTimes,
 )
 
 #: Assignment of hierarchy groups to clusters.
@@ -156,7 +157,8 @@ def _summed(first: ScoreDelta, second: ScoreDelta) -> ScoreDelta:
         first[1] + second[1],
         first[2] + second[2],
         first[3] + second[3],
-        tuple(map(add, first[4], second[4])),
+        first[4] + second[4],
+        tuple(map(add, first[5], second[5])),
     )
 
 
@@ -616,10 +618,11 @@ class RefinementSession:
 
 
 def _comparable(value):
-    """A delta or score-delta entry up to the order of its un-cut edges."""
+    """A delta or score-delta entry up to the order of its un-cut and newly
+    cut edges."""
     if isinstance(value, int):
         return value
-    return value[:3] + value[4:] + (frozenset(value[3]),)
+    return value[:3] + value[5:] + (frozenset(value[3]), frozenset(value[4]))
 
 
 #: A refinement transformation: (group, target cluster, swap partner).
@@ -840,7 +843,7 @@ class Refiner:
         """Moves of boundary groups plus fallback swaps (paper §3.2.2).
 
         Yields ``(group, target, partner)`` lazily in (group id, target,
-        partner) order, so the preview path can reject a candidate before
+        partner) order, so the entry path can reject a candidate before
         anything is built for it; nothing moves during a round.
         """
         clusters = range(self.machine.num_clusters)
@@ -892,9 +895,9 @@ class Refiner:
                 best = self._preview_round(session, current)
                 if best is None:
                     return
-                current, chosen, preview = best
+                current, chosen, times = best
                 self._apply(session, chosen)
-                session.comm.adopt(preview)
+                session.comm.adopt(times)
             else:
                 found = self._apply_undo_round(session, current)
                 if found is None:
@@ -943,25 +946,21 @@ class Refiner:
 
     def _preview_round(
         self, session: RefinementSession, current: Score
-    ) -> Optional[Tuple[Score, Move, CommPreview]]:
-        """One round over the candidates, pruned from the score-delta table.
+    ) -> Optional[Tuple[Score, Move, StartTimes]]:
+        """One round over the candidates, priced from the score-delta table.
 
         A candidate whose would-be transfer count exceeds
         ``max_ncomm(incumbent)`` loses whatever else it does; one the
-        estimator's second prune rejects on its entry's totals, its
-        memory-route charge and the two shifted load rows loses too.  Both
-        are rejected before a preview is built.  Returns the winner with
-        its preview, whose start times the live state then adopts.
+        estimator's bound prunes reject on its entry and the two shifted
+        load rows loses too.  A survivor is priced from its entry over the
+        live state, without mutating it.  Returns the winner with the
+        start times it was priced at, which the live state then adopts.
         """
         est = self.estimator
         comm = session.comm
         loads = session.loads
         ncomm = comm.ncomm
-        cut_count = comm.cut_count
-        slack_total = comm.slack_total
-        live_mem = comm.derive_comm_mem()
-        live_floor = comm.live_path_floor
-        best: Optional[Tuple[Score, Move, CommPreview]] = None
+        best: Optional[Tuple[Score, Move, StartTimes]] = None
         incumbent = current
         cap = self._ncomm_cap(incumbent[0])
         for move in self._boundary_candidates(session):
@@ -977,48 +976,17 @@ class Refiner:
                 if ncomm + session.swap_delta(group, other, target) > cap:
                     continue
                 entry = session.swap_entry(group, other, target)
-            dn, dcut, dslack, uncut, dmem = entry
-            shifted = _shifted(loads, move)
-            if not est.may_beat(
-                incumbent,
-                ncomm + dn,
-                cut_count + dcut,
-                slack_total + dslack,
-                lambda: list(map(add, live_mem, dmem)),
-                shifted,
-                lambda ii: live_floor(ii, uncut),
-            ):
+            bounded = est.may_beat(incumbent, comm, entry, _shifted(loads, move))
+            if bounded is None:
                 continue
-            found = self._preview_score(session, move, shifted, incumbent)
+            estimate, times = est.estimate_preview(comm, entry, bounded)
+            score = _objective(estimate)
             # Strictly below the incumbent, which is below ``current``.
-            if found is not None and found[0] < incumbent:
-                best = (found[0], move, found[1])
-                incumbent = found[0]
+            if score < incumbent:
+                best = (score, move, times)
+                incumbent = score
                 cap = self._ncomm_cap(incumbent[0])
         return best
-
-    def _preview_score(
-        self,
-        session: RefinementSession,
-        move: Move,
-        shifted: List[List[int]],
-        incumbent: Score,
-    ) -> Optional[Tuple[Score, CommPreview]]:
-        """Score a candidate without mutating any state.
-
-        ``shifted`` holds the cluster loads after the move.  Returns None
-        when the estimator's tie-aware bound prunes prove the candidate
-        cannot beat ``incumbent``.
-        """
-        group, target, other = move
-        moves = [(group.uids, group.records.values(), target)]
-        if other is not None:
-            moves.append((other.uids, other.records.values(), group.cluster))
-        preview = session.comm.preview_moves(moves)
-        est = self.estimator.estimate_preview(
-            preview, cluster_class_counts=shifted, incumbent=incumbent,
-        )
-        return None if est is None else (_objective(est), preview)
 
     # ------------------------------------------------------------------
     def refine(

@@ -136,8 +136,3 @@ class TestEstimate:
         good = estimator.estimate({x.uid: 0, fp.uid: 0})
         assert bad.ii_est >= 10**6
         assert good.ii_est < 10**6
-
-    def test_cut_slack_total_nonnegative(self):
-        loop = daxpy()
-        estimator = PartitionEstimator(loop, two_cluster(64), ii=2)
-        assert estimator.cut_slack_total(split_assignment(loop)) >= 0

@@ -96,9 +96,15 @@ def test_golden_partition_digest_at_recompute_iis():
 
 
 #: ``estimate_preview`` calls of greedy ``digest`` at MII: the candidates
-#: that survive both bound prunes, run from the score-delta table.  A
-#: change here means the refiner prices a different candidate set.
+#: that survive both bound prunes, run from the score-delta table, priced
+#: from their entries.  A change here means the refiner prices a
+#: different candidate set.
 PREVIEW_CALLS = 369
+
+#: ``PartitionEstimator._bounded_ii`` calls of the same run: one per
+#: ``estimate`` and one per ``may_beat``; a priced candidate does not run
+#: the bound prunes a second time.
+BOUNDED_II_CALLS = 2295
 
 #: Ceilings on the exact walks of the same run, plus 10% headroom:
 #: transfer-count walks (``CommState.preview_ncomm``, 3,035), which every
@@ -110,7 +116,7 @@ MAX_SCORE_WALKS = 820
 
 #: Full longest-path sweeps (``PartitionEstimator._start_times``) of the
 #: same run.  The live start times are cached per II until a move, the
-#: round's winner hands its start times to the live state, and a preview
+#: round's winner hands its start times to the live state, and a candidate
 #: that un-cuts no tight edge relaxes from the live ones.
 FULL_SWEEPS = 707
 
@@ -119,7 +125,9 @@ def test_refiner_work_counts(monkeypatch):
     """A host-independent perf gate: counted work, never timings."""
     from repro.partition.estimator import CommState, PartitionEstimator
 
-    counts = {"walks": 0, "score_walks": 0, "previews": 0, "sweeps": 0}
+    counts = {
+        "walks": 0, "score_walks": 0, "previews": 0, "bounds": 0, "sweeps": 0,
+    }
 
     def counted(cls, name, key):
         original = getattr(cls, name)
@@ -133,9 +141,11 @@ def test_refiner_work_counts(monkeypatch):
     counted(CommState, "preview_ncomm", "walks")
     counted(CommState, "preview_delta", "score_walks")
     counted(PartitionEstimator, "estimate_preview", "previews")
+    counted(PartitionEstimator, "_bounded_ii", "bounds")
     counted(PartitionEstimator, "_start_times", "sweeps")
     assert digest("greedy") == GOLDEN["greedy"]
     assert counts["previews"] == PREVIEW_CALLS
+    assert counts["bounds"] == BOUNDED_II_CALLS
     assert counts["sweeps"] == FULL_SWEEPS
     assert counts["walks"] <= MAX_TRANSFER_WALKS
     assert counts["score_walks"] <= MAX_SCORE_WALKS

@@ -10,14 +10,16 @@ the reference implementation; these tests assert the two never diverge:
   ``value_segments`` + ``pressure_by_cycle`` + ``register_cycles`` after
   every commit and every spill, and every candidate's register preview
   against a full re-derivation of the values it touches;
-* randomized move sequences drive a :class:`CommState` session and its
-  previews against fresh full-sweep derivations;
+* randomized move sequences drive a :class:`CommState` session and the
+  candidates priced from its score-delta entries against fresh full-sweep
+  derivations;
 * the session's candidate preview is checked against a fresh session
   built from the mutated ledger.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -210,12 +212,17 @@ def test_comm_state_matches_full_sweep_under_random_moves(shape, seed, clusters)
         moved = rng.sample(uids, k=min(len(uids), rng.randrange(1, 4)))
         target = rng.randrange(clusters)
 
-        # Preview first: it must predict exactly what the move produces.
-        records = state.records_for(moved)
-        preview = estimator.estimate_preview(
-            state.preview_moves([(moved, records, target)]),
-            cluster_class_counts=_counts(loop, assignment, moved, target, machine),
+        # Price the entry first: it must predict exactly what the move
+        # produces.  No score is below an infinite incumbent, so nothing
+        # is pruned.
+        entry = state.preview_delta(
+            [(state.index_set(moved), state.records_for(moved), target)]
         )
+        bounded = estimator.may_beat(
+            (math.inf, 0, 0), state, entry,
+            _counts(loop, assignment, moved, target, machine),
+        )
+        preview, _times = estimator.estimate_preview(state, entry, bounded)
 
         for uid in moved:
             assignment[uid] = target

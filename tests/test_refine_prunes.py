@@ -8,11 +8,13 @@ The refiner rejects most candidate moves without pricing them fully:
 * on the full ``(exec_time, -cut_slack, cut_edges)`` incumbent, with the
   uncut path or the live assignment's critical path
   (:meth:`CommState.critical_at`) as the path floor — from a score-delta
-  entry (:meth:`PartitionEstimator.may_beat`) before any preview exists.
+  entry (:meth:`PartitionEstimator.may_beat`).
 
-Each piece is checked here against its from-scratch reference —
-``preview_moves``, ``_longest_path`` and plain Bellman-Ford sweeps
-(forward start times, backward tails, incremental start times),
+A survivor is priced from its entry over the live state
+(:meth:`PartitionEstimator.estimate_preview`).  Each piece is checked here
+against its from-scratch reference — a fresh :meth:`comm_session` of the
+moved assignment, ``_longest_path`` and plain Bellman-Ford sweeps (forward
+start times, backward tails, incremental start times),
 ``estimate(assignment)`` — and the partitions must equal those of the
 apply/undo path, which prunes on the plain exec-time bound only.  The
 loops are the paper suite plus three large (>= 150 operation)
@@ -21,6 +23,7 @@ extended-tier bodies; every draw is seeded.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -97,59 +100,53 @@ def _score(est):
 # ----------------------------------------------------------------------
 # Transfer-count bound
 # ----------------------------------------------------------------------
-def _entry_of(comm, moves, records):
-    """The score-delta walk of ``moves`` ((uids, target) pairs)."""
-    return comm.preview_delta(
-        [
-            (comm.index_set(group), recs, target)
-            for (group, target), recs in zip(moves, records)
-        ]
-    )
+def _walked(comm, moves):
+    """The score-delta walk's group moves of ``moves`` ((uids, target)
+    pairs)."""
+    return [
+        (comm.index_set(group), comm.records_for(group), target)
+        for group, target in moves
+    ]
+
+
+def _entry_of(comm, moves):
+    """The score-delta entry of ``moves`` ((uids, target) pairs)."""
+    return comm.preview_delta(_walked(comm, moves))
 
 
 @pytest.mark.parametrize("loop", LOOPS, ids=_ids(LOOPS))
 def test_preview_ncomm_equals_preview_moves(loop):
-    """The transfer-count and score-delta walks agree with the full
-    preview and with a fresh session of the moved assignment, field by
-    field."""
+    """The transfer-count walk and every field of the score-delta entry —
+    the moves' only preview — equal a fresh session of the moved
+    assignment minus the live one."""
     estimator, assignment = _setup(loop)
     comm = estimator.comm_session(assignment)
     rng = random.Random(loop.name)
     uids = loop.ddg.uids()
+    newly_cut = 0
     for step in range(40):
         moves = _random_moves(rng, uids, 4, swap=step % 2 == 1)
-        records = [comm.records_for(group) for group, _target in moves]
-        full = comm.preview_moves(
-            [(group, recs, target) for (group, target), recs in zip(moves, records)]
-        )
-        dn, dcut, dslack, uncut, dmem = _entry_of(comm, moves, records)
-        lean = comm.preview_ncomm(
-            [
-                (comm.index_set(group), recs, target)
-                for (group, target), recs in zip(moves, records)
-            ]
-        )
-        assert lean == comm.ncomm + dn == full.ncomm
-        assert comm.cut_count + dcut == full.cut_count
-        assert comm.slack_total + dslack == full.slack_total
-        assert set(uncut) == set(full.uncut)
-        live_mem = comm.derive_comm_mem()
-        assert [m + d for m, d in zip(live_mem, dmem)] == full.derive_comm_mem()
-        # The preview's memory-route usage is a delta over the live one,
-        # and its cut changes are those of the moved assignment.
+        entry = _entry_of(comm, moves)
+        dn, dcut, dslack, uncut, cut, dmem = entry
+        lean = comm.preview_ncomm(_walked(comm, moves))
         after = estimator.comm_session(_after(assignment, moves))
-        assert full.derive_comm_mem() == after.derive_comm_mem()
-        assert full.ncomm == after.ncomm
-        assert set(full.uncut) == comm.cut - after.cut
-        assert set(full.newly_cut) == after.cut - comm.cut
-        assert full.cut_for_path() == after.cut
+        assert lean == comm.ncomm + dn == after.ncomm
+        assert comm.cut_count + dcut == after.cut_count
+        assert comm.slack_total + dslack == after.slack_total
+        # Each cut change is listed once.
+        assert sorted(uncut) == sorted(comm.cut - after.cut)
+        assert sorted(cut) == sorted(after.cut - comm.cut)
+        live_mem = comm.derive_comm_mem()
+        assert [m + d for m, d in zip(live_mem, dmem)] == after.derive_comm_mem()
+        newly_cut += bool(cut)
         if step % 5 == 4:
             # Move the live state too, so later previews start elsewhere.
             group, target = moves[0]
-            comm.move_uids(group, target, records[0])
+            comm.move_uids(group, target)
             for uid in group:
                 assignment[uid] = target
     comm.verify(assignment)
+    assert newly_cut
 
 
 @pytest.mark.parametrize("loop", LOOPS, ids=_ids(LOOPS))
@@ -230,23 +227,22 @@ def test_critical_at_matches_longest_path(loop):
             assert (path, set(critical)) == _reference_critical(
                 estimator, comm.cut, ii
             )
-            # The live floor never exceeds a preview's true path (at an ii
-            # feasible for the preview).
+            # The live floor never exceeds a candidate's true path (at an
+            # ii feasible for the candidate).
             for _ in range(5):
                 moves = _random_moves(rng, uids, 4, swap=True)
-                preview = comm.preview_moves(
-                    [(g, comm.records_for(g), t) for g, t in moves]
+                _dn, _dcut, _dslack, uncut, newly_cut, _dmem = _entry_of(
+                    comm, moves
                 )
-                live = preview.live_path_floor(ii)
-                true_path = estimator._longest_path(preview.cut_for_path(), ii)
+                cut = estimator.comm_session(_after(assignment, moves)).cut
+                live = comm.live_path_floor(ii, uncut)
+                true_path = estimator._longest_path(cut, ii)
                 if live is not None and true_path is not None:
                     assert live <= true_path
                 # Start times, incremental or not, equal a full sweep.
-                cut = preview.cut_for_path()
-                assert preview.start_times(ii) == estimator._start_times(
-                    estimator._lengths(cut, ii)
-                )
-                assert preview.times[1] == estimator._lengths(cut, ii)
+                lengths, dist = comm.start_times_after(ii, uncut, newly_cut)
+                assert lengths == estimator._lengths(cut, ii)
+                assert dist == estimator._start_times(lengths)
         comm.verify(assignment)
         group, target = _random_moves(rng, uids, 4, swap=False)[0]
         comm.move_uids(group, target)
@@ -257,57 +253,75 @@ def test_critical_at_matches_longest_path(loop):
     comm.verify(assignment)
 
 
-def _relaxes(comm, preview, ii):
-    """Whether ``preview.start_times(ii)`` starts from the live vector: no
-    un-cut edge is tight in it (so shortening them changes nothing)."""
+def _relaxes(comm, uncut, ii):
+    """Whether the start times at ``ii`` of a candidate un-cutting
+    ``uncut`` start from the live vector: no un-cut edge is tight in it
+    (so shortening them changes nothing)."""
     live = comm.start_times(ii)
     if live is None:
         return False
     lengths = comm.lengths_at(ii)
     edges = comm.est._sweep_edges
-    return all(
-        live[edges[i][0]] + lengths[i] != live[edges[i][1]] for i in preview.uncut
-    )
+    return all(live[edges[i][0]] + lengths[i] != live[edges[i][1]] for i in uncut)
 
 
 @pytest.mark.parametrize("loop", LOOPS, ids=_ids(LOOPS))
 def test_previews_relax_from_the_live_start_times(loop):
-    """A preview whose un-cut edges are not tight (none, or only slack
-    ones) starts from the live start times; the result, and the live state
-    that adopts it after the moves are applied, equal full sweeps."""
+    """A candidate whose un-cut edges are not tight (none, or only slack
+    ones) is priced from the live start times.  Its priced II, lengths and
+    start times, its estimate, and the live state that adopts them after
+    the moves are applied equal full sweeps: at an II infeasible for its
+    cut set the pricing moves on to the first feasible one."""
     estimator, assignment = _setup(loop)
     comm = estimator.comm_session(assignment)
     rng = random.Random(loop.name)
     uids = loop.ddg.uids()
     floor_ii = max(estimator.ii, estimator._all_cut_mii())
+    trip = loop.trip_count - 1
     kinds = {"cut only": 0, "slack un-cut": 0, "full": 0}
-    adopted = 0
+    adopted = raised = below = 0
     for step in range(200):
         moves = _random_moves(rng, uids, 4, swap=step % 2 == 1)
-        records = [comm.records_for(g) for g, _t in moves]
-        preview = comm.preview_moves(
-            [(g, recs, t) for (g, t), recs in zip(moves, records)]
-        )
+        entry = _entry_of(comm, moves)
+        after = _after(assignment, moves)
+        cut = estimator.comm_session(after).cut
+        full = estimator.estimate(after)
         tight_ii = estimator._rec_mii_with_cut(sorted(comm.cut), 1)
-        for ii in (tight_ii, floor_ii):
-            relaxes = _relaxes(comm, preview, ii)
+        # Below ``tight_ii`` the live cut set is infeasible.
+        for ii in (tight_ii - 1, tight_ii, floor_ii):
+            if ii < 1:
+                continue
+            below += ii < tight_ii
+            relaxes = _relaxes(comm, entry[3], ii)
             kind = (
                 "full" if not relaxes
-                else "slack un-cut" if preview.uncut else "cut only"
+                else "slack un-cut" if entry[3] else "cut only"
             )
             kinds[kind] += 1
-            dist = preview.start_times(ii)
-            lengths = estimator._lengths(preview.cut_for_path(), ii)
+            estimate, times = estimator.estimate_preview(
+                comm, entry, (full.ii_bus, ii)
+            )
+            priced_ii, lengths, dist = times
+            assert priced_ii == estimator._rec_mii_with_cut(sorted(cut), ii)
+            raised += priced_ii > ii
+            assert lengths == estimator._lengths(cut, priced_ii)
             assert dist == _reference_start_times(estimator, lengths)
-        if relaxes and dist is not None and step % 4 == 0:
-            for (group, target), recs in zip(moves, records):
-                comm.move_uids(group, target, recs)
-                for uid in group:
-                    assignment[uid] = target
-            comm.adopt(preview)
+            path = max(d + lat for d, lat in zip(dist, estimator._latency_arr))
+            assert estimate == dataclasses.replace(
+                full,
+                exec_time=trip * priced_ii + path,
+                ii_est=priced_ii,
+                critical_path=path,
+            )
+        if relaxes and step % 4 == 0:
+            for group, target in moves:
+                comm.move_uids(group, target)
+            assignment = after
+            comm.adopt(times)
             comm.verify(assignment)  # the adopted vector is the fresh one
             adopted += 1
     assert all(kinds.values()) and adopted, kinds
+    assert raised or not below
 
 
 def _reference_start_times(estimator, lengths):
@@ -418,8 +432,8 @@ def test_critical_edges_equal_the_fixpoint_sweeps():
 @pytest.mark.parametrize("estimator_cls", ESTIMATORS, ids=lambda c: c.__name__)
 def test_pruned_candidates_cannot_beat_the_incumbent(estimator_cls):
     """The prunes of the round the refiner runs for this estimator: the
-    preview round's tie-aware ones, or the apply/undo round's exec-time
-    ``bound``."""
+    entry round's tie-aware ones, whose survivors price to the full
+    estimate, or the apply/undo round's exec-time ``bound``."""
     pruned = ties = priced = 0
     for loop in LOOPS:
         estimator, assignment = _setup(loop, estimator_cls)
@@ -452,32 +466,17 @@ def test_pruned_candidates_cannot_beat_the_incumbent(estimator_cls):
                         ties += full[0] == incumbent[0]
                         priced += 1
                     continue
-                records = [comm.records_for(g) for g, _t in moves]
-                preview = comm.preview_moves(
-                    [(g, recs, t) for (g, t), recs in zip(moves, records)]
-                )
-                est = estimator.estimate_preview(
-                    preview, cluster_class_counts=counts, incumbent=incumbent
-                )
-                # The score-delta prune runs the same prunes from the entry.
-                dn, dcut, dslack, uncut, dmem = _entry_of(comm, moves, records)
-                assert estimator.may_beat(
-                    incumbent,
-                    comm.ncomm + dn,
-                    comm.cut_count + dcut,
-                    comm.slack_total + dslack,
-                    lambda: [m + d for m, d in zip(comm.derive_comm_mem(), dmem)],
-                    counts,
-                    lambda ii: comm.live_path_floor(ii, uncut),
-                ) == (est is not None)
-                if est is None:
+                entry = _entry_of(comm, moves)
+                bounded = estimator.may_beat(incumbent, comm, entry, counts)
+                if bounded is None:
                     assert full >= incumbent, (loop.name, full, incumbent)
                     pruned += 1
                     ties += full[0] == incumbent[0]
                 else:
+                    est, _times = estimator.estimate_preview(comm, entry, bounded)
                     assert est == estimator.estimate(after)
                     priced += 1
-                if preview.ncomm > estimator.max_ncomm(incumbent[0]):
+                if comm.ncomm + entry[0] > estimator.max_ncomm(incumbent[0]):
                     assert full[0] > incumbent[0]
     # The prunes fire, including on exact exec-time ties.
     assert pruned and ties and priced

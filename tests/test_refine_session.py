@@ -57,10 +57,13 @@ def _walks(session, moves):
 
 
 def _same(entry, walked):
-    """Entries are equal up to the order of their un-cut edges."""
-    return entry[:3] + entry[4:] == walked[:3] + walked[4:] and set(
-        entry[3]
-    ) == set(walked[3])
+    """Entries are equal up to the order of their un-cut and newly cut
+    edges."""
+    return (
+        entry[:3] + entry[5:] == walked[:3] + walked[5:]
+        and set(entry[3]) == set(walked[3])
+        and set(entry[4]) == set(walked[4])
+    )
 
 
 def _fill_and_check(session, rng, clusters):

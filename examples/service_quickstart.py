@@ -9,7 +9,8 @@ memoizes responses by request fingerprint.  This example:
 1. schedules one loop (``ScheduleRequest`` -> ``ScheduleResponse``),
 2. evaluates a suite tier (``EvaluationRequest`` -> ``EvaluationResponse``),
 3. replays the identical request to show the fingerprint cache hit,
-4. streams a batch of evaluations with ``submit()`` / ``as_completed()``.
+4. runs a batch of evaluations with ``evaluate_many()`` — the one batch
+   path: the batch's uncached requests share the session's worker pool.
 
 Run:
     python examples/service_quickstart.py
@@ -53,20 +54,21 @@ def main() -> None:
             f"in {replay.meta.wall_seconds * 1e3:.2f} ms"
         )
 
-        # 4. Stream a batch: submit() returns immediately, as_completed()
-        #    yields responses as whole suites finish.
-        handles = [
-            service.submit(
+        # 4. Run a batch: every uncached request goes out at once, and
+        #    the responses come back in request order.
+        batch = service.evaluate_many(
+            [
                 EvaluationRequest(
                     scheduler=name, machine="4x64", suite="paper", programs=2
                 )
-            )
-            for name in ("uracam", "fixed-partition", "gp")
-        ]
-        for done in service.as_completed(handles):
+                for name in ("uracam", "fixed-partition", "gp")
+            ]
+        )
+        for done in batch:
             print(
-                f"  streamed {done.request.scheduler:16s} "
-                f"avg IPC {done.average_ipc:.3f}"
+                f"  batched {done.request.scheduler:16s} "
+                f"avg IPC {done.average_ipc:.3f} "
+                f"(cache_hit={done.meta.cache_hit})"
             )
 
 

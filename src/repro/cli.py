@@ -21,8 +21,8 @@ Commands:
   (``stats`` / ``verify`` / ``clear``).
 
 ``evaluate`` takes ``--store SPEC`` to attach a persistent
-content-addressed result store (``memory``, ``disk``, ``disk:PATH`` or
-a bare path): identical requests across invocations are replayed from
+content-addressed result store (``disk``, ``disk:PATH`` or a bare
+path): identical requests across invocations are replayed from
 the store byte-identically instead of re-scheduled, and a cache
 counters line goes to stderr so pipelines can assert replay rates
 without disturbing stdout.  The store is the only cache that outlives
@@ -32,10 +32,9 @@ an invocation.
 workload tier (the paper's 40 loops vs. the 220-loop production-scale
 tier) and ``--jobs N`` to fan per-loop scheduling out over N worker
 processes (``0`` = one per CPU; results are bit-identical to ``--jobs
-1``).  ``--chunksize`` batches several loops per worker task (default:
-an automatic heuristic) and one worker pool is shared across everything
-a single invocation runs.  ``--mp-context spawn|forkserver`` picks the
-worker start method (default: ``forkserver`` where the platform has it).
+1``).  The panel's four requests go to the session's
+``evaluate_many`` as one batch, so they share one worker pool; chunk
+size and worker start method are chosen automatically.
 ``evaluate --verify`` is the slow paranoid mode: every engine commit
 cross-checks the incremental pressure state and every schedule is
 re-validated with ``full_recheck=True``.  ``evaluate --validate-each``
@@ -47,10 +46,13 @@ Runs fail fast: the schedulers are deterministic, so nothing is
 retried.  A loop that fails to schedule or validate, or a worker that
 dies, ends the run with exit code 1 and an ``error:`` line on stderr
 naming the benchmark, loop and scheduler — the same at every ``--jobs``.
+A ``schedule --loop-file`` that is missing, not JSON or lacks a field
+ends the same way: exit 1, one ``error:`` line, nothing on stdout.
 
 Examples::
 
     python -m repro schedule --kernel daxpy --machine 2x32 --algorithm gp
+    python -m repro schedule --loop-file loop.json --machine 4x64
     python -m repro evaluate --clusters 4 --registers 32 --programs 3
     python -m repro evaluate --suite extended --jobs 0
     python -m repro workloads --program swim
@@ -146,12 +148,7 @@ def _pick_suite(args: argparse.Namespace):
 
 def _service_for(args: argparse.Namespace) -> ReproService:
     """The in-process session for one CLI run, from the suite options."""
-    return ReproService(
-        jobs=args.jobs,
-        chunksize=args.chunksize,
-        mp_context=args.mp_context,
-        store=args.store,
-    )
+    return ReproService(jobs=args.jobs, store=args.store)
 
 
 def _cache_stats_line(service: ReproService) -> str:
@@ -163,7 +160,7 @@ def _cache_stats_line(service: ReproService) -> str:
     return (
         f"cache: hits={service.cache_hits} misses={service.cache_misses}  "
         "store: backend={backend} entries={entries} bytes={bytes} "
-        "hits={hits} misses={misses} evictions={evictions}".format(
+        "hits={hits} misses={misses}".format(
             **service.store.stats()
         )
     )
@@ -240,12 +237,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         if args.action == "stats":
             stats = store.stats()
             print(f"backend:   {stats['backend']}")
-            if hasattr(store, "root"):
-                print(f"root:      {store.root}")
+            print(f"root:      {store.root}")
             print(f"entries:   {stats['entries']}")
             print(f"bytes:     {stats['bytes']}")
-            budget = stats["max_bytes"]
-            print(f"max_bytes: {'unlimited' if budget is None else budget}")
             return 0
         if args.action == "clear":
             removed = store.clear()
@@ -255,10 +249,10 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         ok = 0
         corrupt = []
         for fingerprint in store.keys():
-            text = store.get(fingerprint)
-            if text is None:
-                continue
             try:
+                text = store.get(fingerprint)
+                if text is None:
+                    continue
                 response = loads_response(text)
                 if response.meta.fingerprint != fingerprint:
                     raise CodecError(
@@ -337,19 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--jobs", type=int, default=1,
                         help="worker processes for per-loop scheduling "
                         "(1 = sequential, 0 = one per CPU)")
-    p_eval.add_argument("--chunksize", type=int, default=None,
-                        help="loops batched per worker task (default: "
-                        "automatic heuristic; results are identical at "
-                        "any value)")
-    p_eval.add_argument("--mp-context", default=None,
-                        choices=("spawn", "forkserver"),
-                        help="worker start method (default: forkserver "
-                        "where the platform offers it; results are "
-                        "identical under either)")
     p_eval.add_argument("--store", default=None, metavar="SPEC",
-                        help="content-addressed result store: 'memory', "
-                        "'disk' (the default cache root), 'disk:PATH' or "
-                        "a bare path; identical requests replay from the "
+                        help="content-addressed result store: 'disk' "
+                        "(the default cache root), 'disk:PATH' or a bare "
+                        "path; identical requests replay from the "
                         "store byte-identically across invocations")
     p_eval.add_argument("--format", default="table",
                         choices=("table", "csv", "json"))
@@ -364,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "every entry and cross-check its content "
                          "address; clear: delete every entry")
     p_cache.add_argument("--store", default="disk", metavar="SPEC",
-                         help="store spec: 'memory', 'disk' (default), "
+                         help="store spec: 'disk' (default), "
                          "'disk:PATH' or a bare path")
     p_cache.add_argument("--purge", action="store_true",
                          help="with verify: delete the corrupt entries "

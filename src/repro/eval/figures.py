@@ -73,9 +73,6 @@ def _panel(
     clustered_machine,
     unified_machine,
     suite: Sequence[Benchmark],
-    jobs: Optional[int] = 1,
-    chunksize: Optional[int] = None,
-    pool=None,
     options=None,
     validate_each: bool = False,
     service=None,
@@ -86,9 +83,8 @@ def _panel(
     the batch goes through ``service`` (a
     :class:`~repro.service.session.ReproService`, whose pool and
     response cache are shared with whatever else the caller runs on it)
-    or, when none is given, an ephemeral session built from the legacy
-    ``jobs``/``chunksize``/``pool`` knobs.  ``options`` (an
-    :class:`~repro.schedule.engine.EngineOptions`) is handed to every
+    or, when none is given, an ephemeral in-process session.  ``options``
+    (an :class:`~repro.schedule.engine.EngineOptions`) is handed to every
     scheduler — the CLI's ``--verify`` paranoid mode rides in on it —
     and ``validate_each`` re-validates every modulo schedule where it is
     produced (the CLI's ``--validate-each`` sweep-integrated check).
@@ -105,14 +101,9 @@ def _panel(
         )
         for label in SERIES_ORDER
     ]
-    owns_service = service is None
-    if owns_service:
-        service = ReproService(jobs=jobs, chunksize=chunksize, pool=pool)
-    try:
-        responses = service.evaluate_many(requests)
-    finally:
-        if owns_service:
-            service.close()
+    if service is None:
+        service = ReproService()
+    responses = service.evaluate_many(requests)
     result = FigureResult(title=title, benchmarks=[b.name for b in suite])
     for label, response in zip(SERIES_ORDER, responses):
         result.series[label] = [
@@ -125,9 +116,6 @@ def figure2_panel(
     num_clusters: int,
     total_registers: int,
     suite: Optional[Sequence[Benchmark]] = None,
-    jobs: Optional[int] = 1,
-    chunksize: Optional[int] = None,
-    pool=None,
     options=None,
     validate_each: bool = False,
     service=None,
@@ -142,9 +130,6 @@ def figure2_panel(
         clustered_machine=clustered(num_clusters, total_registers, 1, 1),
         unified_machine=unified(total_registers),
         suite=suite,
-        jobs=jobs,
-        chunksize=chunksize,
-        pool=pool,
         options=options,
         validate_each=validate_each,
         service=service,
@@ -153,22 +138,18 @@ def figure2_panel(
 
 def figure2(
     suite: Optional[Sequence[Benchmark]] = None,
-    jobs: Optional[int] = 1,
-    chunksize: Optional[int] = None,
-    pool=None,
     service=None,
 ) -> List[FigureResult]:
     """All four Figure 2 panels (2/4 clusters x 32/64 registers).
 
     Without a caller-provided ``service``, all four panels share one
-    ephemeral :class:`~repro.service.session.ReproService` (one worker
-    pool, one response cache) instead of spawning per panel.
+    ephemeral in-process :class:`~repro.service.session.ReproService`
+    (one response cache).
     """
     from ..service import ReproService
 
     if service is None:
-        with ReproService(jobs=jobs, chunksize=chunksize, pool=pool) as shared:
-            return figure2(suite, service=shared)
+        service = ReproService()
     return [
         figure2_panel(nc, regs, suite, service=service)
         for nc in (2, 4)
@@ -179,9 +160,6 @@ def figure2(
 def figure3_panel(
     total_registers: int,
     suite: Optional[Sequence[Benchmark]] = None,
-    jobs: Optional[int] = 1,
-    chunksize: Optional[int] = None,
-    pool=None,
     options=None,
     validate_each: bool = False,
     service=None,
@@ -196,9 +174,6 @@ def figure3_panel(
         clustered_machine=four_cluster(total_registers, num_buses=1, bus_latency=2),
         unified_machine=unified(total_registers),
         suite=suite,
-        jobs=jobs,
-        chunksize=chunksize,
-        pool=pool,
         options=options,
         validate_each=validate_each,
         service=service,
@@ -207,17 +182,13 @@ def figure3_panel(
 
 def figure3(
     suite: Optional[Sequence[Benchmark]] = None,
-    jobs: Optional[int] = 1,
-    chunksize: Optional[int] = None,
-    pool=None,
     service=None,
 ) -> List[FigureResult]:
     """Both Figure 3 panels (32 and 64 registers), sharing one session."""
     from ..service import ReproService
 
     if service is None:
-        with ReproService(jobs=jobs, chunksize=chunksize, pool=pool) as shared:
-            return figure3(suite, service=shared)
+        service = ReproService()
     return [
         figure3_panel(regs, suite, service=service)
         for regs in (32, 64)
@@ -280,9 +251,6 @@ class Table2Result:
 def table2(
     suite: Optional[Sequence[Benchmark]] = None,
     machines=None,
-    jobs: Optional[int] = 1,
-    chunksize: Optional[int] = None,
-    pool=None,
     service=None,
     options=None,
 ) -> Table2Result:
@@ -314,14 +282,9 @@ def table2(
         for machine in machines
         for name in ("uracam", "fixed-partition", "gp")
     ]
-    owns_service = service is None
-    if owns_service:
-        service = ReproService(jobs=jobs, chunksize=chunksize, pool=pool)
-    try:
-        responses = service.evaluate_many(requests)
-    finally:
-        if owns_service:
-            service.close()
+    if service is None:
+        service = ReproService()
+    responses = service.evaluate_many(requests)
     seconds: Dict[str, Dict[str, float]] = {m.name: {} for m in machines}
     slot_scans: Dict[str, Dict[str, int]] = {m.name: {} for m in machines}
     for response in responses:

@@ -1,63 +1,39 @@
-"""Parallel batch execution of suite evaluations.
+"""The worker pool behind :meth:`ReproService.evaluate_many`.
 
 The sequential :mod:`~repro.eval.runner` schedules one loop at a time;
-this module fans the same per-loop work items out over a ``spawn``-safe
+this module fans the same per-loop work items out over a
 :class:`~concurrent.futures.ProcessPoolExecutor` and merges the outcomes
 back **in suite order**, so results are bit-identical to the sequential
-path regardless of worker count, chunk size or completion order (only
-the measured ``cpu_seconds`` are timing noise, exactly as they are
-between two sequential runs).
+path regardless of worker count, chunking or completion order (only the
+measured ``cpu_seconds`` are timing noise, exactly as they are between
+two sequential runs).  Callers reach it through
+:class:`~repro.service.session.ReproService`, whose ``evaluate_many``
+hands every uncached request of a batch to :func:`run_batch` at once,
+so one pool's startup cost is amortized over the whole experiment.
 
-Entry points:
-
-* :func:`run_requests` — evaluate many ``(scheduler, suite)`` pairs in
-  **one shared pool**.  Figure panels, Table 2 and the sweeps batch all
-  their scheduler/machine combinations through this, so a single pool's
-  startup cost is amortized over the whole experiment.
-* :func:`run_suite_parallel` — one suite with one scheduler
-  (``run_suite(..., jobs=N)`` delegates here).
-* :func:`submit_requests` / :func:`submit_suite` /
-  :func:`as_completed_suites` — the streaming interface: submit whole
-  (scheduler, suite) evaluations without blocking and consume
-  :class:`SuiteTask` results in completion order (what
-  :meth:`repro.service.session.ReproService.submit` / ``as_completed``
-  are built on).
-* :func:`evaluation_pool` — a context-managed pool that *several*
-  ``run_requests`` calls inside one CLI invocation reuse, so small suites
-  do not pay the spawn cost per call::
-
-      with evaluation_pool(jobs=4) as pool:
-          first = run_requests(requests_a, pool=pool)
-          second = run_requests(requests_b, pool=pool)   # same workers
-
+* :class:`EvaluationPool` — a lazily started, reusable pool.  Workers
+  start under ``forkserver`` where the platform offers it (POSIX) and
+  ``spawn`` elsewhere; forkserver workers fork from a small server
+  process that has pre-imported this module, so the interpreter boots
+  and the library imports once per pool, not once per worker.
 * :func:`resolve_jobs` — the ``--jobs`` convention: ``None``/``0`` means
   one worker per CPU, ``1`` means the in-process sequential path.
-* :func:`resolve_mp_context` — the ``--mp-context`` convention:
-  ``None`` picks ``forkserver`` where the platform offers it (POSIX) and
-  ``spawn`` elsewhere.  Forkserver workers fork from a small server
-  process that has pre-imported this module (the interpreter boots and
-  the library imports once, not once per worker), shaving the
-  per-invocation pool startup; ``spawn`` stays available as the
-  conservative portable choice.  Results are bit-identical under either
-  start method — the context only changes how worker processes come to
-  exist.
 
 Work items are dispatched in **chunks** of several loops
-(:func:`resolve_chunksize`; ``--chunksize`` on the CLI): one future per
-loop is fine at a few hundred loops, but outcomes are large (~60KB on the
-extended tier) and submission/pickling overhead grows linearly, so
-batching amortizes it on thousands-of-loops tiers.  The merge indexes
-outcomes by their (benchmark, loop) key, so chunk boundaries never
-affect results.
+(:func:`resolve_chunksize`): outcomes are large (~60KB on the extended
+tier) and submission/pickling overhead grows linearly with the number
+of futures, so batching amortizes it.  The merge indexes outcomes by
+their (benchmark, loop) key, so chunk boundaries never affect results.
 
 Failure semantics: the schedulers are deterministic, so re-running a
 failed chunk could only fail again, and nothing is retried.  The first
-failure fails the run with a :class:`~repro.errors.LoopTaskError` naming
-the benchmark, loop and scheduler — whether the scheduler raised inside
-a worker, the worker died (``BrokenProcessPool`` from a future) or the
-pool was already broken when a chunk was submitted.  The sequential
-path raises the same error (:func:`~repro.eval.runner.run_benchmark`),
-so a run fails the same way at every ``--jobs``.
+failure fails the batch with a :class:`~repro.errors.LoopTaskError`
+naming the benchmark, loop and scheduler — whether the scheduler raised
+inside a worker, the worker died (``BrokenProcessPool`` from a future)
+or the pool was already broken when a chunk was submitted.  The
+sequential path raises the same error
+(:func:`~repro.eval.runner.run_benchmark`), so a run fails the same way
+at every ``--jobs``.
 """
 
 from __future__ import annotations
@@ -65,11 +41,9 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from concurrent.futures import Future, ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import LoopTaskError, ReproError
 from ..ir.loop import Loop
@@ -81,16 +55,10 @@ __all__ = [
     "BatchTelemetry",
     "EvaluationPool",
     "LoopTaskError",
-    "SuiteTask",
-    "as_completed_suites",
-    "evaluation_pool",
     "resolve_chunksize",
     "resolve_jobs",
-    "resolve_mp_context",
-    "run_requests",
-    "run_suite_parallel",
-    "submit_requests",
-    "submit_suite",
+    "run_batch",
+    "start_method",
 ]
 
 
@@ -103,59 +71,37 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
-#: Start methods the pool accepts.  ``fork`` is deliberately excluded:
-#: forking a large parent mid-flight copies arbitrary state (open pools,
-#: timers) into workers, exactly the hazards the original spawn-only
-#: design avoided; forkserver gives fork's startup speed from a clean,
-#: single-purpose parent instead.
-MP_CONTEXTS = ("spawn", "forkserver")
+def start_method() -> str:
+    """The workers' start method: ``forkserver`` where available, else
+    ``spawn``.
 
-
-def resolve_mp_context(mp_context: Optional[str]) -> str:
-    """Normalize an ``--mp-context`` value.
-
-    ``None`` means the platform default: ``forkserver`` where available
-    (POSIX), else ``spawn``.  Explicit values are checked against both
-    the accepted set and the platform.
+    ``fork`` is deliberately never used: forking a large parent
+    mid-flight copies arbitrary state (open pools, timers) into
+    workers; forkserver gives fork's startup speed from a clean,
+    single-purpose parent instead.  Results are bit-identical under
+    either method — it only changes how worker processes come to exist.
     """
     available = multiprocessing.get_all_start_methods()
-    if mp_context is None:
-        return "forkserver" if "forkserver" in available else "spawn"
-    if mp_context not in MP_CONTEXTS:
-        raise ReproError(
-            f"--mp-context must be one of {MP_CONTEXTS}, got {mp_context!r}"
-        )
-    if mp_context not in available:
-        raise ReproError(
-            f"start method {mp_context!r} is unavailable on this platform"
-        )
-    return mp_context
+    return "forkserver" if "forkserver" in available else "spawn"
 
 
-#: Upper bound on the automatic chunk size: chunks stay small enough for
-#: the pool to load-balance even when one loop is much slower than its
-#: neighbours (the extended tier mixes ~32-op and ~280-op bodies).
+#: Upper bound on the chunk size: chunks stay small enough for the pool
+#: to load-balance even when one loop is much slower than its neighbours
+#: (the extended tier mixes ~32-op and ~280-op bodies).
 _MAX_AUTO_CHUNK = 32
 
 
-def resolve_chunksize(
-    chunksize: Optional[int], total_items: int, jobs: int
-) -> int:
-    """The loops-per-task batch size.
+def resolve_chunksize(total_items: int, jobs: int) -> int:
+    """The loops-per-task batch size: ``ceil(total / (4 * jobs))`` capped
+    at :data:`_MAX_AUTO_CHUNK`.
 
-    ``None`` picks the heuristic ``ceil(total / (4 * jobs))`` capped at
-    ``32``: about four waves of chunks per worker, so pickling overhead is
-    amortized without sacrificing load balance.  An explicit value is used
-    as given (``1`` reproduces one-future-per-loop dispatch).
+    About four waves of chunks per worker, so pickling overhead is
+    amortized without sacrificing load balance.
     """
-    if chunksize is None:
-        return max(1, min(_MAX_AUTO_CHUNK, -(-total_items // (4 * max(1, jobs)))))
-    if chunksize < 1:
-        raise ReproError(f"--chunksize must be >= 1, got {chunksize}")
-    return chunksize
+    return max(1, min(_MAX_AUTO_CHUNK, -(-total_items // (4 * max(1, jobs)))))
 
 
-def _warm_probe() -> int:
+def _warm_probe(_index: int) -> int:
     """Worker-side warm-up task: hold the worker just long enough that
     concurrent probes cannot all be served by one eager process."""
     time.sleep(0.02)
@@ -166,32 +112,27 @@ class EvaluationPool:
     """A lazily spawned, reusable worker pool.
 
     The executor is created on first use and kept alive until
-    :meth:`shutdown`, so several batch calls within one CLI invocation
-    share the same worker processes.  ``jobs == 1`` never spawns anything
-    (callers take the in-process sequential path).  :meth:`shutdown` is
+    :meth:`shutdown`, so several batches share the same worker
+    processes.  ``jobs == 1`` never spawns anything (:func:`run_batch`
+    takes the in-process sequential path).  :meth:`shutdown` is
     idempotent and safe on a broken executor — a pool that died
-    mid-batch must not raise again from ``evaluation_pool()``'s
-    ``finally``.
+    mid-batch must not raise again from its owner's ``close``.
     """
 
-    def __init__(
-        self, jobs: Optional[int] = None, mp_context: Optional[str] = None
-    ) -> None:
+    def __init__(self, jobs: Optional[int] = None) -> None:
         self.jobs = resolve_jobs(jobs)
-        self.mp_context = resolve_mp_context(mp_context)
         self._executor: Optional[ProcessPoolExecutor] = None
 
     def executor(self) -> ProcessPoolExecutor:
         if self._executor is None:
-            context = multiprocessing.get_context(self.mp_context)
-            if self.mp_context == "forkserver":
+            method = start_method()
+            context = multiprocessing.get_context(method)
+            if method == "forkserver":
                 # Workers fork from the server, so preloading this module
                 # there imports the library (and the interpreter) once per
                 # pool instead of once per worker.
                 context.set_forkserver_preload([__name__])
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.jobs, mp_context=context
-            )
+            self._executor = ProcessPoolExecutor(self.jobs, context)
         return self._executor
 
     def warm(self) -> int:
@@ -204,9 +145,7 @@ class EvaluationPool:
         Each probe task sleeps briefly so concurrent probes force
         distinct workers up.
         """
-        executor = self.executor()
-        probes = [executor.submit(_warm_probe) for _ in range(self.jobs)]
-        return len({probe.result() for probe in probes})
+        return len(set(self.executor().map(_warm_probe, range(self.jobs))))
 
     def shutdown(self) -> None:
         executor, self._executor = self._executor, None
@@ -220,20 +159,6 @@ class EvaluationPool:
             pass
 
 
-@contextmanager
-def evaluation_pool(
-    jobs: Optional[int] = None, mp_context: Optional[str] = None
-) -> Iterator[EvaluationPool]:
-    """Context-managed :class:`EvaluationPool` shared across batch calls."""
-    pool = EvaluationPool(jobs, mp_context=mp_context)
-    try:
-        yield pool
-    finally:
-        pool.shutdown()
-
-
-
-
 @dataclass(frozen=True)
 class BatchTelemetry:
     """What one batch's fan-out did, carried on ``ResponseMeta``.
@@ -244,6 +169,9 @@ class BatchTelemetry:
 
     chunks: int
 
+
+#: One batch entry: the scheduler, its suite and the ``validate_each`` flag.
+BatchItem = Tuple[BaseScheduler, Sequence[Benchmark], bool]
 
 #: A work unit key: (benchmark index, loop index) within one suite.
 _TaskKey = Tuple[int, int]
@@ -282,239 +210,78 @@ def _loop_error(
     )
 
 
-class SuiteTask:
-    """One in-flight (scheduler, suite) evaluation.
+def _merge(
+    scheduler: BaseScheduler,
+    suite: Sequence[Benchmark],
+    outcomes: Dict[_TaskKey, ScheduleOutcome],
+) -> SuiteResult:
+    """Keyed outcomes back into suite order."""
+    machine = scheduler.machine.name
+    result = SuiteResult(scheduler=scheduler.name, machine=machine)
+    for b, benchmark in enumerate(suite):
+        result.per_benchmark[benchmark.name] = BenchmarkResult(
+            benchmark=benchmark.name,
+            scheduler=scheduler.name,
+            machine=machine,
+            outcomes=[outcomes[(b, i)] for i in range(len(benchmark.loops))],
+        )
+    return result
 
-    Created by :func:`submit_requests` / :func:`submit_suite`.  On a
-    worker pool the suite's chunks are already submitted and
-    :meth:`result` merges them in suite order; without a pool the task
-    is *lazy* and the sequential :func:`~repro.eval.runner.run_suite`
-    happens at the first :meth:`result` call.  Any failure — including a
-    pool that was already broken at submission — raises from
-    :meth:`result` as a :class:`LoopTaskError`, and again on every later
-    call.
+
+def run_batch(
+    batch: Sequence[BatchItem], pool: Optional[EvaluationPool]
+) -> Tuple[List[SuiteResult], int]:
+    """Evaluate every ``(scheduler, suite, validate_each)`` entry.
+
+    Returns one :class:`SuiteResult` per entry, in batch order, and the
+    number of chunks submitted to the pool.  Without a pool (or with a
+    1-worker pool) every entry runs in-process through
+    :func:`~repro.eval.runner.run_suite`.  Otherwise the chunks of every
+    entry, cut with one chunk size resolved over the whole batch, go to
+    one ordered ``map`` over the pool: all are submitted up front, and
+    the first failure cancels whatever has not started and raises.
     """
-
-    def __init__(
-        self,
-        scheduler: BaseScheduler,
-        suite: Sequence[Benchmark],
-        validate_each: bool = False,
-    ) -> None:
-        self.scheduler = scheduler
-        self.suite = list(suite)
-        self.validate_each = validate_each
-        #: Submitted chunks in submission order (empty for a lazy task).
-        self._futures: Dict[Future, List[_Item]] = {}
-        self._result: Optional[SuiteResult] = None
-        self._error: Optional[Exception] = None
-        self._finished = False
-
-    @property
-    def chunks(self) -> int:
-        """Work chunks submitted to the pool (0 for a lazy task)."""
-        return len(self._futures)
-
-    def _submit(self, pool: EvaluationPool, size: int) -> None:
-        items = [
+    if pool is None or pool.jobs == 1 or not batch:
+        results = [
+            run_suite(suite, scheduler, validate_each=validate_each)
+            for scheduler, suite, validate_each in batch
+        ]
+        return results, 0
+    work = [
+        [
             ((b, i), benchmark.name, loop)
-            for b, benchmark in enumerate(self.suite)
+            for b, benchmark in enumerate(suite)
             for i, loop in enumerate(benchmark.loops)
         ]
-        for start in range(0, len(items), size):
-            chunk = items[start : start + size]
-            try:
-                future = pool.executor().submit(
-                    _run_chunk, self.scheduler, chunk, self.validate_each
-                )
-            except BrokenProcessPool as error:
-                failure = _loop_error(self.scheduler, chunk, error)
-                failure.__cause__ = error
-                self._fail(failure)
-                return
-            self._futures[future] = chunk
-
-    def _fail(self, error: Exception) -> None:
-        self._error = error
-        self._finished = True
-        for future in self._futures:
-            future.cancel()
-
-    def done(self) -> bool:
-        """True once :meth:`result` will not block on the pool.
-
-        A lazy task reports ``True`` immediately: its sequential run
-        happens inline at the :meth:`result` call.
-        """
-        return self._finished or all(f.done() for f in self._futures)
-
-    def result(self) -> SuiteResult:
-        """The merged :class:`SuiteResult` (blocks until available)."""
-        if not self._finished:
-            try:
-                self._result = (
-                    self._merge()
-                    if self._futures
-                    else run_suite(
-                        self.suite, self.scheduler, validate_each=self.validate_each
-                    )
-                )
-                self._finished = True
-            except Exception as error:
-                self._fail(error)
-        if self._error is not None:
-            raise self._error
-        assert self._result is not None
-        return self._result
-
-    def _merge(self) -> SuiteResult:
-        """Outcomes by key back into suite order (chunks collected in
-        submission order)."""
-        outcomes: Dict[_TaskKey, ScheduleOutcome] = {}
-        for future, chunk in self._futures.items():
-            try:
-                outcomes.update(future.result())
-            except LoopTaskError:
-                raise
-            except Exception as error:
-                # The worker died (BrokenProcessPool), or the chunk's
-                # outcome or error could not be sent back.
-                raise _loop_error(self.scheduler, chunk, error) from error
-        scheduler = self.scheduler
-        result = SuiteResult(scheduler=scheduler.name, machine=scheduler.machine.name)
-        for b, benchmark in enumerate(self.suite):
-            result.per_benchmark[benchmark.name] = BenchmarkResult(
-                benchmark=benchmark.name,
-                scheduler=scheduler.name,
-                machine=scheduler.machine.name,
-                outcomes=[outcomes[(b, i)] for i in range(len(benchmark.loops))],
-            )
-        return result
-
-
-def submit_requests(
-    requests: Sequence[Tuple[BaseScheduler, Sequence[Benchmark]]],
-    pool: Optional[EvaluationPool] = None,
-    chunksize: Optional[int] = None,
-    validate_each: bool = False,
-) -> List[SuiteTask]:
-    """Submit every ``(scheduler, suite)`` request without blocking.
-
-    One :class:`SuiteTask` per request, in request order; the chunk size
-    is resolved once over the whole batch.  Without a pool (or with a
-    1-worker pool) the tasks are lazy sequential runs, so callers need
-    no special-casing at ``jobs=1``.
-    """
-    tasks = [
-        SuiteTask(scheduler, suite, validate_each=validate_each)
-        for scheduler, suite in requests
+        for _scheduler, suite, _validate_each in batch
     ]
-    if pool is None or pool.jobs == 1:
-        return tasks
-    total_items = sum(len(b.loops) for task in tasks for b in task.suite)
-    size = resolve_chunksize(chunksize, total_items, pool.jobs)
-    for task in tasks:
-        task._submit(pool, size)
-    return tasks
-
-
-def submit_suite(
-    scheduler: BaseScheduler,
-    suite: Sequence[Benchmark],
-    pool: Optional[EvaluationPool] = None,
-    chunksize: Optional[int] = None,
-    validate_each: bool = False,
-) -> SuiteTask:
-    """Submit one (scheduler, suite) evaluation without blocking on it.
-
-    The streaming counterpart of :func:`run_requests`: work starts in
-    ``pool``'s workers immediately, the caller keeps submitting, and
-    :func:`as_completed_suites` yields tasks as whole suites finish.
-    """
-    return submit_requests(
-        [(scheduler, suite)], pool, chunksize=chunksize, validate_each=validate_each
-    )[0]
-
-
-def run_requests(
-    requests: Sequence[Tuple[BaseScheduler, Sequence[Benchmark]]],
-    jobs: Optional[int] = 1,
-    chunksize: Optional[int] = None,
-    pool: Optional[EvaluationPool] = None,
-    mp_context: Optional[str] = None,
-    validate_each: bool = False,
-) -> List[SuiteResult]:
-    """Evaluate every ``(scheduler, suite)`` request, sharing one pool.
-
-    Returns one :class:`SuiteResult` per request, in request order, with
-    benchmarks and loop outcomes in their original suite order — the
-    merge is deterministic no matter how the pool interleaves or chunks
-    the work.  With ``pool`` the caller's shared :class:`EvaluationPool`
-    is reused (its worker count and start method win over ``jobs`` /
-    ``mp_context``) and left running on return.  ``validate_each``
-    validates each modulo schedule in the worker that produced it.
-    """
-    jobs = pool.jobs if pool is not None else resolve_jobs(jobs)
-    owns_pool = pool is None and jobs != 1
-    if owns_pool:
-        pool = EvaluationPool(jobs, mp_context=mp_context)
+    size = resolve_chunksize(sum(map(len, work)), pool.jobs)
+    owners, schedulers, chunks, flags = [], [], [], []
+    for index, ((scheduler, _suite, validate_each), items) in enumerate(
+        zip(batch, work)
+    ):
+        for start in range(0, len(items), size):
+            owners.append(index)
+            schedulers.append(scheduler)
+            chunks.append(items[start : start + size])
+            flags.append(validate_each)
+    outcomes: List[Dict[_TaskKey, ScheduleOutcome]] = [{} for _ in batch]
+    collected = 0
     try:
-        tasks = submit_requests(
-            requests, pool, chunksize=chunksize, validate_each=validate_each
-        )
-        return [task.result() for task in tasks]
-    finally:
-        if owns_pool:
-            pool.shutdown()
-
-
-def as_completed_suites(tasks: Sequence[SuiteTask]) -> Iterator[SuiteTask]:
-    """Yield tasks as their suites complete (lazy tasks in given order).
-
-    Pool-backed tasks are yielded in *completion* order, as soon as the
-    last of their chunks settles; lazy sequential tasks (and tasks that
-    already failed at submission) are yielded first, in submission
-    order.  Yielded tasks are ``done()``; failures raise only from
-    :meth:`SuiteTask.result`.
-    """
-    tasks = list(tasks)
-    owner: Dict[Future, SuiteTask] = {}
-    outstanding: Dict[int, set] = {}
-    for task in tasks:
-        if task._finished or not task._futures:
-            yield task
-            continue
-        for future in task._futures:
-            owner[future] = task
-        outstanding[id(task)] = set(task._futures)
-    for future in as_completed(owner):
-        task = owner[future]
-        pending = outstanding[id(task)]
-        pending.discard(future)
-        if not pending:
-            yield task
-
-
-def run_suite_parallel(
-    suite: Sequence[Benchmark],
-    scheduler: BaseScheduler,
-    jobs: Optional[int] = None,
-    chunksize: Optional[int] = None,
-    pool: Optional[EvaluationPool] = None,
-    mp_context: Optional[str] = None,
-    validate_each: bool = False,
-) -> SuiteResult:
-    """Parallel counterpart of :func:`~repro.eval.runner.run_suite`.
-
-    Unlike :func:`run_requests` (which, like ``run_suite``, defaults to
-    the sequential path) this function exists to parallelize, so its
-    default ``jobs=None`` means one worker per CPU.
-    """
-    return run_requests(
-        [(scheduler, suite)],
-        jobs=jobs,
-        chunksize=chunksize,
-        pool=pool,
-        mp_context=mp_context,
-        validate_each=validate_each,
-    )[0]
+        for found in pool.executor().map(_run_chunk, schedulers, chunks, flags):
+            outcomes[owners[collected]].update(found)
+            collected += 1
+    except LoopTaskError:
+        raise
+    except Exception as error:
+        # The pool was broken before the chunks went out, the worker
+        # died (BrokenProcessPool), or the chunk's outcome or error
+        # could not be sent back.
+        raise _loop_error(
+            schedulers[collected], chunks[collected], error
+        ) from error
+    results = [
+        _merge(scheduler, suite, found)
+        for (scheduler, suite, _validate_each), found in zip(batch, outcomes)
+    ]
+    return results, len(chunks)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..errors import LoopTaskError
 from ..ir.loop import Loop
@@ -124,34 +124,15 @@ class SuiteResult:
 def run_suite(
     suite: Sequence[Benchmark],
     scheduler: BaseScheduler,
-    jobs: Optional[int] = 1,
-    chunksize: Optional[int] = None,
-    pool=None,
     validate_each: bool = False,
 ) -> SuiteResult:
-    """Schedule the whole suite with one scheduler instance.
+    """Schedule the whole suite with one scheduler instance, in-process.
 
-    ``jobs`` follows the CLI convention: ``1`` (the default) runs
-    in-process and sequentially; any other value dispatches the per-loop
-    work items to a worker pool (see :mod:`repro.eval.parallel`) with a
-    deterministic merge, so the result is bit-identical either way.
-    ``chunksize`` batches several loops per work item and ``pool`` reuses
-    an :func:`~repro.eval.parallel.evaluation_pool` across calls.
     ``validate_each`` re-validates every modulo schedule as it is
-    produced (in the worker that scheduled it, on the parallel path, so
-    the cost is measured where it is paid).
+    produced.  A worker pool is reached only through
+    :meth:`~repro.service.session.ReproService.evaluate_many`, whose
+    results are bit-identical to this sequential path.
     """
-    if jobs != 1 or pool is not None:
-        from .parallel import run_suite_parallel
-
-        return run_suite_parallel(
-            suite,
-            scheduler,
-            jobs=jobs,
-            chunksize=chunksize,
-            pool=pool,
-            validate_each=validate_each,
-        )
     result = SuiteResult(scheduler=scheduler.name, machine=scheduler.machine.name)
     for benchmark in suite:
         result.per_benchmark[benchmark.name] = run_benchmark(

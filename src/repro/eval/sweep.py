@@ -32,6 +32,7 @@ from ..schedule.drivers import (
 )
 from ..workloads.spec import Benchmark, spec_suite
 from .report import format_table
+from .runner import run_suite
 
 #: Schedulers included in every sweep (unified only where it applies).
 _CLUSTERED_SCHEDULERS = (UracamScheduler, FixedPartitionScheduler, GPScheduler)
@@ -120,30 +121,16 @@ class SweepResult:
 
 
 def _average_ipcs(
-    suite: Sequence[Benchmark], schedulers: Sequence, jobs: Optional[int],
-    chunksize: Optional[int] = None, pool=None,
+    suite: Sequence[Benchmark], schedulers: Sequence
 ) -> List[float]:
-    """Average IPC per scheduler, all batched through one worker pool.
-
-    ``pool`` — a caller's :func:`~repro.eval.parallel.evaluation_pool` —
-    lets several sweeps within one invocation reuse the same workers.
-    """
-    from .parallel import run_requests
-
-    results = run_requests(
-        [(scheduler, suite) for scheduler in schedulers], jobs=jobs,
-        chunksize=chunksize, pool=pool,
-    )
-    return [result.average_ipc for result in results]
+    """Average IPC per scheduler, each run over the suite in-process."""
+    return [run_suite(suite, scheduler).average_ipc for scheduler in schedulers]
 
 
 def register_sweep(
     register_totals: Sequence[int] = (16, 32, 48, 64, 96),
     num_clusters: int = 4,
     suite: Optional[Sequence[Benchmark]] = None,
-    jobs: Optional[int] = 1,
-    chunksize: Optional[int] = None,
-    pool=None,
 ) -> SweepResult:
     """IPC vs. total registers on an ``num_clusters``-cluster machine."""
     suite = list(suite) if suite is not None else spec_suite()
@@ -160,7 +147,7 @@ def register_sweep(
         machine = clustered(num_clusters, total)
         schedulers.extend(cls(machine) for cls in _CLUSTERED_SCHEDULERS)
         schedulers.append(UnifiedScheduler(unified(total)))
-    for scheduler, ipc in zip(schedulers, _average_ipcs(suite, schedulers, jobs, chunksize, pool)):
+    for scheduler, ipc in zip(schedulers, _average_ipcs(suite, schedulers)):
         result.series[scheduler.name].append(ipc)
     return result
 
@@ -170,9 +157,6 @@ def bus_latency_sweep(
     num_clusters: int = 4,
     total_registers: int = 64,
     suite: Optional[Sequence[Benchmark]] = None,
-    jobs: Optional[int] = 1,
-    chunksize: Optional[int] = None,
-    pool=None,
 ) -> SweepResult:
     """IPC vs. inter-cluster bus latency (Figures 2 and 3 are points 1, 2)."""
     suite = list(suite) if suite is not None else spec_suite()
@@ -184,7 +168,7 @@ def bus_latency_sweep(
         for latency in latencies
         for cls in _CLUSTERED_SCHEDULERS
     ]
-    for scheduler, ipc in zip(schedulers, _average_ipcs(suite, schedulers, jobs, chunksize, pool)):
+    for scheduler, ipc in zip(schedulers, _average_ipcs(suite, schedulers)):
         result.series[scheduler.name].append(ipc)
     return result
 
@@ -193,9 +177,6 @@ def cluster_sweep(
     cluster_counts: Sequence[int] = (1, 2, 4),
     total_registers: int = 64,
     suite: Optional[Sequence[Benchmark]] = None,
-    jobs: Optional[int] = 1,
-    chunksize: Optional[int] = None,
-    pool=None,
 ) -> SweepResult:
     """IPC vs. cluster count at constant total resources (the Table 1 axis)."""
     suite = list(suite) if suite is not None else spec_suite()
@@ -214,7 +195,7 @@ def cluster_sweep(
             pair = (GPScheduler(machine), UracamScheduler(machine))
             plan.append(pair)
             schedulers.extend(pair)
-    ipcs = dict(zip(schedulers, _average_ipcs(suite, schedulers, jobs, chunksize, pool)))
+    ipcs = dict(zip(schedulers, _average_ipcs(suite, schedulers)))
     for entry in plan:
         if len(entry) == 1:  # unified point: one run feeds both series
             result.series["gp"].append(ipcs[entry[0]])

@@ -71,8 +71,20 @@ def loop_from_dict(data: Dict[str, Any]) -> Loop:
     """Rebuild a loop from :func:`loop_to_dict` output.
 
     Raises:
-        GraphError: if uids are not dense/ascending or references dangle.
+        GraphError: if a field is missing or malformed, uids are not
+            dense/ascending, or references dangle.
     """
+    if not isinstance(data, dict):
+        raise GraphError(f"a serialized loop is an object, got {type(data).__name__}")
+    try:
+        return _loop_from_dict(data)
+    except KeyError as error:
+        raise GraphError(f"serialized loop lacks field {error}") from error
+    except (TypeError, ValueError) as error:
+        raise GraphError(f"malformed serialized loop: {error}") from error
+
+
+def _loop_from_dict(data: Dict[str, Any]) -> Loop:
     ddg = DataDependenceGraph(data.get("name", "loop"))
     ops_sorted = sorted(data["operations"], key=lambda e: e["uid"])
     for expected, entry in enumerate(ops_sorted):
@@ -111,8 +123,12 @@ def dumps(loop: Loop, indent: int = 2) -> str:
 
 
 def loads(text: str) -> Loop:
-    """Parse a loop from a JSON string."""
-    return loop_from_dict(json.loads(text))
+    """Parse a loop from a JSON string (:class:`GraphError` if invalid)."""
+    try:
+        data = json.loads(text)
+    except ValueError as error:
+        raise GraphError(f"loop is not valid JSON: {error}") from error
+    return loop_from_dict(data)
 
 
 def save(loop: Loop, path: str) -> None:
@@ -122,6 +138,10 @@ def save(loop: Loop, path: str) -> None:
 
 
 def load(path: str) -> Loop:
-    """Read a loop from a JSON file."""
-    with open(path) as handle:
-        return loads(handle.read())
+    """Read a loop from a JSON file (:class:`GraphError` if unreadable)."""
+    try:
+        with open(path) as handle:
+            text = handle.read()
+    except (OSError, ValueError) as error:
+        raise GraphError(f"cannot read loop file {path!r}: {error}") from error
+    return loads(text)

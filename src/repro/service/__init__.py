@@ -16,8 +16,9 @@ request/response contracts and one long-lived session object:
   lookups with structured unknown-name errors;
 * :class:`~repro.service.session.ReproService` — the session that owns
   the worker pool, resolves the registries, memoizes responses by
-  request fingerprint and exposes ``schedule()`` / ``evaluate()`` plus
-  the streaming ``submit()`` / ``as_completed()`` batch interface;
+  request fingerprint and exposes ``schedule()``, ``evaluate()`` and
+  ``evaluate_many()`` — the one batch path: a batch's uncached requests
+  share the session's worker pool;
 * :mod:`~repro.service.codec` — the canonical JSON codec for requests
   and response envelopes (the schema the result store persists);
 * :class:`~repro.service.store.ResultStore` — content-addressed
@@ -42,7 +43,7 @@ from .registry import (
 )
 from .requests import EvaluationRequest, RequestError, ScheduleRequest
 from .responses import EvaluationResponse, ResponseMeta, ScheduleResponse
-from .session import BatchHandle, ReproService
+from .session import ReproService
 from .store import (
     STORE_NAMES,
     DiskStore,
@@ -54,7 +55,6 @@ from .store import (
 )
 
 __all__ = [
-    "BatchHandle",
     "CODEC_SCHEMA",
     "CodecError",
     "DiskStore",

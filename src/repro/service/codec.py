@@ -55,7 +55,7 @@ from .store import StoreTelemetry
 #: Schema tag carried on every encoded payload.  Bump on any change to
 #: the encoded shape; decoders reject every other version (the store
 #: then treats old entries as misses and overwrites them).
-CODEC_SCHEMA = "repro-codec/2"
+CODEC_SCHEMA = "repro-codec/3"
 
 
 def dumps(payload: Dict[str, Any]) -> str:

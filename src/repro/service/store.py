@@ -4,35 +4,34 @@ A :class:`ResultStore` maps a request's deterministic sha256 fingerprint
 to the canonical encoded text of its response (see
 :mod:`repro.service.codec`).  Two implementations:
 
-* :class:`MemoryStore` — an in-process LRU over encoded text, for tests
-  and for composing store semantics without touching disk;
+* :class:`MemoryStore` — a plain in-process dict over encoded text, for
+  tests and for composing store semantics without touching disk;
 * :class:`DiskStore` — sharded content-addressed files
   (``objects/<fp[:2]>/<fp>.json``) with **atomic** writes (temp file +
   ``os.replace`` in the same directory, so readers never observe a
-  half-written entry) and **LRU eviction by size budget** (access time
-  bumped on every hit; least-recently-used entries evicted when the
-  byte budget is exceeded).
+  half-written entry).
 
 Both stores obey the same safety contract, enforced in :meth:`load`:
-a corrupted, truncated or wrong-schema entry is **a miss, never an
-error** — the decoder's :class:`~repro.errors.CodecError` quarantines
-the entry and the caller recomputes.  The same degrade-don't-raise
+a corrupted, truncated, non-UTF-8 or wrong-schema entry is **a miss,
+never an error** — the :class:`~repro.errors.CodecError` raised while
+reading or decoding it quarantines the entry and the caller
+recomputes.  The same degrade-don't-raise
 discipline covers writes: a full or read-only filesystem (ENOSPC,
 EROFS, permissions) turns :meth:`put` into a warn-once no-op, because a
 store must never break a computation it was only meant to accelerate.
-Stores count ``hits`` / ``misses`` / ``evictions`` (plus
+Stores count ``hits`` / ``misses`` (plus
 ``write_errors`` and ``quarantined`` in :meth:`stats`); the service
 session surfaces a :class:`StoreTelemetry` snapshot on every
 :class:`~repro.service.responses.ResponseMeta` so callers can see
 whether the content-addressed layer served them.
 
 :class:`DiskStore` is safe to share between processes: writes are
-atomic, ``fsync=True`` makes them crash-durable, corrupted entries move
-to a ``quarantine/`` directory for post-mortem instead of vanishing,
-and LRU eviction takes a cross-process file lock so two processes
-sharing one store root cannot race each other deleting entries.
+atomic, ``fsync=True`` makes them crash-durable, and corrupted entries
+move to a ``quarantine/`` directory for post-mortem instead of
+vanishing.  Nothing is ever evicted: entries stay until ``repro cache
+clear`` (or :meth:`ResultStore.clear`) removes them.
 
-:func:`open_store` resolves a store *spec* string (``memory``, ``disk``,
+:func:`open_store` resolves a store *spec* string (``disk``,
 ``disk:PATH``, or a bare path) — unknown names raise the registries'
 structured :class:`~repro.service.registry.RegistryError` with the
 alternatives listed, the same contract as scheduler/machine lookups.
@@ -46,15 +45,10 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-try:  # POSIX only; eviction locking degrades to best-effort without it
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None  # type: ignore[assignment]
-
 from ..errors import CodecError, StoreError
 
 #: Store spec names :func:`open_store` accepts (besides bare paths).
-STORE_NAMES = ("memory", "disk")
+STORE_NAMES = ("disk",)
 
 
 @dataclass(frozen=True)
@@ -62,16 +56,14 @@ class StoreTelemetry:
     """Store counters surfaced on ``ResponseMeta`` (one per response).
 
     ``hit`` is whether *this* response was served from the store;
-    ``hits``/``misses``/``evictions`` are the store's counters at
-    response time (session-lifetime for a memory store, process-lifetime
-    for a disk store object).
+    ``hits``/``misses`` are the store object's counters at response
+    time.
     """
 
     backend: str
     hit: bool
     hits: int
     misses: int
-    evictions: int
 
 
 class ResultStore:
@@ -85,19 +77,17 @@ class ResultStore:
     #: Backend name reported in telemetry and ``repro cache`` output.
     name = "store"
 
-    def __init__(self, max_bytes: Optional[int] = None) -> None:
-        if max_bytes is not None and max_bytes <= 0:
-            raise StoreError(f"max_bytes must be positive, got {max_bytes}")
-        self.max_bytes = max_bytes
+    def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
         self.write_errors = 0
         self.quarantined = 0
         self._warned_write_error = False
 
     # -- raw operations (subclass responsibility) ----------------------
     def _read(self, fingerprint: str) -> Optional[str]:
+        """Entry text, ``None`` if absent; :class:`CodecError` if unreadable
+        as text."""
         raise NotImplementedError
 
     def _write(self, fingerprint: str, text: str) -> None:
@@ -123,13 +113,13 @@ class ResultStore:
         """Encoded bytes currently stored."""
         raise NotImplementedError
 
-    def _lru_order(self) -> List[str]:
-        """Fingerprints least-recently-used first (eviction order)."""
-        raise NotImplementedError
-
     # -- the service-facing contract ------------------------------------
     def get(self, fingerprint: str) -> Optional[str]:
-        """Raw entry text, counting a hit or miss (None = miss)."""
+        """Raw entry text, counting a hit or miss (None = miss).
+
+        Raises :class:`CodecError` for an entry that is not UTF-8 text
+        (``repro cache verify`` reports it as corrupt).
+        """
         text = self._read(fingerprint)
         if text is None:
             self.misses += 1
@@ -140,30 +130,27 @@ class ResultStore:
     def load(self, fingerprint: str, decoder: Callable[[str], object]):
         """Decode one entry; **corruption is a miss, never an error**.
 
-        A present entry that ``decoder`` rejects (truncated file, stale
-        schema, bit rot) is quarantined, demoted to a miss, and ``None``
-        is returned — the caller recomputes and overwrites.
+        A present entry that is not UTF-8 text or that ``decoder``
+        rejects (truncated file, stale schema, bit rot) is quarantined,
+        demoted to a miss, and ``None`` is returned — the caller
+        recomputes and overwrites.
         """
-        text = self._read(fingerprint)
-        if text is None:
-            self.misses += 1
-            return None
         try:
-            value = decoder(text)
+            text = self._read(fingerprint)
+            value = None if text is None else decoder(text)
         except CodecError:
             self._quarantine(fingerprint)
             self.quarantined += 1
+            self.misses += 1
+            return None
+        if text is None:
             self.misses += 1
             return None
         self.hits += 1
         return value
 
     def put(self, fingerprint: str, text: str) -> None:
-        """Store one entry atomically, then enforce the size budget.
-
-        The entry just written is the most recently used, so eviction
-        removes it last — unless it alone exceeds the whole budget, in
-        which case it is evicted too (the store is too small for it).
+        """Store one entry atomically.
 
         A write the filesystem rejects (ENOSPC, EROFS, permissions) is
         **degraded to a warn-once no-op**: the entry is simply not
@@ -182,8 +169,6 @@ class ResultStore:
                     RuntimeWarning,
                     stacklevel=2,
                 )
-            return
-        self._evict_to_budget()
 
     def delete(self, fingerprint: str) -> None:
         self._delete(fingerprint)
@@ -196,47 +181,13 @@ class ResultStore:
             removed += 1
         return removed
 
-    def _acquire_eviction_lock(self) -> object:
-        """Claim the right to evict; ``False`` means another holder won.
-
-        The base store is process-private, so eviction is always ours to
-        do.  :class:`DiskStore` overrides this with a cross-process file
-        lock so two processes sharing one store root cannot race each
-        other's LRU deletes.
-        """
-        return None
-
-    def _release_eviction_lock(self, token: object) -> None:
-        """Release whatever :meth:`_acquire_eviction_lock` returned."""
-
-    def _evict_to_budget(self) -> None:
-        if self.max_bytes is None:
-            return
-        token = self._acquire_eviction_lock()
-        if token is False:
-            # Another process is evicting this store right now; it will
-            # bring the size under budget — doubling up would just race
-            # deletes against each other.
-            return
-        try:
-            while self.total_bytes() > self.max_bytes:
-                order = self._lru_order()
-                if not order:
-                    return
-                self._delete(order[0])
-                self.evictions += 1
-        finally:
-            self._release_eviction_lock(token)
-
     def stats(self) -> Dict[str, object]:
         return {
             "backend": self.name,
             "entries": len(self.keys()),
             "bytes": self.total_bytes(),
-            "max_bytes": self.max_bytes,
             "hits": self.hits,
             "misses": self.misses,
-            "evictions": self.evictions,
             "write_errors": self.write_errors,
             "quarantined": self.quarantined,
         }
@@ -248,7 +199,6 @@ class ResultStore:
             hit=hit,
             hits=self.hits,
             misses=self.misses,
-            evictions=self.evictions,
         )
 
     def close(self) -> None:
@@ -256,25 +206,18 @@ class ResultStore:
 
 
 class MemoryStore(ResultStore):
-    """In-process LRU store over encoded text."""
+    """In-process store over encoded text: a plain dict."""
 
     name = "memory"
 
-    def __init__(self, max_bytes: Optional[int] = None) -> None:
-        super().__init__(max_bytes)
-        # Insertion order doubles as recency order: entries move to the
-        # end on every read and write.
+    def __init__(self) -> None:
+        super().__init__()
         self._entries: Dict[str, str] = {}
 
     def _read(self, fingerprint: str) -> Optional[str]:
-        text = self._entries.get(fingerprint)
-        if text is not None:
-            self._entries.pop(fingerprint)
-            self._entries[fingerprint] = text
-        return text
+        return self._entries.get(fingerprint)
 
     def _write(self, fingerprint: str, text: str) -> None:
-        self._entries.pop(fingerprint, None)
         self._entries[fingerprint] = text
 
     def _delete(self, fingerprint: str) -> None:
@@ -286,12 +229,9 @@ class MemoryStore(ResultStore):
     def total_bytes(self) -> int:
         return sum(len(text.encode("utf-8")) for text in self._entries.values())
 
-    def _lru_order(self) -> List[str]:
-        return list(self._entries)
-
 
 class DiskStore(ResultStore):
-    """Sharded content-addressed files with atomic writes and LRU eviction.
+    """Sharded content-addressed files with atomic writes.
 
     Layout: ``<root>/objects/<fingerprint[:2]>/<fingerprint>.json`` —
     256 shards keep per-directory entry counts sane at fleet scale.
@@ -301,24 +241,17 @@ class DiskStore(ResultStore):
     torn one.  With ``fsync=True`` the temp file and its shard directory
     are synced around the replace, upgrading atomic to **crash-durable**
     (a power loss after :meth:`put` returns cannot lose or tear the
-    entry) at the cost of two fsyncs per write.  Reads bump the entry's
-    access time (``os.utime``), which is the LRU clock eviction sorts
-    by.  Eviction serializes across processes via ``flock`` on
-    ``<root>/eviction.lock``; entries the decoder rejects move to
-    ``<root>/quarantine/`` rather than being deleted.
+    entry) at the cost of two fsyncs per write.  Entries the reader or
+    decoder rejects move to ``<root>/quarantine/`` rather than being
+    deleted.
     """
 
     name = "disk"
 
     _SUFFIX = ".json"
 
-    def __init__(
-        self,
-        root: str,
-        max_bytes: Optional[int] = None,
-        fsync: bool = False,
-    ) -> None:
-        super().__init__(max_bytes)
+    def __init__(self, root: str, fsync: bool = False) -> None:
+        super().__init__()
         self.root = os.path.abspath(root)
         self.fsync = fsync
         self._objects = os.path.join(self.root, "objects")
@@ -332,21 +265,17 @@ class DiskStore(ResultStore):
         return os.path.join(self._objects, shard, fingerprint + self._SUFFIX)
 
     def _read(self, fingerprint: str) -> Optional[str]:
-        path = self._path(fingerprint)
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except (FileNotFoundError, NotADirectoryError):
-            return None
+            with open(self._path(fingerprint), "rb") as handle:
+                data = handle.read()
         except OSError:
-            # Unreadable entry (permissions, I/O error): a miss, not an
-            # error — the caller recomputes.
+            # Absent or unreadable (permissions, I/O error): a miss, not
+            # an error — the caller recomputes.
             return None
         try:
-            os.utime(path)  # bump the LRU clock
-        except OSError:
-            pass
-        return text
+            return data.decode("utf-8")
+        except UnicodeDecodeError as error:
+            raise CodecError(f"entry is not UTF-8 text: {error}") from error
 
     def _write(self, fingerprint: str, text: str) -> None:
         path = self._path(fingerprint)
@@ -409,32 +338,6 @@ class DiskStore(ResultStore):
         except OSError:
             self._delete(fingerprint)
 
-    def _acquire_eviction_lock(self) -> object:
-        if fcntl is None:
-            return None  # best-effort on platforms without flock
-        try:
-            fd = os.open(
-                os.path.join(self.root, "eviction.lock"),
-                os.O_CREAT | os.O_RDWR,
-                0o644,
-            )
-        except OSError:
-            return None
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except OSError:
-            os.close(fd)
-            return False  # another process holds the eviction lock
-        return fd
-
-    def _release_eviction_lock(self, token: object) -> None:
-        if isinstance(token, int):
-            try:
-                fcntl.flock(token, fcntl.LOCK_UN)
-            except OSError:
-                pass
-            os.close(token)
-
     def _entries(self) -> Iterator[Tuple[str, os.stat_result]]:
         try:
             shards = sorted(os.listdir(self._objects))
@@ -461,11 +364,6 @@ class DiskStore(ResultStore):
     def total_bytes(self) -> int:
         return sum(stat.st_size for _fingerprint, stat in self._entries())
 
-    def _lru_order(self) -> List[str]:
-        entries = list(self._entries())
-        entries.sort(key=lambda item: (item[1].st_atime, item[1].st_mtime, item[0]))
-        return [fingerprint for fingerprint, _stat in entries]
-
 
 def default_store_root() -> str:
     """Where ``disk`` (no path) puts the store.
@@ -483,16 +381,13 @@ def default_store_root() -> str:
 
 
 def open_store(
-    spec: Optional[object],
-    max_bytes: Optional[int] = None,
-    fsync: bool = False,
+    spec: Optional[object], fsync: bool = False
 ) -> Optional[ResultStore]:
     """Resolve a store spec to a :class:`ResultStore` (None passes through).
 
-    Accepted specs: an existing :class:`ResultStore` instance,
-    ``"memory"``, ``"disk"`` (the default root), ``"disk:PATH"``, or a
-    bare filesystem path (anything containing a separator, or ``.``/
-    ``..``-relative).  ``fsync`` applies to disk-backed stores only.
+    Accepted specs: an existing :class:`ResultStore` instance, ``"disk"``
+    (the default root), ``"disk:PATH"``, or a bare filesystem path (anything containing a separator, or ``.``/
+    ``..``-relative).
     Unknown names raise the structured
     :class:`~repro.service.registry.RegistryError` (kind ``"store"``)
     with the alternatives listed.
@@ -501,14 +396,12 @@ def open_store(
         return spec
     if not isinstance(spec, str) or not spec:
         raise StoreError(f"store spec must be a name or path, got {spec!r}")
-    if spec == "memory":
-        return MemoryStore(max_bytes=max_bytes)
     if spec == "disk":
-        return DiskStore(default_store_root(), max_bytes=max_bytes, fsync=fsync)
+        return DiskStore(default_store_root(), fsync=fsync)
     if spec.startswith("disk:"):
-        return DiskStore(spec[len("disk:"):], max_bytes=max_bytes, fsync=fsync)
+        return DiskStore(spec[len("disk:"):], fsync=fsync)
     if os.sep in spec or spec.startswith((".", "~")):
-        return DiskStore(os.path.expanduser(spec), max_bytes=max_bytes, fsync=fsync)
+        return DiskStore(os.path.expanduser(spec), fsync=fsync)
     from .registry import RegistryError
 
     raise RegistryError(

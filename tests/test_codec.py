@@ -252,4 +252,4 @@ class TestSchemaChecks:
             decode_response(payload)
 
     def test_schema_constant_is_versioned(self):
-        assert CODEC_SCHEMA == "repro-codec/2"
+        assert CODEC_SCHEMA == "repro-codec/3"

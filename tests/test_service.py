@@ -3,10 +3,9 @@
 Covers the error paths (unknown scheduler/machine names, conflicting
 request knobs), the deterministic fingerprint (stable across field
 order, sensitive to content), the session's fingerprint cache (hit/miss
-metadata, payload sharing), the streaming batch interface, and — the
-load-bearing guarantee — that façade-built responses are bit-identical
-to the legacy ``run_suite`` path at several ``jobs``/``chunksize``
-combinations.
+metadata, payload sharing), and — the load-bearing guarantee — that
+façade-built responses are bit-identical to the sequential
+``run_suite`` path at several worker counts and chunk-size caps.
 """
 
 import pytest
@@ -320,64 +319,17 @@ class TestSessionCache:
 
 
 # ----------------------------------------------------------------------
-# Streaming batches
-# ----------------------------------------------------------------------
-class TestStreaming:
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_submit_and_as_completed(self, jobs):
-        requests = [
-            EvaluationRequest(
-                scheduler=name, machine="2x32", suite=mini_suite()
-            )
-            for name in ("gp", "uracam", "fixed-partition")
-        ]
-        with ReproService(jobs=jobs) as service:
-            handles = [service.submit(request) for request in requests]
-            responses = {
-                response.request.scheduler: response
-                for response in service.as_completed(handles)
-            }
-            assert set(responses) == {"gp", "uracam", "fixed-partition"}
-            # Streamed results land in the cache and match evaluate().
-            replay = service.evaluate(requests[0])
-            assert replay.meta.cache_hit
-            assert replay.result is responses["gp"].result
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_duplicate_inflight_submit_shares_the_task(self, jobs):
-        request = EvaluationRequest(
-            scheduler="gp", machine="2x32", suite=mini_suite()
-        )
-        with ReproService(jobs=jobs) as service:
-            first = service.submit(request)
-            duplicate = service.submit(request)
-            assert duplicate._task is first._task
-            assert (service.cache_hits, service.cache_misses) == (1, 1)
-            responses = list(service.as_completed([first, duplicate]))
-            assert len(responses) == 2
-            assert responses[0].result is responses[1].result
-            hits = [r.meta.cache_hit for r in responses]
-            assert sorted(hits) == [False, True]
-
-    def test_submit_of_cached_request_completes_immediately(self):
-        request = EvaluationRequest(
-            scheduler="gp", machine="2x32", suite=mini_suite()
-        )
-        with ReproService() as service:
-            service.evaluate(request)
-            handle = service.submit(request)
-            assert handle.done()
-            assert handle.response().meta.cache_hit
-
-
-# ----------------------------------------------------------------------
 # Façade == legacy, bit for bit
 # ----------------------------------------------------------------------
 class TestFacadeLegacyEquivalence:
     @pytest.mark.parametrize(
-        "jobs,chunksize", [(1, None), (2, None), (2, 1), (3, 7)]
+        "jobs,cap", [(1, None), (2, None), (2, 1), (3, 7)]
     )
-    def test_bit_identical_to_run_suite(self, jobs, chunksize):
+    def test_bit_identical_to_run_suite(self, jobs, cap, monkeypatch):
+        from repro.eval import parallel
+
+        if cap is not None:
+            monkeypatch.setattr(parallel, "_MAX_AUTO_CHUNK", cap)
         suite = spec_suite()[:2]
         legacy = suite_result_to_json(
             run_suite(suite, GPScheduler(two_cluster(32))), timing=False
@@ -385,23 +337,18 @@ class TestFacadeLegacyEquivalence:
         request = EvaluationRequest(
             scheduler="gp", machine="2x32", suite=tuple(suite)
         )
-        with ReproService(jobs=jobs, chunksize=chunksize) as service:
+        pinned = EvaluationRequest(
+            scheduler="gp", machine=two_cluster(32), suite=tuple(suite)
+        )
+        with ReproService(jobs=jobs) as service:
             via_evaluate = suite_result_to_json(
                 service.evaluate(request).result, timing=False
             )
-            via_stream = suite_result_to_json(
-                next(
-                    iter(service.as_completed([service.submit(
-                        EvaluationRequest(
-                            scheduler="gp", machine=two_cluster(32),
-                            suite=tuple(suite),
-                        )
-                    )]))
-                ).result,
-                timing=False,
+            via_batch = suite_result_to_json(
+                service.evaluate_many([pinned])[0].result, timing=False
             )
         assert via_evaluate == legacy
-        assert via_stream == legacy
+        assert via_batch == legacy
 
     def test_symbolic_and_pinned_machines_agree(self):
         request_symbolic = EvaluationRequest(
@@ -470,22 +417,6 @@ class TestSessionStoreSeam:
         assert replayed.meta.store.hit is True
         assert replayed.outcome.ipc() == computed.outcome.ipc()
 
-    def test_submit_served_from_store(self):
-        from repro.service import MemoryStore
-
-        store = MemoryStore()
-        request = EvaluationRequest(
-            scheduler="gp", machine="2x32", suite=mini_suite()
-        )
-        with ReproService(jobs=1, store=store) as first:
-            first.evaluate(request)
-        with ReproService(jobs=1, store=store) as second:
-            handle = second.submit(request)
-            assert handle.done()
-            response = handle.response()
-            assert response.meta.cache_hit is True
-            assert response.meta.store.hit is True
-
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failed_batch_is_never_memoized_or_persisted(self, jobs):
         from repro.service import MemoryStore
@@ -515,7 +446,7 @@ class TestSessionStoreSeam:
         )
         with ReproService(jobs=1, store=store) as first:
             good = first.evaluate(request)
-        store._entries[request.fingerprint()] = '{"schema": "repro-codec/2", tr'
+        store._entries[request.fingerprint()] = '{"schema": "repro-codec/3", tr'
         with ReproService(jobs=1, store=store) as second:
             recomputed = second.evaluate(request)
         assert recomputed.meta.cache_hit is False

@@ -35,12 +35,12 @@ processes (``0`` = one per CPU; results are bit-identical to ``--jobs
 1``).  The panel's four requests go to the session's
 ``evaluate_many`` as one batch, so they share one worker pool; chunk
 size and worker start method are chosen automatically.
-``evaluate --verify`` is the slow paranoid mode: every engine commit
-cross-checks the incremental pressure state and every schedule is
-re-validated with ``full_recheck=True``.  ``evaluate --validate-each``
-is the production posture: every modulo schedule is re-validated through
-the cached sessions, in the worker that produced it, so the
-sweep-integrated validation cost is measured rather than skipped.
+Every modulo schedule is validated through the cached sessions the
+engine attached, in the process that produced it.  ``evaluate --verify``
+is the slow paranoid mode: the engine cross-checks its incremental state
+against the reference recomputes at every commit, and every schedule is
+re-validated with ``full_recheck=True``.  ``schedule`` always runs in
+that mode.
 
 Runs fail fast: the schedulers are deterministic, so nothing is
 retried.  A loop that fails to schedule or validate, or a worker that
@@ -95,9 +95,9 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
             loop=load_loop(args.loop_file),
             machine=args.machine,
             scheduler=args.algorithm,
-            # One interactive loop: the independent full recheck is nearly
-            # free and keeps this command's validation engine-independent.
-            full_recheck=True,
+            # One interactive loop: the paranoid checks are nearly free
+            # and keep this command's validation engine-independent.
+            verify=True,
         )
     else:
         if args.kernel not in KERNELS:
@@ -110,7 +110,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
             kernel=args.kernel,
             machine=args.machine,
             scheduler=args.algorithm,
-            full_recheck=True,
+            verify=True,
         )
     with ReproService() as service:
         outcome = service.schedule(request).outcome
@@ -166,38 +166,21 @@ def _cache_stats_line(service: ReproService) -> str:
     )
 
 
-def _verify_engine_options(args: argparse.Namespace):
-    """EngineOptions for ``evaluate --verify``, or None for the defaults.
-
-    None keeps default invocations' request fingerprints (and store
-    keys) stable.
-    """
-    if not args.verify:
-        return None
-    from .schedule.engine import EngineOptions
-
-    return EngineOptions(verify_pressure=True, validate_schedules=True)
-
-
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     from .eval.export import figure_to_csv, figure_to_json
     from .eval.figures import figure2_panel, figure3_panel
 
     suite = _pick_suite(args)
-    # --verify is the paranoid end-to-end mode: incremental-vs-reference
-    # pressure cross-checks inside the engine, plus a full_recheck
-    # validation of every schedule before it is reported.
-    options = _verify_engine_options(args)
     with _service_for(args) as service:
         if args.bus_latency == 2:
             panel = figure3_panel(
-                args.registers, suite=suite, options=options,
-                validate_each=args.validate_each, service=service,
+                args.registers, suite=suite, verify=args.verify,
+                service=service,
             )
         else:
             panel = figure2_panel(
-                args.clusters, args.registers, suite=suite, options=options,
-                validate_each=args.validate_each, service=service,
+                args.clusters, args.registers, suite=suite,
+                verify=args.verify, service=service,
             )
         stats_line = _cache_stats_line(service) if args.store else None
     if args.format == "csv":
@@ -316,13 +299,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--registers", type=int, default=32, choices=(32, 64))
     p_eval.add_argument("--bus-latency", type=int, default=1, choices=(1, 2))
     p_eval.add_argument("--verify", action="store_true",
-                        help="paranoid mode: cross-check the incremental "
-                        "pressure accounting at every engine commit and "
-                        "re-validate every schedule with full_recheck")
-    p_eval.add_argument("--validate-each", action="store_true",
-                        help="re-validate every modulo schedule through "
-                        "its cached sessions as it is produced (the "
-                        "sweep-integrated validation cost)")
+                        help="paranoid mode: cross-check the engine's "
+                        "incremental state against the reference "
+                        "recomputes and re-validate every schedule with "
+                        "full_recheck")
     p_eval.add_argument("--suite", default="paper", choices=SUITE_TIERS,
                         help="workload tier: the paper's 40 loops or the "
                         "220-loop extended tier")

@@ -73,8 +73,7 @@ def _panel(
     clustered_machine,
     unified_machine,
     suite: Sequence[Benchmark],
-    options=None,
-    validate_each: bool = False,
+    verify: bool = False,
     service=None,
 ) -> FigureResult:
     """Run the four bars of one figure panel through the service façade.
@@ -83,11 +82,8 @@ def _panel(
     the batch goes through ``service`` (a
     :class:`~repro.service.session.ReproService`, whose pool and
     response cache are shared with whatever else the caller runs on it)
-    or, when none is given, an ephemeral in-process session.  ``options``
-    (an :class:`~repro.schedule.engine.EngineOptions`) is handed to every
-    scheduler — the CLI's ``--verify`` paranoid mode rides in on it —
-    and ``validate_each`` re-validates every modulo schedule where it is
-    produced (the CLI's ``--validate-each`` sweep-integrated check).
+    or, when none is given, an ephemeral in-process session.  ``verify``
+    is the requests' paranoid switch (the CLI's ``--verify``).
     """
     from ..service import EvaluationRequest, ReproService
 
@@ -96,8 +92,7 @@ def _panel(
             scheduler=label,
             machine=unified_machine if label == "unified" else clustered_machine,
             suite=tuple(suite),
-            options=options,
-            validate_each=validate_each,
+            verify=verify,
         )
         for label in SERIES_ORDER
     ]
@@ -116,8 +111,7 @@ def figure2_panel(
     num_clusters: int,
     total_registers: int,
     suite: Optional[Sequence[Benchmark]] = None,
-    options=None,
-    validate_each: bool = False,
+    verify: bool = False,
     service=None,
 ) -> FigureResult:
     """One of Figure 2's four panels (1 bus, 1-cycle latency)."""
@@ -130,8 +124,7 @@ def figure2_panel(
         clustered_machine=clustered(num_clusters, total_registers, 1, 1),
         unified_machine=unified(total_registers),
         suite=suite,
-        options=options,
-        validate_each=validate_each,
+        verify=verify,
         service=service,
     )
 
@@ -160,8 +153,7 @@ def figure2(
 def figure3_panel(
     total_registers: int,
     suite: Optional[Sequence[Benchmark]] = None,
-    options=None,
-    validate_each: bool = False,
+    verify: bool = False,
     service=None,
 ) -> FigureResult:
     """One Figure 3 panel: 4 clusters, 1 bus with 2-cycle latency."""
@@ -174,8 +166,7 @@ def figure3_panel(
         clustered_machine=four_cluster(total_registers, num_buses=1, bus_latency=2),
         unified_machine=unified(total_registers),
         suite=suite,
-        options=options,
-        validate_each=validate_each,
+        verify=verify,
         service=service,
     )
 
@@ -252,7 +243,6 @@ def table2(
     suite: Optional[Sequence[Benchmark]] = None,
     machines=None,
     service=None,
-    options=None,
 ) -> Table2Result:
     """Regenerate Table 2: scheduling CPU time per algorithm.
 
@@ -277,7 +267,6 @@ def table2(
             scheduler=name,
             machine=machine,
             suite=tuple(suite),
-            options=options,
         )
         for machine in machines
         for name in ("uracam", "fixed-partition", "gp")

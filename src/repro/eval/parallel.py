@@ -170,8 +170,8 @@ class BatchTelemetry:
     chunks: int
 
 
-#: One batch entry: the scheduler, its suite and the ``validate_each`` flag.
-BatchItem = Tuple[BaseScheduler, Sequence[Benchmark], bool]
+#: One batch entry: the scheduler and its suite.
+BatchItem = Tuple[BaseScheduler, Sequence[Benchmark]]
 
 #: A work unit key: (benchmark index, loop index) within one suite.
 _TaskKey = Tuple[int, int]
@@ -181,18 +181,17 @@ _Item = Tuple[_TaskKey, str, Loop]
 
 
 def _run_chunk(
-    scheduler: BaseScheduler, items: Sequence[_Item], validate_each: bool
+    scheduler: BaseScheduler, items: Sequence[_Item]
 ) -> List[Tuple[_TaskKey, ScheduleOutcome]]:
     """Worker entry point (module-level: picklable under ``spawn``).
 
-    ``validate_each`` validates each modulo schedule *here*, while the
+    The scheduler validates each modulo schedule *here*, while the
     engine-attached sessions are still alive (they are dropped when the
-    outcome is pickled back to the parent), so the sweep pays the cached
-    validation cost it is trying to measure.  The first failing item
+    outcome is pickled back to the parent).  The first failing item
     raises a :class:`LoopTaskError` naming it.
     """
     return [
-        (key, schedule_loop(scheduler, benchmark, loop, validate_each))
+        (key, schedule_loop(scheduler, benchmark, loop))
         for key, benchmark, loop in items
     ]
 
@@ -231,7 +230,7 @@ def _merge(
 def run_batch(
     batch: Sequence[BatchItem], pool: Optional[EvaluationPool]
 ) -> Tuple[List[SuiteResult], int]:
-    """Evaluate every ``(scheduler, suite, validate_each)`` entry.
+    """Evaluate every ``(scheduler, suite)`` entry.
 
     Returns one :class:`SuiteResult` per entry, in batch order, and the
     number of chunks submitted to the pool.  Without a pool (or with a
@@ -242,10 +241,7 @@ def run_batch(
     the first failure cancels whatever has not started and raises.
     """
     if pool is None or pool.jobs == 1 or not batch:
-        results = [
-            run_suite(suite, scheduler, validate_each=validate_each)
-            for scheduler, suite, validate_each in batch
-        ]
+        results = [run_suite(suite, scheduler) for scheduler, suite in batch]
         return results, 0
     work = [
         [
@@ -253,22 +249,19 @@ def run_batch(
             for b, benchmark in enumerate(suite)
             for i, loop in enumerate(benchmark.loops)
         ]
-        for _scheduler, suite, _validate_each in batch
+        for _scheduler, suite in batch
     ]
     size = resolve_chunksize(sum(map(len, work)), pool.jobs)
-    owners, schedulers, chunks, flags = [], [], [], []
-    for index, ((scheduler, _suite, validate_each), items) in enumerate(
-        zip(batch, work)
-    ):
+    owners, schedulers, chunks = [], [], []
+    for index, ((scheduler, _suite), items) in enumerate(zip(batch, work)):
         for start in range(0, len(items), size):
             owners.append(index)
             schedulers.append(scheduler)
             chunks.append(items[start : start + size])
-            flags.append(validate_each)
     outcomes: List[Dict[_TaskKey, ScheduleOutcome]] = [{} for _ in batch]
     collected = 0
     try:
-        for found in pool.executor().map(_run_chunk, schedulers, chunks, flags):
+        for found in pool.executor().map(_run_chunk, schedulers, chunks):
             outcomes[owners[collected]].update(found)
             collected += 1
     except LoopTaskError:
@@ -282,6 +275,6 @@ def run_batch(
         ) from error
     results = [
         _merge(scheduler, suite, found)
-        for (scheduler, suite, _validate_each), found in zip(batch, outcomes)
+        for (scheduler, suite), found in zip(batch, outcomes)
     ]
     return results, len(chunks)

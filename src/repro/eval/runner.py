@@ -56,20 +56,16 @@ def schedule_loop(
     scheduler: BaseScheduler,
     benchmark: str,
     loop: Loop,
-    validate_each: bool = False,
 ) -> ScheduleOutcome:
-    """Schedule one loop of ``benchmark``; any failure becomes a
+    """Schedule one loop of ``benchmark``; any failure (the scheduler's
+    own validation included) becomes a
     :class:`~repro.errors.LoopTaskError` naming the loop.
 
-    ``validate_each`` re-validates a modulo schedule right after it is
-    produced (the cached sessions the engine attached, not the paranoid
-    ``full_recheck`` rebuild).  The pooled runner calls this in its
-    workers, so every ``--jobs`` value fails the same way.
+    The pooled runner calls this in its workers, so every ``--jobs``
+    value fails the same way.
     """
     try:
         outcome = scheduler.schedule(loop)
-        if validate_each and outcome.is_modulo:
-            outcome.schedule.validate()
     except Exception as error:
         raise LoopTaskError(
             benchmark=benchmark,
@@ -83,22 +79,18 @@ def schedule_loop(
 def run_benchmark(
     benchmark: Benchmark,
     scheduler: BaseScheduler,
-    validate_each: bool = False,
 ) -> BenchmarkResult:
     """Schedule every loop of ``benchmark`` with ``scheduler``.
 
-    ``validate_each`` re-validates every modulo schedule as it is
-    produced — the production posture where every served schedule is
-    checked, so sweeps measure and gate the integrated validation cost
-    instead of timing it standalone.  A loop that fails to schedule or
-    validate raises a :class:`~repro.errors.LoopTaskError` naming it.
+    A loop that fails to schedule or validate raises a
+    :class:`~repro.errors.LoopTaskError` naming it.
     """
     return BenchmarkResult(
         benchmark=benchmark.name,
         scheduler=scheduler.name,
         machine=scheduler.machine.name,
         outcomes=[
-            schedule_loop(scheduler, benchmark.name, loop, validate_each)
+            schedule_loop(scheduler, benchmark.name, loop)
             for loop in benchmark.loops
         ],
     )
@@ -124,18 +116,14 @@ class SuiteResult:
 def run_suite(
     suite: Sequence[Benchmark],
     scheduler: BaseScheduler,
-    validate_each: bool = False,
 ) -> SuiteResult:
     """Schedule the whole suite with one scheduler instance, in-process.
 
-    ``validate_each`` re-validates every modulo schedule as it is
-    produced.  A worker pool is reached only through
+    A worker pool is reached only through
     :meth:`~repro.service.session.ReproService.evaluate_many`, whose
     results are bit-identical to this sequential path.
     """
     result = SuiteResult(scheduler=scheduler.name, machine=scheduler.machine.name)
     for benchmark in suite:
-        result.per_benchmark[benchmark.name] = run_benchmark(
-            benchmark, scheduler, validate_each=validate_each
-        )
+        result.per_benchmark[benchmark.name] = run_benchmark(benchmark, scheduler)
     return result

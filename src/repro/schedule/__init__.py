@@ -16,7 +16,6 @@ from .engine import (
     AssignedFirstPolicy,
     Candidate,
     ClusterPolicy,
-    EngineOptions,
     FixedClusterPolicy,
     SchedulingEngine,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "Candidate",
     "ClusterPolicy",
     "DEFAULT_THRESHOLD",
-    "EngineOptions",
     "ExpandedSchedule",
     "FixedClusterPolicy",
     "FixedPartitionScheduler",

@@ -27,8 +27,8 @@ for loops where modulo scheduling becomes inappropriate).
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, replace
-from typing import Dict, Iterator, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Iterator, Optional, Union
 
 from ..ir.loop import Loop
 from ..machine.config import MachineConfig
@@ -37,7 +37,6 @@ from .engine import (
     AllClustersPolicy,
     AssignedFirstPolicy,
     ClusterPolicy,
-    EngineOptions,
     FixedClusterPolicy,
     SchedulingEngine,
 )
@@ -93,16 +92,22 @@ class BaseScheduler:
     """Common II-search loop shared by the three algorithms."""
 
     name = "base"
+    #: Partitions computed for the loop being scheduled (the
+    #: partition-guided drivers count theirs).
+    _partitions_computed = 0
 
     def __init__(
         self,
         machine: MachineConfig,
         max_ii_span: int = 48,
-        options: Optional[EngineOptions] = None,
+        verify: bool = False,
     ) -> None:
         self.machine = machine
         self.max_ii_span = max_ii_span
-        self.options = options or EngineOptions()
+        #: The paranoid switch: the engine's reference cross-checks plus
+        #: ``validate(full_recheck=True)`` on every modulo schedule
+        #: (otherwise the cached ``validate()``).
+        self.verify = verify
 
     # -- per-algorithm hooks ----------------------------------------------
     def _prepare(self, loop: Loop, start_ii: int) -> None:
@@ -111,15 +116,13 @@ class BaseScheduler:
     def _policy(self, loop: Loop, ii: int) -> ClusterPolicy:
         raise NotImplementedError
 
-    def _attempts(
-        self, loop: Loop, ii: int
-    ) -> Iterator[Tuple[ClusterPolicy, EngineOptions]]:
-        """The engine attempts to make at ``ii``, in order.
+    def _attempts(self, loop: Loop, ii: int) -> Iterator[ClusterPolicy]:
+        """The policies of the engine attempts to make at ``ii``, in order.
 
         The driver stops at the first attempt that schedules, so work
         after a ``yield`` only runs when the attempts before it failed.
         """
-        yield self._policy(loop, ii), self._engine_options(loop)
+        yield self._policy(loop, ii)
 
     # -- driver -------------------------------------------------------------
     def schedule(self, loop: Loop) -> ScheduleOutcome:
@@ -135,8 +138,8 @@ class BaseScheduler:
         feas_hits = feas_scans = 0
         while ii <= start_ii + self.max_ii_span:
             attempts += 1
-            for policy, options in self._attempts(loop, ii):
-                engine = SchedulingEngine(loop, self.machine, ii, policy, options)
+            for policy in self._attempts(loop, ii):
+                engine = SchedulingEngine(loop, self.machine, ii, policy, self.verify)
                 found = engine.attempt()
                 # Candidate-feasibility cache telemetry survives failed
                 # attempts (where most of the spill-round rescanning happens).
@@ -150,16 +153,13 @@ class BaseScheduler:
         if found is not None:
             found.scheduler_name = self.name
             found.stats.ii_attempts = attempts
-            found.stats.partitions_computed = getattr(
-                self, "_partitions_computed", 0
-            )
+            found.stats.partitions_computed = self._partitions_computed
             found.stats.feas_cache_hits = feas_hits
             found.stats.feas_cache_scans = feas_scans
-            if self.options.validate_schedules:
-                # Paranoid end-to-end mode (CLI --verify): rebuild the
-                # lifetime analysis from the raw ledger and cross-check it
-                # against the engine-attached session.
-                found.validate(full_recheck=True)
+            # Every returned schedule passes the validator: the cached
+            # sessions the engine attached, or under ``verify`` a rebuild
+            # from the raw ledger cross-checked against them.
+            found.validate(full_recheck=self.verify)
             schedule = found
         else:
             schedule = list_schedule(loop, self.machine)
@@ -171,9 +171,6 @@ class BaseScheduler:
             cpu_seconds=elapsed,
             scheduler_name=self.name,
         )
-
-    def _engine_options(self, loop: Loop) -> EngineOptions:
-        return self.options
 
 
 class UracamScheduler(BaseScheduler):
@@ -204,20 +201,16 @@ class FixedPartitionScheduler(BaseScheduler):
         self,
         machine: MachineConfig,
         max_ii_span: int = 48,
-        options: Optional[EngineOptions] = None,
+        verify: bool = False,
         partitioner: Optional[MultilevelPartitioner] = None,
     ) -> None:
-        super().__init__(machine, max_ii_span, options)
+        super().__init__(machine, max_ii_span, verify)
         self.partitioner = partitioner or MultilevelPartitioner(machine)
         self.partition: Optional[Partition] = None
-        self._partitions_computed = 0
 
     def _prepare(self, loop: Loop, start_ii: int) -> None:
-        # The MII partition is the only one the II search schedules with
-        # on every II, so its engine options are built once per loop.
         self._partitions_computed = 0
         self.partition = self._compute_partition(loop, start_ii)
-        self._partition_options = self._options_for(loop, self.partition)
 
     def _compute_partition(self, loop: Loop, ii: int) -> Partition:
         self._partitions_computed += 1
@@ -225,22 +218,9 @@ class FixedPartitionScheduler(BaseScheduler):
             return trivial_partition(loop, ii)
         return self.partitioner.partition(loop, ii)
 
-    def _options_for(self, loop: Loop, partition: Partition) -> EngineOptions:
-        """The engine options with the original memory operations each
-        cluster of ``partition`` hosts (§3.3.4)."""
-        counts: Dict[int, int] = {}
-        for uid in loop.ddg.uids():
-            if loop.ddg.operation(uid).is_memory:
-                cluster = partition.assignment[uid]
-                counts[cluster] = counts.get(cluster, 0) + 1
-        return replace(self.options, mem_ops_per_cluster=counts)
-
     def _policy(self, loop: Loop, ii: int) -> ClusterPolicy:
         assert self.partition is not None
         return FixedClusterPolicy(self.partition.assignment)
-
-    def _engine_options(self, loop: Loop) -> EngineOptions:
-        return self._partition_options
 
 
 class GPScheduler(FixedPartitionScheduler):
@@ -274,9 +254,7 @@ class GPScheduler(FixedPartitionScheduler):
             self.partition.assignment, self.machine.num_clusters
         )
 
-    def _attempts(
-        self, loop: Loop, ii: int
-    ) -> Iterator[Tuple[ClusterPolicy, EngineOptions]]:
+    def _attempts(self, loop: Loop, ii: int) -> Iterator[ClusterPolicy]:
         yield from super()._attempts(loop, ii)
         partition = self.partition
         assert partition is not None
@@ -286,10 +264,7 @@ class GPScheduler(FixedPartitionScheduler):
             and partition.ii_bus > ii
         ):
             rescue = self._compute_partition(loop, ii)
-            yield (
-                AssignedFirstPolicy(rescue.assignment, self.machine.num_clusters),
-                self._options_for(loop, rescue),
-            )
+            yield AssignedFirstPolicy(rescue.assignment, self.machine.num_clusters)
 
 
 #: Name -> scheduler class, for the evaluation harness and the CLI examples.

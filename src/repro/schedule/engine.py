@@ -56,13 +56,13 @@ the engine keeps two implementations of the register accounting:
   ledger (:meth:`~repro.schedule.analysis_core.ScheduleAnalysis.update`),
   so the tracked state always equals the reference recompute.
 
-``EngineOptions.verify_pressure`` is the escape hatch: when set, the
-engine cross-checks the tracker against the reference functions after
-every commit and spill
-(:meth:`~repro.schedule.analysis_core.ScheduleAnalysis.verify`), and every
+``verify=True`` is the paranoid switch: the engine then cross-checks the
+tracker against the reference functions after every commit and spill
+(:meth:`~repro.schedule.analysis_core.ScheduleAnalysis.verify`), every
 candidate preview against a full re-derivation of the touched values
-(``_reference_register_effect``).  The equivalence tests run whole
-schedules in this mode.
+(``_reference_register_effect``), and the structural handover against
+the reference sweeps.  The equivalence tests run whole schedules in this
+mode.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ from ..ir.opcodes import OpClass
 from ..machine.config import MachineConfig
 from .analysis_core import ScheduleAnalysis
 from .lifetimes import LiveSegment
-from .merit import DEFAULT_THRESHOLD, MeritVector, compare, consumption
+from .merit import MeritVector, compare, consumption
 from .mrt import FUSlot, Overlay, ReservationTable
 from .ordering import sms_order
 from .result import AuxOp, ModuloSchedule, Placed, ScheduleStats
@@ -145,16 +145,23 @@ class Candidate:
         return self._merit
 
 
+#: Spill rounds per node before the attempt gives up on it.
+MAX_SPILL_ROUNDS = 3
+#: Longest-lived values tried as spill victims per round.
+SPILL_VICTIMS_TRIED = 6
+
+
 class ClusterPolicy:
     """Decides which clusters are tried for each operation."""
 
     name = "policy"
+    #: The partition's node -> cluster map, or None without a partition.
+    #: The engine derives the per-cluster memory headroom (§3.3.4) from
+    #: it; without one it uses the single global headroom (§3.3.2).
+    assignment: Optional[Dict[int, int]] = None
 
     def select(
-        self,
-        uid: int,
-        evaluate: Callable[[int], Optional[Candidate]],
-        threshold: float = DEFAULT_THRESHOLD,
+        self, uid: int, evaluate: Callable[[int], Optional[Candidate]]
     ) -> Optional[Candidate]:
         """Return the winning candidate, or None if every cluster fails."""
         raise NotImplementedError
@@ -168,13 +175,13 @@ class AllClustersPolicy(ClusterPolicy):
     def __init__(self, num_clusters: int) -> None:
         self.num_clusters = num_clusters
 
-    def select(self, uid, evaluate, threshold=DEFAULT_THRESHOLD):
+    def select(self, uid, evaluate):
         best: Optional[Candidate] = None
         for cluster in range(self.num_clusters):
             candidate = evaluate(cluster)
             if candidate is None:
                 continue
-            if best is None or compare(candidate.merit, best.merit, threshold) < 0:
+            if best is None or compare(candidate.merit, best.merit) < 0:
                 best = candidate
         return best
 
@@ -187,7 +194,7 @@ class FixedClusterPolicy(ClusterPolicy):
     def __init__(self, assignment: Dict[int, int]) -> None:
         self.assignment = assignment
 
-    def select(self, uid, evaluate, threshold=DEFAULT_THRESHOLD):
+    def select(self, uid, evaluate):
         return evaluate(self.assignment[uid])
 
 
@@ -200,7 +207,7 @@ class AssignedFirstPolicy(ClusterPolicy):
         self.assignment = assignment
         self.num_clusters = num_clusters
 
-    def select(self, uid, evaluate, threshold=DEFAULT_THRESHOLD):
+    def select(self, uid, evaluate):
         home = self.assignment[uid]
         candidate = evaluate(home)
         if candidate is not None:
@@ -212,34 +219,9 @@ class AssignedFirstPolicy(ClusterPolicy):
             other = evaluate(cluster)
             if other is None:
                 continue
-            if best is None or compare(other.merit, best.merit, threshold) < 0:
+            if best is None or compare(other.merit, best.merit) < 0:
                 best = other
         return best
-
-
-@dataclass
-class EngineOptions:
-    """Tunables of the scheduling engine."""
-
-    merit_threshold: float = DEFAULT_THRESHOLD
-    allow_spill: bool = True
-    allow_memory_comm: bool = True
-    max_spill_rounds: int = 3
-    spill_victims_tried: int = 6
-    #: Original memory ops per cluster (per-cluster headroom, §3.3.4); when
-    #: None, the single global headroom component of §3.3.2 is used.
-    mem_ops_per_cluster: Optional[Dict[int, int]] = None
-    #: Cross-check the incremental pressure tracker against the reference
-    #: recompute after every commit and spill, every candidate's register
-    #: preview against a full re-derivation of its values, and the
-    #: structural (reservation-table) handover against the reference
-    #: sweeps before it is attached to the schedule (slow; used by the
-    #: equivalence tests and the CLI's ``--verify`` mode).
-    verify_pressure: bool = False
-    #: Drivers re-validate every modulo schedule they produce with
-    #: ``validate(full_recheck=True)`` before returning it (slow; the CLI's
-    #: ``--verify`` paranoid mode and the CI smoke job turn this on).
-    validate_schedules: bool = False
 
 
 class SchedulingEngine:
@@ -251,13 +233,17 @@ class SchedulingEngine:
         machine: MachineConfig,
         ii: int,
         policy: ClusterPolicy,
-        options: Optional[EngineOptions] = None,
+        verify: bool = False,
     ) -> None:
         self.loop = loop
         self.machine = machine
         self.ii = ii
         self.policy = policy
-        self.options = options or EngineOptions()
+        #: Cross-check the incremental pressure tracker after every commit
+        #: and spill, every register preview, and the structural handover
+        #: against their reference recomputes (slow; see the module
+        #: docstring).
+        self.verify = verify
         self.ddg = loop.ddg
         self.table = ReservationTable(machine, ii)
         self.placements: Dict[int, Placed] = {}
@@ -265,7 +251,15 @@ class SchedulingEngine:
         self.stats = ScheduleStats()
         self._analysis = analyze(self.ddg, ii)
         self._aux_mem_per_cluster: Dict[int, int] = {}
-        self._total_mem_ops = sum(1 for op in self.ddg.operations() if op.is_memory)
+        memory_uids = [op.uid for op in self.ddg.operations() if op.is_memory]
+        self._total_mem_ops = len(memory_uids)
+        # Original memory ops per cluster of the policy's partition
+        # (per-cluster headroom, §3.3.4); None selects the global one.
+        self._partition_mem_ops: Optional[List[int]] = None
+        if policy.assignment is not None:
+            self._partition_mem_ops = [0] * machine.num_clusters
+            for uid in memory_uids:
+                self._partition_mem_ops[policy.assignment[uid]] += 1
         self._failure_reasons: Dict[int, Set[str]] = {}
         # Incremental register accounting (see the module docstring) plus
         # per-cluster constants the hot path would otherwise re-derive.
@@ -322,7 +316,7 @@ class SchedulingEngine:
             dep_edges=count_edges(schedule),
             placements=schedule.placements,
         )
-        if self.options.verify_pressure:
+        if self.verify:
             structural.verify(schedule)
         schedule.attach_structural(structural)
         return schedule
@@ -340,20 +334,17 @@ class SchedulingEngine:
         # while this node is being placed, so the pruned set never goes
         # stale; it dies with the node.
         pruned: Set[Tuple[int, int]] = set()
-        for _round in range(self.options.max_spill_rounds + 1):
+        for _round in range(MAX_SPILL_ROUNDS + 1):
             self._failure_reasons = {}
             candidate = self.policy.select(
                 uid,
                 lambda cluster: self._evaluate(uid, cluster, window, plan, pruned),
-                self.options.merit_threshold,
             )
             if candidate is not None:
                 self._commit(candidate)
-                if self.options.verify_pressure:
+                if self.verify:
                     self.pressure.verify(self.values.values())
                 return True
-            if not self.options.allow_spill:
-                return False
             register_bound = [
                 cluster
                 for cluster, reasons in sorted(self._failure_reasons.items())
@@ -363,7 +354,7 @@ class SchedulingEngine:
                 return False
             if not any(self._try_spill(cluster) for cluster in register_bound):
                 return False
-            if self.options.verify_pressure:
+            if self.verify:
                 self.pressure.verify(self.values.values())
         return False
 
@@ -604,14 +595,13 @@ class SchedulingEngine:
             )
 
         # 4. Communication through memory (store + load).
-        if self.options.allow_memory_comm:
-            route = self._plan_memory_load(
-                value, consumer, cluster, read_time, overlay,
-                create_store=value.store_time is None,
-            )
-            if route is not None:
-                return route
-            reasons.add("mem")
+        route = self._plan_memory_load(
+            value, consumer, cluster, read_time, overlay,
+            create_store=value.store_time is None,
+        )
+        if route is not None:
+            return route
+        reasons.add("mem")
         reasons.add("bus")
         return None
 
@@ -703,42 +693,39 @@ class SchedulingEngine:
                 pending_store,
             )
 
-        if self.options.allow_memory_comm:
-            if birth + STORE_LATENCY > read_time - LOAD_LATENCY:
-                # No load window after the earliest store (any pending
-                # store issues at or after the birth too).
+        if birth + STORE_LATENCY > read_time - LOAD_LATENCY:
+            # No load window after the earliest store (any pending
+            # store issues at or after the birth too).
+            reasons.add("mem")
+            return None, pending_store
+        new_store: Optional[AuxOp] = None
+        if pending_store is None:
+            store_time = self._find_mem_slot(
+                home, birth, birth + self.ii - 1, overlay, prefer="early"
+            )
+            if store_time is None:
                 reasons.add("mem")
                 return None, pending_store
-            new_store: Optional[AuxOp] = None
-            if pending_store is None:
-                store_time = self._find_mem_slot(
-                    home, birth, birth + self.ii - 1, overlay, prefer="early"
-                )
-                if store_time is None:
-                    reasons.add("mem")
-                    return None, pending_store
-                overlay.add_fu(FUSlot(home, OpClass.MEM, store_time))
-                new_store = AuxOp("comm_store", producer, home, store_time)
-                ready = store_time + STORE_LATENCY
-            else:
-                ready = pending_store.time + STORE_LATENCY
-            load_time = self._find_mem_slot(
-                dst_cluster, ready, read_time - LOAD_LATENCY, overlay,
-                prefer="late",
-            )
-            if load_time is None:
-                reasons.add("mem")
-                return None, pending_store
-            overlay.add_fu(FUSlot(dst_cluster, OpClass.MEM, load_time))
-            route = _Route(
-                None,
-                Use(consumer, dst_cluster, read_time, "mem", load_time=load_time),
-                new_store=new_store,
-                new_load=AuxOp("comm_load", producer, dst_cluster, load_time),
-            )
-            return route, (pending_store or new_store)
-        reasons.add("bus")
-        return None, pending_store
+            overlay.add_fu(FUSlot(home, OpClass.MEM, store_time))
+            new_store = AuxOp("comm_store", producer, home, store_time)
+            ready = store_time + STORE_LATENCY
+        else:
+            ready = pending_store.time + STORE_LATENCY
+        load_time = self._find_mem_slot(
+            dst_cluster, ready, read_time - LOAD_LATENCY, overlay,
+            prefer="late",
+        )
+        if load_time is None:
+            reasons.add("mem")
+            return None, pending_store
+        overlay.add_fu(FUSlot(dst_cluster, OpClass.MEM, load_time))
+        route = _Route(
+            None,
+            Use(consumer, dst_cluster, read_time, "mem", load_time=load_time),
+            new_store=new_store,
+            new_load=AuxOp("comm_load", producer, dst_cluster, load_time),
+        )
+        return route, (pending_store or new_store)
 
     def _find_mem_slot(
         self,
@@ -884,7 +871,7 @@ class SchedulingEngine:
         effect = tracker.preview_effect(
             changes, self._registers, self._committed_peaks()
         )
-        if self.options.verify_pressure:
+        if self.verify:
             expected = self._reference_register_effect(
                 uid, cluster, birth, creates_value, routes
             )
@@ -983,11 +970,11 @@ class SchedulingEngine:
         return MeritVector(tuple(components))
 
     def _headroom_components(self, aux_new: List[int]) -> List[float]:
-        per_cluster = self.options.mem_ops_per_cluster
+        per_cluster = self._partition_mem_ops
         if per_cluster is not None:
             out = []
             for c in range(self.machine.num_clusters):
-                headroom_total = self._mem_total[c] - per_cluster.get(c, 0)
+                headroom_total = self._mem_total[c] - per_cluster[c]
                 headroom_used = self._aux_mem_per_cluster.get(c, 0)
                 out.append(consumption(aux_new[c], headroom_total - headroom_used))
             return out
@@ -1049,7 +1036,7 @@ class SchedulingEngine:
             if length > 0:
                 ranked.append((length, value.producer, value))
         ranked.sort(key=lambda item: (-item[0], item[1]))
-        for _length, _uid, value in ranked[: self.options.spill_victims_tried]:
+        for _length, _uid, value in ranked[:SPILL_VICTIMS_TRIED]:
             if self._spill_value(value):
                 self.stats.spills += 1
                 return True

@@ -28,9 +28,9 @@ The paranoid contract mirrors the register side exactly:
 ``validate(full_recheck=True)`` rebuilds the structural session from the
 raw schedule and fails on any divergence from an attached one — a stale
 or corrupted cache can never hide a structural violation from the
-paranoid mode.  :meth:`verify` is the engine-facing escape hatch
-(``EngineOptions.verify_pressure`` cross-checks the handed-over rows
-against the reference sweep at attach time).
+paranoid mode.  :meth:`verify` is the engine-facing check (an engine
+built with ``verify=True`` cross-checks the handed-over rows against the
+reference sweep at attach time).
 """
 
 from __future__ import annotations

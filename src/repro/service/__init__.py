@@ -9,8 +9,7 @@ request/response contracts and one long-lived session object:
   of work;
 * :class:`~repro.service.responses.ScheduleResponse` /
   :class:`~repro.service.responses.EvaluationResponse` — envelopes
-  wrapping the classic result objects with timing, cache and validation
-  metadata;
+  wrapping the classic result objects with timing and cache metadata;
 * :class:`~repro.service.registry.SchedulerRegistry` /
   :class:`~repro.service.registry.MachineRegistry` — pluggable name
   lookups with structured unknown-name errors;

@@ -10,9 +10,9 @@ decoded payload is byte-identical, which the round-trip property suite
 enforces and the store's integrity checks rely on.
 
 Requests are encoded *by content*: explicit loops serialize through
-:mod:`repro.ir.serialize`, explicit machines and engine options through
-their dataclass fields, so ``decode_request(encode_request(r))`` is a
-real, construction-validated request whose ``fingerprint()`` equals the
+:mod:`repro.ir.serialize`, explicit machines through their dataclass
+fields, so ``decode_request(encode_request(r))`` is a real,
+construction-validated request whose ``fingerprint()`` equals the
 original's — the property that makes the content-addressed store safe
 across processes and hosts.
 
@@ -37,8 +37,8 @@ miss, never an error.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
-from typing import Any, Dict, List, Optional, Tuple, Union
+from dataclasses import asdict, dataclass
+from typing import Any, Dict, List, Tuple, Union
 
 from ..errors import CodecError
 from ..eval.metrics import outcome_shape
@@ -46,7 +46,6 @@ from ..eval.parallel import BatchTelemetry
 from ..eval.runner import BenchmarkResult, SuiteResult
 from ..ir.serialize import loop_from_dict, loop_to_dict
 from ..machine.config import ClusterConfig, MachineConfig
-from ..schedule.engine import EngineOptions
 from ..workloads.spec import Benchmark
 from .requests import EvaluationRequest, ScheduleRequest
 from .responses import EvaluationResponse, ResponseMeta, ScheduleResponse
@@ -55,7 +54,7 @@ from .store import StoreTelemetry
 #: Schema tag carried on every encoded payload.  Bump on any change to
 #: the encoded shape; decoders reject every other version (the store
 #: then treats old entries as misses and overwrites them).
-CODEC_SCHEMA = "repro-codec/3"
+CODEC_SCHEMA = "repro-codec/4"
 
 
 def dumps(payload: Dict[str, Any]) -> str:
@@ -169,7 +168,7 @@ class StoredOutcome:
 
 
 # ----------------------------------------------------------------------
-# Machines, options, suites
+# Machines, suites
 # ----------------------------------------------------------------------
 def _encode_machine(machine: Union[str, MachineConfig]) -> Any:
     if isinstance(machine, str):
@@ -191,41 +190,6 @@ def _decode_machine(payload: Any) -> Union[str, MachineConfig]:
         )
     except (AttributeError, KeyError, TypeError) as error:
         raise CodecError(f"malformed machine payload: {error}") from error
-
-
-def _encode_options(options: Optional[EngineOptions]) -> Any:
-    if options is None:
-        return None
-    payload = asdict(options)
-    per_cluster = payload.get("mem_ops_per_cluster")
-    if per_cluster is not None:
-        payload["mem_ops_per_cluster"] = {
-            str(k): v for k, v in per_cluster.items()
-        }
-    return payload
-
-
-def _decode_options(payload: Any) -> Optional[EngineOptions]:
-    if payload is None:
-        return None
-    try:
-        data = dict(payload)
-        known = {f.name for f in fields(EngineOptions)}
-        unknown = set(data) - known
-        if unknown:
-            raise CodecError(
-                f"unknown EngineOptions fields: {sorted(unknown)}"
-            )
-        per_cluster = data.get("mem_ops_per_cluster")
-        if per_cluster is not None:
-            data["mem_ops_per_cluster"] = {
-                int(k): v for k, v in per_cluster.items()
-            }
-        return EngineOptions(**data)
-    except CodecError:
-        raise
-    except (TypeError, ValueError) as error:
-        raise CodecError(f"malformed EngineOptions payload: {error}") from error
 
 
 def _encode_suite(suite: Union[str, Tuple[Benchmark, ...]]) -> Any:
@@ -268,7 +232,6 @@ def encode_request(
         "schema": CODEC_SCHEMA,
         "scheduler": request.scheduler,
         "machine": _encode_machine(request.machine),
-        "options": _encode_options(request.options),
         "verify": request.verify,
     }
     if isinstance(request, ScheduleRequest):
@@ -276,14 +239,12 @@ def encode_request(
             kind="schedule",
             kernel=request.kernel,
             loop=None if request.loop is None else loop_to_dict(request.loop),
-            full_recheck=request.full_recheck,
         )
     elif isinstance(request, EvaluationRequest):
         common.update(
             kind="evaluation",
             suite=_encode_suite(request.suite),
             programs=request.programs,
-            validate_each=request.validate_each,
         )
     else:
         raise CodecError(f"cannot encode request of type {type(request).__name__}")
@@ -309,9 +270,7 @@ def decode_request(
                 scheduler=payload["scheduler"],
                 kernel=payload.get("kernel"),
                 loop=None if loop is None else loop_from_dict(loop),
-                options=_decode_options(payload.get("options")),
                 verify=payload.get("verify", False),
-                full_recheck=payload.get("full_recheck", False),
             )
         if kind == "evaluation":
             return EvaluationRequest(
@@ -319,9 +278,7 @@ def decode_request(
                 machine=_decode_machine(payload["machine"]),
                 suite=_decode_suite(payload["suite"]),
                 programs=payload.get("programs", 0),
-                options=_decode_options(payload.get("options")),
                 verify=payload.get("verify", False),
-                validate_each=payload.get("validate_each", False),
             )
     except CodecError:
         raise
@@ -352,7 +309,6 @@ def encode_meta(meta: ResponseMeta) -> Dict[str, Any]:
         "cache_hit": meta.cache_hit,
         "wall_seconds": meta.wall_seconds,
         "jobs": meta.jobs,
-        "validated": meta.validated,
         "telemetry": _encode_record(meta.telemetry),
         "store": _encode_record(meta.store),
     }
@@ -365,7 +321,6 @@ def decode_meta(payload: Dict[str, Any]) -> ResponseMeta:
             cache_hit=payload["cache_hit"],
             wall_seconds=payload["wall_seconds"],
             jobs=payload["jobs"],
-            validated=payload["validated"],
             telemetry=_decode_record(
                 BatchTelemetry, payload.get("telemetry"), "telemetry"
             ),

@@ -33,7 +33,6 @@ from ..machine.dsp import DSP_PRESETS
 from ..machine.spec import looks_like_machine_spec, parse_machine_spec
 from ..schedule.drivers import BaseScheduler
 from ..schedule.drivers import SCHEDULERS as _DRIVER_CLASSES
-from ..schedule.engine import EngineOptions
 
 T = TypeVar("T")
 
@@ -111,19 +110,18 @@ class SchedulerRegistry(Registry[type]):
         self,
         name: str,
         machine: MachineConfig,
-        options: Optional[EngineOptions] = None,
         **kwargs,
     ) -> BaseScheduler:
         """Instantiate the named scheduler on ``machine``.
 
-        ``options`` and any extra keyword arguments are forwarded to the
-        scheduler's constructor (e.g. a custom ``partitioner`` for the
+        Keyword arguments are forwarded to the scheduler's constructor
+        (``verify``, or a custom ``partitioner`` for the
         partition-guided schedulers).
 
         Raises:
             RegistryError: for an unknown scheduler name.
         """
-        return self._lookup(name)(machine, options=options, **kwargs)
+        return self._lookup(name)(machine, **kwargs)
 
     @classmethod
     def with_defaults(cls) -> "SchedulerRegistry":

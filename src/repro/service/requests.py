@@ -1,7 +1,7 @@
 """Typed, frozen request contracts for the service façade.
 
 A request is pure data: *what* to compute — a loop or a suite, a machine,
-a scheduler, the engine/validation knobs — with no execution detail (the
+a scheduler, the ``verify`` switch — with no execution detail (the
 worker count, chunk size and pool live on the
 :class:`~repro.service.session.ReproService` session; results are
 bit-identical at any of those settings, so they never belong in a
@@ -39,7 +39,6 @@ from ..ir.ddg import DataDependenceGraph, memo_get
 from ..ir.loop import Loop
 from ..ir.serialize import loop_to_dict
 from ..machine.config import MachineConfig
-from ..schedule.engine import EngineOptions
 from ..workloads.spec import SUITE_TIERS, Benchmark
 
 #: A machine named symbolically (registry name or ``NxR[xB[xL]]`` spec)
@@ -59,19 +58,6 @@ def _canonical_machine(machine: MachineLike) -> Any:
     if isinstance(machine, str):
         return machine
     return asdict(machine)
-
-
-def _canonical_options(options: Optional[EngineOptions]) -> Any:
-    if options is None:
-        return None
-    payload = asdict(options)
-    # JSON object keys are strings; make the per-cluster map canonical.
-    per_cluster = payload.get("mem_ops_per_cluster")
-    if per_cluster is not None:
-        payload["mem_ops_per_cluster"] = {
-            str(k): v for k, v in per_cluster.items()
-        }
-    return payload
 
 
 def _fingerprint(payload: Any) -> str:
@@ -123,35 +109,6 @@ class _RequestBase:
             raise RequestError(
                 "machine must be a spec/preset name or a MachineConfig"
             )
-        if self.verify and self.options is not None:
-            raise RequestError(
-                "conflicting knobs: 'verify' builds its own EngineOptions; "
-                "pass verify_pressure/validate_schedules on 'options' instead"
-            )
-
-    def engine_options(self) -> Optional[EngineOptions]:
-        """The :class:`EngineOptions` this request asks schedulers to use."""
-        if self.options is not None:
-            return self.options
-        if self.verify:
-            return EngineOptions(verify_pressure=True, validate_schedules=True)
-        return None
-
-    def validation_requested(self) -> bool:
-        """Whether any validation pass will run on the produced schedules.
-
-        True for ``verify``, for explicit ``options`` that turn on the
-        engine's cross-checks or driver-side revalidation, and for the
-        subclass-specific knobs (``full_recheck`` / ``validate_each``).
-        """
-        options = self.options
-        return bool(
-            self.verify
-            or (
-                options is not None
-                and (options.validate_schedules or options.verify_pressure)
-            )
-        )
 
     def fingerprint(self) -> str:
         """Deterministic identity of the requested work (sha256 hex).
@@ -162,7 +119,6 @@ class _RequestBase:
         """
         payload = {f.name: getattr(self, f.name) for f in fields(self)}
         payload["machine"] = _canonical_machine(payload["machine"])
-        payload["options"] = _canonical_options(payload["options"])
         payload["kind"] = type(self).__name__
         return _fingerprint(self._canonicalize(payload))
 
@@ -178,19 +134,16 @@ class ScheduleRequest(_RequestBase):
     :data:`repro.workloads.kernels.KERNELS`) or ``loop`` (an explicit
     :class:`~repro.ir.loop.Loop`, e.g. loaded from JSON) must be given.
 
-    ``verify`` is the paranoid switch (engine cross-checks plus a
-    ``full_recheck`` validation of the produced schedule);
-    ``full_recheck`` alone re-validates the finished schedule from the
-    raw ledger without the per-commit engine cross-checks.
+    Every produced modulo schedule is validated; ``verify`` is the
+    paranoid switch (the engine's reference cross-checks plus a
+    ``full_recheck`` validation of the produced schedule).
     """
 
     machine: MachineLike
     scheduler: str = "gp"
     kernel: Optional[str] = None
     loop: Optional[Loop] = None
-    options: Optional[EngineOptions] = None
     verify: bool = False
-    full_recheck: bool = False
 
     def __post_init__(self) -> None:
         self._check_common()
@@ -208,9 +161,6 @@ class ScheduleRequest(_RequestBase):
                 )
         elif not isinstance(self.loop, Loop):
             raise RequestError("'loop' must be a repro.ir.Loop")
-
-    def validation_requested(self) -> bool:
-        return self.full_recheck or super().validation_requested()
 
     def resolve_loop(self) -> Loop:
         """The loop to schedule (built-in kernels built on demand)."""
@@ -234,17 +184,14 @@ class EvaluationRequest(_RequestBase):
     benchmark sequence; ``programs`` truncates a *named* tier to its
     first N programs (the CLI's ``--programs``) and conflicts with an
     explicit suite — truncate the sequence yourself in that case.
-    ``validate_each`` re-validates every modulo schedule where it is
-    produced (in the worker, on the parallel path).
+    ``verify`` is the paranoid switch, as on :class:`ScheduleRequest`.
     """
 
     scheduler: str
     machine: MachineLike
     suite: SuiteLike = "paper"
     programs: int = 0
-    options: Optional[EngineOptions] = None
     verify: bool = False
-    validate_each: bool = False
 
     def __post_init__(self) -> None:
         self._check_common()
@@ -271,9 +218,6 @@ class EvaluationRequest(_RequestBase):
                 )
         if self.programs < 0:
             raise RequestError(f"programs must be >= 0, got {self.programs}")
-
-    def validation_requested(self) -> bool:
-        return self.validate_each or super().validation_requested()
 
     def resolve_suite(self) -> Tuple[Benchmark, ...]:
         """The benchmarks to evaluate, tier names resolved and truncated."""

@@ -6,8 +6,7 @@ runner's :class:`~repro.eval.runner.SuiteResult` (with its per-program
 :class:`~repro.eval.runner.BenchmarkResult` drill-down) for a suite —
 with the request that produced it and a :class:`ResponseMeta` block:
 the request fingerprint, whether the response was served from the
-session's memo cache, the wall-clock cost of *this* call, and which
-validation posture was applied.
+session's memo cache, and the wall-clock cost of *this* call.
 
 The payload object is shared between a cache hit and the call that
 populated the cache (results are immutable facts; re-running would
@@ -41,11 +40,6 @@ class ResponseMeta:
     wall_seconds: float
     #: Worker processes the session ran the work on (1 = in-process).
     jobs: int
-    #: Whether any validation pass ran on the produced schedules —
-    #: ``verify``, ``full_recheck``, ``validate_each``, or explicit
-    #: ``options`` with the engine cross-checks / driver revalidation
-    #: turned on (``verify_pressure`` / ``validate_schedules``).
-    validated: bool
     #: What the batch that produced this response dispatched (its chunk
     #: count; 0 when it ran in-process).  ``None`` on cache hits.
     telemetry: Optional[BatchTelemetry] = None

@@ -121,7 +121,7 @@ class ReproService:
         return self.schedulers.create(
             request.scheduler,
             self.resolve_machine(request.machine),
-            options=request.engine_options(),
+            verify=request.verify,
         )
 
     def _meta(
@@ -129,7 +129,6 @@ class ReproService:
         fingerprint: str,
         cache_hit: bool,
         started: float,
-        validated: bool,
         telemetry: Optional[BatchTelemetry] = None,
         store_hit: bool = False,
     ) -> ResponseMeta:
@@ -138,7 +137,6 @@ class ReproService:
             cache_hit=cache_hit,
             wall_seconds=time.perf_counter() - started,
             jobs=self.jobs,
-            validated=validated,
             telemetry=telemetry,
             store=(
                 None
@@ -189,14 +187,13 @@ class ReproService:
         """Run one :class:`ScheduleRequest` (memoized by fingerprint)."""
         started = time.perf_counter()
         fingerprint = request.fingerprint()
-        validated = request.validation_requested()
         cached = self._cache.get(fingerprint)
         if cached is not None:
             self.cache_hits += 1
             return ScheduleResponse(
                 request=request,
                 outcome=cached,
-                meta=self._meta(fingerprint, True, started, validated),
+                meta=self._meta(fingerprint, True, started),
             )
         stored = self._store_load(fingerprint, ScheduleResponse)
         if stored is not None:
@@ -207,19 +204,15 @@ class ReproService:
             return ScheduleResponse(
                 request=request,
                 outcome=stored.outcome,
-                meta=self._meta(
-                    fingerprint, True, started, validated, store_hit=True
-                ),
+                meta=self._meta(fingerprint, True, started, store_hit=True),
             )
         self.cache_misses += 1
         outcome = self._scheduler_for(request).schedule(request.resolve_loop())
-        if request.full_recheck and outcome.is_modulo:
-            outcome.schedule.validate(full_recheck=True)
         self._cache[fingerprint] = outcome
         response = ScheduleResponse(
             request=request,
             outcome=outcome,
-            meta=self._meta(fingerprint, False, started, validated),
+            meta=self._meta(fingerprint, False, started),
         )
         self._store_put(response)
         return response
@@ -259,11 +252,7 @@ class ReproService:
             todo[fingerprint] = request
         results, chunks = run_batch(
             [
-                (
-                    self._scheduler_for(request),
-                    request.resolve_suite(),
-                    request.validate_each,
-                )
+                (self._scheduler_for(request), request.resolve_suite())
                 for request in todo.values()
             ],
             self._pool,
@@ -287,7 +276,6 @@ class ReproService:
                         fingerprint,
                         hit,
                         started,
-                        request.validation_requested(),
                         telemetry=None if hit else telemetry,
                         store_hit=fingerprint in store_hits,
                     ),

@@ -386,9 +386,9 @@ def open_store(
     """Resolve a store spec to a :class:`ResultStore` (None passes through).
 
     Accepted specs: an existing :class:`ResultStore` instance, ``"disk"``
-    (the default root), ``"disk:PATH"``, or a bare filesystem path (anything containing a separator, or ``.``/
-    ``..``-relative).
-    Unknown names raise the structured
+    (the default root), ``"disk:PATH"``, or a bare filesystem path
+    (anything containing a separator, or ``.``/``..``/``~``-relative);
+    ``~`` expands in both path forms.  Unknown names raise the structured
     :class:`~repro.service.registry.RegistryError` (kind ``"store"``)
     with the alternatives listed.
     """
@@ -399,7 +399,7 @@ def open_store(
     if spec == "disk":
         return DiskStore(default_store_root(), fsync=fsync)
     if spec.startswith("disk:"):
-        return DiskStore(spec[len("disk:"):], fsync=fsync)
+        return DiskStore(os.path.expanduser(spec[len("disk:"):]), fsync=fsync)
     if os.sep in spec or spec.startswith((".", "~")):
         return DiskStore(os.path.expanduser(spec), fsync=fsync)
     from .registry import RegistryError

@@ -123,11 +123,14 @@ class TestCommands:
 
     def test_evaluate_verify_matches_default(self, capsys):
         # The paranoid mode cross-checks every commit and re-validates
-        # every schedule from scratch; it must not change a single byte.
+        # every schedule from scratch, in the workers too; it must not
+        # change a single byte.
         argv = ["evaluate", "--programs", "1", "--format", "csv"]
         assert main(argv) == 0
         default = capsys.readouterr().out
         assert main(argv + ["--verify"]) == 0
+        assert capsys.readouterr().out == default
+        assert main(argv + ["--verify", "--jobs", "2"]) == 0
         assert capsys.readouterr().out == default
 
     def test_evaluate_jobs_matches_sequential(self, capsys):
@@ -135,15 +138,6 @@ class TestCommands:
         assert main(argv) == 0
         sequential = capsys.readouterr().out
         assert main(argv + ["--jobs", "2"]) == 0
-        assert capsys.readouterr().out == sequential
-
-    def test_evaluate_validate_each_matches_sequential(self, capsys):
-        argv = ["evaluate", "--programs", "1", "--format", "csv"]
-        assert main(argv) == 0
-        sequential = capsys.readouterr().out
-        assert main(argv + ["--validate-each"]) == 0
-        assert capsys.readouterr().out == sequential
-        assert main(argv + ["--validate-each", "--jobs", "2"]) == 0
         assert capsys.readouterr().out == sequential
 
     @pytest.mark.parametrize(

@@ -17,7 +17,6 @@ import pytest
 from repro.errors import CodecError
 from repro.eval.export import suite_result_to_json
 from repro.machine.presets import two_cluster
-from repro.schedule.engine import EngineOptions
 from repro.service import (
     CODEC_SCHEMA,
     EvaluationRequest,
@@ -29,10 +28,12 @@ from repro.service import (
 from repro.service.codec import (
     decode_request,
     decode_response,
+    dumps,
     encode_request,
     encode_response,
 )
 from repro.service.responses import EvaluationResponse, ScheduleResponse
+from repro.service.store import MemoryStore
 from repro.workloads.kernels import daxpy, stencil5
 from repro.workloads.spec import Benchmark
 
@@ -115,7 +116,6 @@ class TestResponseRoundTrip:
         decoded = loads_response(dumps_response(evaluation_response))
         assert decoded.meta.fingerprint == evaluation_response.meta.fingerprint
         assert decoded.meta.cache_hit == evaluation_response.meta.cache_hit
-        assert decoded.meta.validated == evaluation_response.meta.validated
         assert decoded.meta.jobs == evaluation_response.meta.jobs
         assert decoded.meta.telemetry == evaluation_response.meta.telemetry
         assert decoded.meta.telemetry.chunks == 0  # computed in-process
@@ -186,7 +186,7 @@ class TestRequestRoundTrip:
             kernel="stencil5",
             machine=two_cluster(64),
             scheduler="uracam",
-            options=EngineOptions(verify_pressure=True),
+            verify=True,
         )
         decoded = decode_request(encode_request(request))
         assert isinstance(decoded, ScheduleRequest)
@@ -221,10 +221,21 @@ class TestRequestRoundTrip:
 
 class TestSchemaChecks:
     def test_wrong_schema_rejected(self, evaluation_response):
-        payload = encode_response(evaluation_response)
-        payload["schema"] = "repro-codec/0"
-        with pytest.raises(CodecError):
-            decode_response(payload)
+        # repro-codec/3 entries still carry the dropped request knobs
+        # (options, full_recheck, validate_each): a stored one is a
+        # quarantined miss.
+        for schema in ("repro-codec/0", "repro-codec/3"):
+            payload = encode_response(evaluation_response)
+            payload["schema"] = schema
+            with pytest.raises(CodecError):
+                decode_response(payload)
+            store = MemoryStore()
+            store.put(evaluation_response.meta.fingerprint, dumps(payload))
+            assert (
+                store.load(evaluation_response.meta.fingerprint, loads_response)
+                is None
+            )
+            assert store.quarantined == 1 and store.keys() == []
 
     def test_truncated_text_rejected(self, evaluation_response):
         text = dumps_response(evaluation_response)
@@ -252,4 +263,4 @@ class TestSchemaChecks:
             decode_response(payload)
 
     def test_schema_constant_is_versioned(self):
-        assert CODEC_SCHEMA == "repro-codec/3"
+        assert CODEC_SCHEMA == "repro-codec/4"

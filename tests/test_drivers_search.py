@@ -12,7 +12,7 @@ from repro.schedule.drivers import (
     UracamScheduler,
     ii_offsets,
 )
-from repro.schedule.engine import EngineOptions, SchedulingEngine
+from repro.schedule.engine import SchedulingEngine
 from repro.schedule.mii import mii
 from repro.workloads.generator import LoopShape, generate_loop
 from repro.workloads.kernels import daxpy
@@ -60,11 +60,11 @@ class TestIISearch:
     def test_geometric_escalation_on_stubborn_loops(self):
         """After three consecutive failures the step doubles."""
         # A loop that cannot be modulo scheduled on this machine at all:
-        # 9 parallel loads on a machine with very few registers and no
-        # spill allowed.
+        # one register cannot hold the two operands of an fadd at once,
+        # whatever the II and the spill code.
         from repro.machine.config import ClusterConfig, MachineConfig
 
-        machine = MachineConfig("no-room", clusters=(ClusterConfig(1, 1, 1, 2),))
+        machine = MachineConfig("no-room", clusters=(ClusterConfig(1, 1, 1, 1),))
         b = LoopBuilder("stubborn", 10)
         head = b.load("h")
         chain = [b.op("fadd", head, name="a0")]
@@ -75,21 +75,18 @@ class TestIISearch:
             acc = b.op("fadd", acc, chain[i])
         b.store(acc)
         loop = b.build()
-        scheduler = _CountingScheduler(
-            machine, max_ii_span=30,
-            options=EngineOptions(allow_spill=False, allow_memory_comm=False),
-        )
+        scheduler = _CountingScheduler(machine, max_ii_span=30)
         outcome = scheduler.schedule(loop)
         tried = scheduler.tried
-        if not outcome.is_modulo and len(tried) >= 5:
-            steps = [b - a for a, b in zip(tried, tried[1:])]
-            assert steps[:2] == [1, 1]
-            assert steps[2] == 2
+        assert not outcome.is_modulo and len(tried) >= 5
+        steps = [b - a for a, b in zip(tried, tried[1:])]
+        assert steps[:2] == [1, 1]
+        assert steps[2] == 2
 
     def test_fallback_reports_list_schedule(self):
         from repro.machine.config import ClusterConfig, MachineConfig
 
-        machine = MachineConfig("no-room", clusters=(ClusterConfig(1, 1, 1, 2),))
+        machine = MachineConfig("no-room", clusters=(ClusterConfig(1, 1, 1, 1),))
         b = LoopBuilder("stubborn2", 10)
         head = b.load("h")
         chain = [b.op("fadd", head)]
@@ -100,10 +97,7 @@ class TestIISearch:
             acc = b.op("fadd", acc, chain[i])
         b.store(acc)
         loop = b.build()
-        scheduler = UracamScheduler(
-            machine, max_ii_span=5,
-            options=EngineOptions(allow_spill=False, allow_memory_comm=False),
-        )
+        scheduler = UracamScheduler(machine, max_ii_span=5)
         outcome = scheduler.schedule(loop)
         assert not outcome.is_modulo
         assert outcome.ipc() > 0
@@ -172,8 +166,7 @@ class TestGPRecomputeGuard:
 
         def with_mii_partition(ii):
             policy = scheduler._policy(loop, ii)
-            options = scheduler._engine_options(loop)
-            return SchedulingEngine(loop, machine, ii, policy, options).attempt()
+            return SchedulingEngine(loop, machine, ii, policy).attempt()
 
         assert with_mii_partition(6) is None
         assert with_mii_partition(7) is not None

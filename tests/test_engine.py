@@ -7,7 +7,6 @@ from repro.machine.presets import two_cluster, unified
 from repro.schedule.engine import (
     AllClustersPolicy,
     AssignedFirstPolicy,
-    EngineOptions,
     FixedClusterPolicy,
     SchedulingEngine,
 )
@@ -16,9 +15,9 @@ from repro.schedule.mii import mii
 from repro.workloads.kernels import daxpy, dot_product, stencil5
 
 
-def run_engine(loop, machine, ii, policy=None, options=None):
+def run_engine(loop, machine, ii, policy=None):
     policy = policy or AllClustersPolicy(machine.num_clusters)
-    engine = SchedulingEngine(loop, machine, ii, policy, options)
+    engine = SchedulingEngine(loop, machine, ii, policy)
     return engine.attempt()
 
 
@@ -83,10 +82,7 @@ class TestCommunications:
         assignment = {uid: 0 for uid in uids[:2]}
         assignment.update({uid: 1 for uid in uids[2:]})
         # II=5 so the 3-cycle store+load path fits inside a node's window.
-        options = EngineOptions(allow_memory_comm=True)
-        engine = SchedulingEngine(
-            loop, machine, 5, FixedClusterPolicy(assignment), options
-        )
+        engine = SchedulingEngine(loop, machine, 5, FixedClusterPolicy(assignment))
         # Saturate every bus cycle up front.
         from repro.schedule.mrt import BusSlot
 
@@ -96,22 +92,6 @@ class TestCommunications:
         assert sched is not None
         assert sched.stats.mem_comms >= 1
         assert sched.stats.bus_transfers == 0
-
-    def test_no_memory_comm_when_disallowed_and_bus_full(self):
-        loop = daxpy()
-        machine = two_cluster(64)
-        uids = loop.ddg.uids()
-        assignment = {uid: 0 for uid in uids[:2]}
-        assignment.update({uid: 1 for uid in uids[2:]})
-        options = EngineOptions(allow_memory_comm=False, allow_spill=False)
-        engine = SchedulingEngine(
-            loop, machine, 5, FixedClusterPolicy(assignment), options
-        )
-        from repro.schedule.mrt import BusSlot
-
-        for cycle in range(5):
-            engine.table.reserve_bus(BusSlot(0, cycle, 1))
-        assert engine.attempt() is None
 
 
 class TestSpilling:
@@ -145,22 +125,6 @@ class TestSpilling:
         assert found is not None
         found.validate()
         assert found.stats.spills >= 1
-
-    def test_spill_disabled_fails_instead(self):
-        from repro.machine.config import ClusterConfig, MachineConfig
-
-        machine = MachineConfig(
-            "tiny-regs",
-            clusters=(ClusterConfig(4, 4, 4, 2),),
-        )
-        b = LoopBuilder("pressure", 50)
-        head = b.load("head")
-        tails = [b.op("fadd", head, name=f"t{i}") for i in range(4)]
-        for t in tails:
-            b.store(b.op("fmul", t))
-        loop = b.build()
-        options = EngineOptions(allow_spill=False)
-        assert run_engine(loop, machine, 3, options=options) is None
 
 
 class TestPolicies:

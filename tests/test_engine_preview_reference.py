@@ -10,7 +10,7 @@ previews ``-old/+new``.  Both must return equal ``(delta, fits)`` for
 every candidate:
 
 * whole schedules of derandomized hypothesis loops run with
-  ``EngineOptions(verify_pressure=True)``, which compares every preview
+  ``verify=True``, which compares every preview
   in-engine (four clusters, spill-heavy shapes on a halved two-cluster
   register file, two buses of latency 2);
 * one hand-built case per route shape the extension rules distinguish.
@@ -25,7 +25,6 @@ from repro.machine.presets import four_cluster, two_cluster
 from repro.schedule.drivers import GPScheduler, UracamScheduler
 from repro.schedule.engine import (
     AllClustersPolicy,
-    EngineOptions,
     SchedulingEngine,
     _Route,
 )
@@ -34,8 +33,6 @@ from repro.schedule.result import AuxOp
 from repro.schedule.values import LOAD_LATENCY, BusTransfer, Use, ValueState
 from repro.workloads.generator import LoopShape, generate_loop
 from repro.workloads.kernels import daxpy
-
-VERIFYING = EngineOptions(verify_pressure=True)
 
 
 # ----------------------------------------------------------------------
@@ -62,17 +59,11 @@ spill_shapes = st.builds(
 seeds = st.integers(min_value=0, max_value=10_000)
 
 
-def _schedule_verified(scheduler, loop):
-    outcome = scheduler.schedule(loop)
-    if outcome.is_modulo:
-        outcome.schedule.validate(full_recheck=True)
-
-
 @settings(max_examples=10, deadline=None)
 @given(shape=loop_shapes, seed=seeds)
 def test_previews_match_reference_on_four_clusters(shape, seed):
     loop = generate_loop("preview-ref", shape, seed)
-    _schedule_verified(UracamScheduler(four_cluster(32), options=VERIFYING), loop)
+    UracamScheduler(four_cluster(32), verify=True).schedule(loop)
 
 
 @settings(max_examples=8, deadline=None)
@@ -80,8 +71,8 @@ def test_previews_match_reference_on_four_clusters(shape, seed):
 def test_previews_match_reference_on_spill_heavy_loops(shape, seed):
     loop = generate_loop("preview-spill", shape, seed)
     machine = two_cluster(16)
-    _schedule_verified(UracamScheduler(machine, options=VERIFYING), loop)
-    _schedule_verified(GPScheduler(machine, options=VERIFYING), loop)
+    UracamScheduler(machine, verify=True).schedule(loop)
+    GPScheduler(machine, verify=True).schedule(loop)
 
 
 @settings(max_examples=8, deadline=None)
@@ -89,7 +80,7 @@ def test_previews_match_reference_on_spill_heavy_loops(shape, seed):
 def test_previews_match_reference_on_two_latency_2_buses(shape, seed):
     loop = generate_loop("preview-lat2", shape, seed)
     machine = four_cluster(32, num_buses=2, bus_latency=2)
-    _schedule_verified(UracamScheduler(machine, options=VERIFYING), loop)
+    UracamScheduler(machine, verify=True).schedule(loop)
 
 
 # ----------------------------------------------------------------------

@@ -4,25 +4,18 @@ import pytest
 
 from repro.ir.builder import LoopBuilder
 from repro.machine.presets import four_cluster, two_cluster
-from repro.schedule.engine import (
-    EngineOptions,
-    FixedClusterPolicy,
-    SchedulingEngine,
-)
+from repro.schedule.engine import FixedClusterPolicy, SchedulingEngine
 from repro.schedule.values import LOAD_LATENCY, STORE_LATENCY
 
 
-def split_daxpy_engine(machine, ii, **options):
+def split_daxpy_engine(machine, ii):
     from repro.workloads.kernels import daxpy
 
     loop = daxpy()
     uids = loop.ddg.uids()
     assignment = {uid: 0 for uid in uids[:2]}
     assignment.update({uid: 1 for uid in uids[2:]})
-    return loop, SchedulingEngine(
-        loop, machine, ii, FixedClusterPolicy(assignment),
-        EngineOptions(**options),
-    )
+    return loop, SchedulingEngine(loop, machine, ii, FixedClusterPolicy(assignment))
 
 
 class TestBusRouting:
@@ -66,9 +59,7 @@ class TestBusRouting:
         uids = loop.ddg.uids()
         assignment = {uid: 1 for uid in uids}
         assignment[x.uid] = 0
-        engine = SchedulingEngine(
-            loop, machine, 4, FixedClusterPolicy(assignment), EngineOptions()
-        )
+        engine = SchedulingEngine(loop, machine, 4, FixedClusterPolicy(assignment))
         sched = engine.attempt()
         assert sched is not None
         sched.validate()
@@ -127,9 +118,7 @@ class TestSelfRecurrence:
         loop = dot_product()
         from repro.schedule.engine import AllClustersPolicy
 
-        engine = SchedulingEngine(
-            loop, machine, 3, AllClustersPolicy(1), EngineOptions()
-        )
+        engine = SchedulingEngine(loop, machine, 3, AllClustersPolicy(1))
         sched = engine.attempt()
         assert sched is not None
         acc_values = [

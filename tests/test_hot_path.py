@@ -11,8 +11,8 @@ references it must equal:
 * corrupted flat state caught by ``validate(full_recheck=True)``;
 * whole schedules — hypothesis shapes, every Table-1 machine, a
   spill-heavy preset and an extended-tier sample — built with the engine
-  cross-checking itself (``verify_pressure``) and then re-validated from
-  scratch.
+  cross-checking itself and then re-validated from scratch
+  (``verify=True``).
 
 ``tests/test_golden_schedules.py`` pins the schedules themselves.
 """
@@ -35,7 +35,6 @@ from repro.schedule.drivers import (
     GPScheduler,
     UracamScheduler,
 )
-from repro.schedule.engine import EngineOptions
 from repro.schedule.lifetimes import add_segment_to_ring
 from repro.schedule.mrt import BusSlot, FUSlot, ReservationTable
 from repro.schedule.result import ModuloSchedule, Placed
@@ -43,9 +42,6 @@ from repro.schedule.structural_core import bus_usage_rows, fu_usage_rows
 from repro.schedule.values import BusTransfer
 from repro.workloads.generator import LoopShape, generate_loop
 from repro.workloads.spec import extended_suite, spec_suite
-
-#: The engine cross-checks both sessions against the references as it goes.
-CHECKED = EngineOptions(verify_pressure=True)
 
 TABLE1_MACHINES = [
     two_cluster(32),
@@ -72,10 +68,9 @@ SPILL_SHAPE = LoopShape(
 
 
 def _checked_outcome(scheduler_cls, machine, loop):
-    outcome = scheduler_cls(machine, options=CHECKED).schedule(loop)
-    if outcome.is_modulo:
-        outcome.schedule.validate(full_recheck=True)
-    return outcome
+    # The engine cross-checks both sessions against the references as it
+    # goes, and the scheduler re-validates the schedule from scratch.
+    return scheduler_cls(machine, verify=True).schedule(loop)
 
 
 # ----------------------------------------------------------------------

@@ -52,7 +52,7 @@ class _GPWithoutRescue(GPScheduler):
     name = "gp-without-rescue"
 
     def _attempts(self, loop, ii):
-        yield self._policy(loop, ii), self._engine_options(loop)
+        yield self._policy(loop, ii)
 
 
 class TestHoldoutSeed:

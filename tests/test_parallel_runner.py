@@ -27,7 +27,9 @@ from repro.eval.parallel import (
 from repro.eval.runner import run_suite
 from repro.errors import ReproError
 from repro.machine.presets import two_cluster
+from repro.schedule import drivers
 from repro.schedule.drivers import BaseScheduler, GPScheduler, UracamScheduler
+from repro.schedule.engine import SchedulingEngine
 from repro.service import EvaluationRequest, ReproService, SchedulerRegistry
 from repro.workloads.kernels import daxpy, stencil5
 from repro.workloads.spec import Benchmark, spec_suite
@@ -64,18 +66,31 @@ class _DyingScheduler(BaseScheduler):
         os._exit(13)
 
 
+class _SessionCorruptingEngine(SchedulingEngine):
+    """Poisons the structural session of every schedule it produces."""
+
+    def attempt(self):
+        found = super().attempt()
+        if found is not None:
+            found.structural.dep_error = "injected session corruption"
+        return found
+
+
 class _SessionCorruptingScheduler(BaseScheduler):
-    """Schedules normally, then poisons one loop's structural session —
-    the corruption ``validate_each`` exists to catch in-sweep."""
+    """Schedules its victim loop with an engine that poisons the
+    structural session *before* the scheduler validates the schedule —
+    the corruption the default validation must catch, in-process and in
+    pool workers alike."""
 
     name = "session-corrupting"
     victim = daxpy().name
 
     def schedule(self, loop):
-        outcome = super().schedule(loop)
-        if loop.name == self.victim and outcome.is_modulo:
-            outcome.schedule.structural.dep_error = "injected session corruption"
-        return outcome
+        if loop.name != self.victim:
+            return super().schedule(loop)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(drivers, "SchedulingEngine", _SessionCorruptingEngine)
+            return super().schedule(loop)
 
     def _policy(self, loop, ii):
         from repro.schedule.engine import AllClustersPolicy
@@ -91,13 +106,13 @@ def _registry(*classes) -> SchedulerRegistry:
     return registry
 
 
-def _evaluate(scheduler, suite, jobs=1, pool=None, validate_each=False):
+def _evaluate(scheduler, suite, jobs=1, pool=None, verify=False):
     """One request through ``ReproService.evaluate`` on a scratch registry."""
     request = EvaluationRequest(
         scheduler=scheduler.name,
         machine=two_cluster(32),
         suite=tuple(suite),
-        validate_each=validate_each,
+        verify=verify,
     )
     with ReproService(
         jobs=jobs, pool=pool, schedulers=_registry(type(scheduler))
@@ -178,14 +193,11 @@ class TestDeterministicMerge:
         assert response.meta.telemetry.chunks == expected_chunks
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_validate_each_changes_nothing(
-        self, paper_suite, sequential_export, jobs
-    ):
-        """The sweep-integrated validation accepts every schedule and the
-        merged results stay byte-identical."""
+    def test_verify_changes_nothing(self, paper_suite, sequential_export, jobs):
+        """The paranoid checks accept every schedule and the merged
+        results stay byte-identical."""
         response = _evaluate(
-            GPScheduler(two_cluster(32)), paper_suite, jobs=jobs,
-            validate_each=True,
+            GPScheduler(two_cluster(32)), paper_suite, jobs=jobs, verify=True
         )
         assert suite_result_to_json(response.result, timing=False) == sequential_export
 
@@ -268,12 +280,13 @@ class TestFailureSurfacing:
         assert excinfo.value.benchmark == suite[0].name
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_validate_each_surfaces_bad_schedule_as_loop_error(self, jobs):
-        """Sequential and pooled paths both name the failing loop."""
+    def test_default_validation_names_the_bad_loop(self, jobs):
+        """With no flag set, sequential and pooled paths both name the
+        loop whose schedule fails validation."""
         with pytest.raises(LoopTaskError) as excinfo:
             _evaluate(
                 _SessionCorruptingScheduler(two_cluster(32)), mini_suite(),
-                jobs=jobs, validate_each=True,
+                jobs=jobs,
             )
         assert excinfo.value.loop_name == _SessionCorruptingScheduler.victim
         assert "injected session corruption" in str(excinfo.value)

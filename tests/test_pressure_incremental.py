@@ -5,8 +5,8 @@ The scheduling engine and the partition refiner both keep state by delta
 transfer-pair communication state).  The pure functions they mirror stay
 the reference implementation; these tests assert the two never diverge:
 
-* whole schedules run with ``EngineOptions.verify_pressure``, which makes
-  the engine cross-check its :class:`ScheduleAnalysis` session against
+* whole schedules run with ``verify=True``, which makes the engine
+  cross-check its :class:`ScheduleAnalysis` session against
   ``value_segments`` + ``pressure_by_cycle`` + ``register_cycles`` after
   every commit and every spill, and every candidate's register preview
   against a full re-derivation of the values it touches;
@@ -28,7 +28,6 @@ from repro.machine.presets import four_cluster, two_cluster
 from repro.partition.estimator import CommState, PartitionEstimator
 from repro.schedule.drivers import GPScheduler, UracamScheduler
 from repro.schedule.analysis_core import ScheduleAnalysis
-from repro.schedule.engine import EngineOptions
 from repro.schedule.lifetimes import max_live, pressure_by_cycle, register_cycles
 from repro.schedule.mii import mii
 from repro.schedule.values import BusTransfer, Use, ValueState, value_segments
@@ -46,9 +45,6 @@ loop_shapes = st.builds(
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
-VERIFYING = EngineOptions(verify_pressure=True)
-
-
 # ----------------------------------------------------------------------
 # Engine-level equivalence: the tracker is checked at every state change
 # ----------------------------------------------------------------------
@@ -56,9 +52,7 @@ VERIFYING = EngineOptions(verify_pressure=True)
 @given(shape=loop_shapes, seed=seeds)
 def test_gp_schedules_with_pressure_verification(shape, seed):
     loop = generate_loop("pressure-eq", shape, seed)
-    outcome = GPScheduler(two_cluster(32), options=VERIFYING).schedule(loop)
-    if outcome.is_modulo:
-        outcome.schedule.validate(full_recheck=True)
+    GPScheduler(two_cluster(32), verify=True).schedule(loop)
 
 
 @settings(max_examples=12, deadline=None)
@@ -67,9 +61,7 @@ def test_uracam_schedules_with_pressure_verification(shape, seed):
     # The tiny register file forces spills and dead-transfer releases, the
     # trickiest tracker transitions.
     loop = generate_loop("pressure-eq", shape, seed)
-    outcome = UracamScheduler(four_cluster(32), options=VERIFYING).schedule(loop)
-    if outcome.is_modulo:
-        outcome.schedule.validate(full_recheck=True)
+    UracamScheduler(four_cluster(32), verify=True).schedule(loop)
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,6 @@ from repro.eval.export import suite_result_to_json
 from repro.eval.runner import run_suite
 from repro.machine.presets import two_cluster, unified
 from repro.schedule.drivers import GPScheduler
-from repro.schedule.engine import EngineOptions
 from repro.service import (
     EvaluationRequest,
     MachineRegistry,
@@ -56,10 +55,9 @@ class TestSchedulerRegistry:
         ]
 
     def test_create_forwards_options(self):
-        options = EngineOptions(verify_pressure=True)
-        scheduler = SCHEDULERS.create("gp", two_cluster(64), options=options)
+        scheduler = SCHEDULERS.create("gp", two_cluster(64), verify=True)
         assert scheduler.name == "gp"
-        assert scheduler.options.verify_pressure
+        assert scheduler.verify
 
     def test_unknown_scheduler_structured_error(self):
         with pytest.raises(RegistryError) as excinfo:
@@ -131,18 +129,6 @@ class TestRequestValidation:
         with pytest.raises(RequestError, match="unknown kernel"):
             ScheduleRequest(machine="2x32", kernel="nope")
 
-    def test_verify_conflicts_with_explicit_options(self):
-        with pytest.raises(RequestError, match="conflicting"):
-            ScheduleRequest(
-                machine="2x32", kernel="daxpy",
-                verify=True, options=EngineOptions(),
-            )
-        with pytest.raises(RequestError, match="conflicting"):
-            EvaluationRequest(
-                scheduler="gp", machine="2x32",
-                verify=True, options=EngineOptions(),
-            )
-
     def test_evaluation_request_unknown_tier(self):
         with pytest.raises(RequestError, match="unknown suite tier"):
             EvaluationRequest(scheduler="gp", machine="2x32", suite="huge")
@@ -185,10 +171,10 @@ class TestFingerprints:
     def test_stable_across_field_order(self):
         a = EvaluationRequest(
             scheduler="gp", machine="2x32", suite="paper",
-            programs=2, validate_each=True,
+            programs=2, verify=True,
         )
         b = EvaluationRequest(
-            validate_each=True, programs=2, suite="paper",
+            verify=True, programs=2, suite="paper",
             machine="2x32", scheduler="gp",
         )
         assert a.fingerprint() == b.fingerprint()
@@ -212,7 +198,7 @@ class TestFingerprints:
             scheduler="gp", machine="2x64"
         ).fingerprint()
         assert base.fingerprint() != EvaluationRequest(
-            scheduler="gp", machine="2x32", validate_each=True
+            scheduler="gp", machine="2x32", verify=True
         ).fingerprint()
         assert base.fingerprint() != EvaluationRequest(
             scheduler="gp", machine="2x32", suite="extended"
@@ -276,37 +262,36 @@ class TestSessionCache:
             assert responses[1].meta.cache_hit
             assert responses[0].result is responses[1].result
 
-    def test_validated_metadata_reflects_every_posture(self):
+    def test_verify_is_its_own_entry_with_identical_results(self):
+        """The paranoid switch is part of a request's identity, and the
+        schedules it checks are the plain ones."""
         with ReproService() as service:
             plain = service.schedule(
                 ScheduleRequest(machine="2x32", kernel="daxpy")
             )
-            assert not plain.meta.validated
-            rechecked = service.schedule(
-                ScheduleRequest(
-                    machine="2x32", kernel="daxpy", full_recheck=True
-                )
+            paranoid = service.schedule(
+                ScheduleRequest(machine="2x32", kernel="daxpy", verify=True)
             )
-            assert rechecked.meta.validated
-            # The CLI's --verify rides in as explicit options (verify=True
-            # with options set is a conflict), and must still read as
-            # validated.
-            via_options = service.evaluate(
-                EvaluationRequest(
-                    scheduler="gp", machine="2x32", suite=mini_suite(),
-                    options=EngineOptions(
-                        verify_pressure=True, validate_schedules=True
-                    ),
-                )
+            assert not paranoid.meta.cache_hit
+            assert paranoid.request.verify
+            assert (
+                paranoid.outcome.schedule.placements
+                == plain.outcome.schedule.placements
             )
-            assert via_options.meta.validated
-            each = service.evaluate(
-                EvaluationRequest(
-                    scheduler="gp", machine="2x32", suite=mini_suite(),
-                    validate_each=True,
-                )
+            responses = service.evaluate_many(
+                [
+                    EvaluationRequest(
+                        scheduler="gp", machine="2x32", suite=mini_suite(),
+                        verify=verify,
+                    )
+                    for verify in (False, True)
+                ]
             )
-            assert each.meta.validated
+            assert not any(r.meta.cache_hit for r in responses)
+            exports = {
+                suite_result_to_json(r.result, timing=False) for r in responses
+            }
+            assert len(exports) == 1
 
     def test_cache_does_not_leak_across_sessions(self):
         request = EvaluationRequest(

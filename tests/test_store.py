@@ -158,10 +158,14 @@ class TestOpenStore:
         store = MemoryStore()
         assert open_store(store) is store
 
-    def test_disk_with_path(self, tmp_path):
+    def test_disk_with_path(self, tmp_path, monkeypatch):
         store = open_store(f"disk:{tmp_path}/s")
         assert isinstance(store, DiskStore)
         assert store.root == str(tmp_path / "s")
+        # ``~`` expands in a ``disk:`` path as in a bare one.
+        monkeypatch.setenv("HOME", str(tmp_path))
+        store = open_store("disk:~/x")
+        assert store.root == str(tmp_path / "x")
 
     def test_bare_path(self, tmp_path):
         store = open_store(str(tmp_path / "s"))

@@ -32,7 +32,7 @@ from repro.schedule.drivers import (
     GPScheduler,
     UracamScheduler,
 )
-from repro.schedule.engine import EngineOptions, SchedulingEngine
+from repro.schedule.engine import SchedulingEngine
 from repro.schedule.mrt import BusSlot
 from repro.schedule.result import AuxOp, ModuloSchedule, Placed
 from repro.schedule.structural_core import StructuralAnalysis, placement_rows
@@ -63,11 +63,10 @@ def _clone(sched: ModuloSchedule) -> ModuloSchedule:
     )
 
 
-def _outcome(shape, seed, scheduler_cls=GPScheduler, machine=None, options=None):
+def _outcome(shape, seed, scheduler_cls=GPScheduler, machine=None, verify=False):
     loop = generate_loop("structural-core", shape, seed)
     machine = machine or two_cluster(32)
-    kwargs = {"options": options} if options is not None else {}
-    return scheduler_cls(machine, **kwargs).schedule(loop)
+    return scheduler_cls(machine, verify=verify).schedule(loop)
 
 
 # ----------------------------------------------------------------------
@@ -381,7 +380,7 @@ def test_feasibility_cache_is_behaviour_preserving(
     machine = two_cluster(registers)
     cached = _outcome(
         shape, seed, scheduler_cls=scheduler_cls, machine=machine,
-        options=EngineOptions(verify_pressure=True),
+        verify=True,
     )
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(SchedulingEngine, "_SPILL_INVARIANT", frozenset())

@@ -123,14 +123,11 @@ class TestCommands:
 
     def test_evaluate_verify_matches_default(self, capsys):
         # The paranoid mode cross-checks every commit and re-validates
-        # every schedule from scratch, in the workers too; it must not
-        # change a single byte.
+        # every schedule from scratch; it must not change a single byte.
         argv = ["evaluate", "--programs", "1", "--format", "csv"]
         assert main(argv) == 0
         default = capsys.readouterr().out
         assert main(argv + ["--verify"]) == 0
-        assert capsys.readouterr().out == default
-        assert main(argv + ["--verify", "--jobs", "2"]) == 0
         assert capsys.readouterr().out == default
 
     def test_evaluate_jobs_matches_sequential(self, capsys):
@@ -138,6 +135,18 @@ class TestCommands:
         assert main(argv) == 0
         sequential = capsys.readouterr().out
         assert main(argv + ["--jobs", "2"]) == 0
+        assert capsys.readouterr().out == sequential
+
+    def test_evaluate_validate_each_matches_sequential(self, capsys):
+        # Every schedule is validated by default; ``--verify`` adds the
+        # from-scratch re-validation, in the workers too. Neither may
+        # change a byte of the sequential default output.
+        argv = ["evaluate", "--programs", "1", "--format", "csv"]
+        assert main(argv) == 0
+        sequential = capsys.readouterr().out
+        assert main(argv + ["--verify"]) == 0
+        assert capsys.readouterr().out == sequential
+        assert main(argv + ["--verify", "--jobs", "2"]) == 0
         assert capsys.readouterr().out == sequential
 
     @pytest.mark.parametrize(

@@ -35,12 +35,12 @@ processes (``0`` = one per CPU; results are bit-identical to ``--jobs
 1``).  The panel's four requests go to the session's
 ``evaluate_many`` as one batch, so they share one worker pool; chunk
 size and worker start method are chosen automatically.
-Every modulo schedule is validated through the cached sessions the
-engine attached, in the process that produced it.  ``evaluate --verify``
-is the slow paranoid mode: the engine cross-checks its incremental state
-against the reference recomputes at every commit, and every schedule is
-re-validated with ``full_recheck=True``.  ``schedule`` always runs in
-that mode.
+Every modulo schedule is validated from its raw placements and value
+ledger, in the process that produced it.  ``evaluate --verify`` is the
+slow paranoid mode: the engine also cross-checks its incremental state
+against the reference recomputes at every commit, and its reservation
+table against the structural sweeps at the end of each attempt.
+``schedule`` always runs in that mode.
 
 Runs fail fast: the schedulers are deterministic, so nothing is
 retried.  A loop that fails to schedule or validate, or a worker that
@@ -210,57 +210,74 @@ def _cmd_workloads(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_cache(args: argparse.Namespace) -> int:
-    from .errors import CodecError
+def _check_entries(store):
+    """Decode every entry and cross-check its content address.
+
+    Returns ``(verified count, stale, corrupt)``; the last two list
+    ``(fingerprint, reason)``.  An intact entry of another codec schema
+    (written before a schema bump) is stale: no current request reads
+    it, but nothing in it is damaged.
+    """
+    from .errors import CodecError, StaleSchemaError
     from .service.codec import loads_response
+
+    ok = 0
+    stale, corrupt = [], []
+    for fingerprint in store.keys():
+        try:
+            text = store.get(fingerprint)
+            if text is None:
+                continue
+            response = loads_response(text)
+            if response.meta.fingerprint != fingerprint:
+                raise CodecError(
+                    f"entry {fingerprint[:12]} holds a response "
+                    f"fingerprinted {response.meta.fingerprint[:12]}"
+                )
+        except StaleSchemaError as error:
+            stale.append((fingerprint, str(error)))
+        except CodecError as error:
+            corrupt.append((fingerprint, str(error)))
+        else:
+            ok += 1
+    return ok, stale, corrupt
+
+
+def _entries(count: int, kind: str = "") -> str:
+    """``"1 entry"``, ``"2 stale entries"`` …"""
+    return f"{count} {kind + ' ' if kind else ''}entr{'y' if count == 1 else 'ies'}"
+
+
+def _cmd_cache(args: argparse.Namespace) -> int:
     from .service.store import open_store
 
     store = open_store(args.store)
     try:
         if args.action == "stats":
             stats = store.stats()
+            _ok, stale, _corrupt = _check_entries(store)
             print(f"backend:   {stats['backend']}")
             print(f"root:      {store.root}")
             print(f"entries:   {stats['entries']}")
+            print(f"stale:     {len(stale)}")
             print(f"bytes:     {stats['bytes']}")
             return 0
         if args.action == "clear":
             removed = store.clear()
-            print(f"removed {removed} entr{'y' if removed == 1 else 'ies'}")
+            print(f"removed {_entries(removed)}")
             return 0
-        # verify: decode every entry and cross-check its content address.
-        ok = 0
-        corrupt = []
-        for fingerprint in store.keys():
-            try:
-                text = store.get(fingerprint)
-                if text is None:
-                    continue
-                response = loads_response(text)
-                if response.meta.fingerprint != fingerprint:
-                    raise CodecError(
-                        f"entry {fingerprint[:12]} holds a response "
-                        f"fingerprinted {response.meta.fingerprint[:12]}"
-                    )
-            except CodecError as error:
-                corrupt.append((fingerprint, str(error)))
+        ok, stale, corrupt = _check_entries(store)
+        print(f"verified {_entries(ok)}")
+        hint = "" if args.purge else " (re-run with --purge to drop them)"
+        for label, found in (("stale", stale), ("corrupt", corrupt)):
+            for fingerprint, reason in found:
                 if args.purge:
                     store.delete(fingerprint)
-                continue
-            ok += 1
-        print(f"verified {ok} entr{'y' if ok == 1 else 'ies'}")
-        for fingerprint, reason in corrupt:
-            action = "purged" if args.purge else "corrupt"
-            print(f"{action}: {fingerprint} ({reason})", file=sys.stderr)
-        if corrupt:
-            print(
-                f"{len(corrupt)} corrupt entr"
-                f"{'y' if len(corrupt) == 1 else 'ies'}"
-                + ("" if args.purge else " (re-run with --purge to drop them)"),
-                file=sys.stderr,
-            )
-            return 0 if args.purge else 1
-        return 0
+                action = "purged" if args.purge else label
+                print(f"{action}: {fingerprint} ({reason})", file=sys.stderr)
+            if found:
+                print(_entries(len(found), label) + hint, file=sys.stderr)
+        return 1 if corrupt and not args.purge else 0
     finally:
         store.close()
 
@@ -300,9 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--bus-latency", type=int, default=1, choices=(1, 2))
     p_eval.add_argument("--verify", action="store_true",
                         help="paranoid mode: cross-check the engine's "
-                        "incremental state against the reference "
-                        "recomputes and re-validate every schedule with "
-                        "full_recheck")
+                        "incremental state and reservation table against "
+                        "the reference recomputes (every schedule is "
+                        "validated from scratch either way)")
     p_eval.add_argument("--suite", default="paper", choices=SUITE_TIERS,
                         help="workload tier: the paper's 40 loops or the "
                         "220-loop extended tier")
@@ -327,13 +344,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_cache.add_argument("action", choices=("stats", "verify", "clear"),
                          help="stats: counters and size; verify: decode "
                          "every entry and cross-check its content "
-                         "address; clear: delete every entry")
+                         "address (entries of an older codec schema are "
+                         "reported as stale and do not fail it); clear: "
+                         "delete every entry")
     p_cache.add_argument("--store", default="disk", metavar="SPEC",
                          help="store spec: 'disk' (default), "
                          "'disk:PATH' or a bare path")
     p_cache.add_argument("--purge", action="store_true",
-                         help="with verify: delete the corrupt entries "
-                         "found instead of just reporting them")
+                         help="with verify: delete the stale and corrupt "
+                         "entries found instead of just reporting them")
     p_cache.set_defaults(func=_cmd_cache)
 
     p_work = sub.add_parser("workloads", help="describe the synthetic suite")

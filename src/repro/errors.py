@@ -43,6 +43,16 @@ class CodecError(ReproError):
     """
 
 
+class StaleSchemaError(CodecError):
+    """An intact payload tagged with another codec schema.
+
+    Raised by :mod:`repro.service.codec` when a payload's ``schema`` is
+    a string other than this build's ``CODEC_SCHEMA`` (an entry written
+    before a schema bump).  ``repro cache verify`` reports such store
+    entries as stale, not corrupt.
+    """
+
+
 class StoreError(ReproError):
     """A result store was misconfigured (bad path, non-positive budget)."""
 

@@ -115,8 +115,8 @@ def benchmark_result_to_dict(
                 mem_comms=schedule.stats.mem_comms,
                 spills=schedule.stats.spills,
                 ii_attempts=schedule.stats.ii_attempts,
-                # Off the schedule's cached lifetime analysis — the same
-                # session the engine maintained and the validator reads.
+                # Off the schedule's cached lifetime analysis — the
+                # session the validator rebuilt from the value ledger.
                 register_peaks=schedule.register_peaks(),
                 register_cycles=schedule.register_cycles(),
             )

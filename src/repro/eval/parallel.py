@@ -185,10 +185,9 @@ def _run_chunk(
 ) -> List[Tuple[_TaskKey, ScheduleOutcome]]:
     """Worker entry point (module-level: picklable under ``spawn``).
 
-    The scheduler validates each modulo schedule *here*, while the
-    engine-attached sessions are still alive (they are dropped when the
-    outcome is pickled back to the parent).  The first failing item
-    raises a :class:`LoopTaskError` naming it.
+    The scheduler validates each modulo schedule *here*, in the worker
+    that produced it.  The first failing item raises a
+    :class:`LoopTaskError` naming it.
     """
     return [
         (key, schedule_loop(scheduler, benchmark, loop))

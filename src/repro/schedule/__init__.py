@@ -26,7 +26,6 @@ from .mii import mii, rec_mii, res_mii
 from .mrt import BusSlot, FUSlot, Overlay, ReservationTable
 from .ordering import sms_order
 from .result import AuxOp, ModuloSchedule, Placed, ScheduleStats
-from .structural_core import StructuralAnalysis
 from .values import BusTransfer, Use, ValueState, segments_of_value, value_segments
 
 __all__ = [
@@ -56,7 +55,6 @@ __all__ = [
     "ScheduleOutcome",
     "ScheduleStats",
     "SchedulingEngine",
-    "StructuralAnalysis",
     "UnifiedScheduler",
     "UracamScheduler",
     "Use",

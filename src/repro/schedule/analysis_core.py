@@ -12,28 +12,17 @@ consumer of the MaxLives register model goes through this session:
   delta as values are committed, mutated and spilled; each candidate
   hands :meth:`preview_effect` only the segment growth its routes cause,
   read against the rings without mutating them;
-* the **finished schedule** carries the very same session
-  (:meth:`~repro.schedule.result.ModuloSchedule.attach_analysis`), so the
-  independent validator and the evaluation metrics read cached peaks and
-  register-cycles instead of re-deriving every lifetime from scratch;
-* schedules built *without* an engine (deserialized, hand-made, mutated by
-  tests) lazily build their session from the raw ledger via
-  :meth:`from_values`.
+* the **validator** rebuilds one from a finished schedule's raw ledger
+  (:meth:`from_values`) and keeps it as the schedule's
+  :attr:`~repro.schedule.result.ModuloSchedule.analysis` cache, which
+  the evaluation metrics, exports and the service codec read.
 
 The pure functions in :mod:`repro.schedule.lifetimes` and
-:mod:`repro.schedule.values` stay the reference implementation.  The
-session's :meth:`verify` cross-checks the incremental state against them,
-and :meth:`rebuild` re-derives a fresh session from the raw ledger — the
-``validate(full_recheck=True)`` escape hatch rebuilds and cross-checks so
-a stale or corrupted cache can never hide a register violation.
-
-:mod:`repro.schedule.structural_core` is this module's structural
-sibling: the same session discipline (engine handover, lazy derivation
-for session-less schedules, a from-scratch reference the paranoid mode
-rebuilds and compares against) applied to the dependence, functional-unit
-and bus checks, whose occupancy rows the engine's reservation table
-already maintains.  Between the two sessions, ``validate()`` no longer
-sweeps any per-edge or per-placement state on engine-produced schedules.
+:mod:`repro.schedule.values` stay the reference implementation; the
+session's :meth:`verify` cross-checks the incremental state against
+them.  :mod:`repro.schedule.structural_core` is this module's
+structural sibling: the dependence, functional-unit and bus checks as
+plain sweeps over the raw schedule.
 """
 
 from __future__ import annotations
@@ -247,22 +236,8 @@ class ScheduleAnalysis:
         )
 
     # ------------------------------------------------------------------
-    # Reference rebuild and cross-checks
+    # Reference cross-check
     # ------------------------------------------------------------------
-    def rebuild(self) -> "ScheduleAnalysis":
-        """A fresh session re-derived from the raw value ledger."""
-        return ScheduleAnalysis.from_values(self.values, self.ii, self.num_clusters)
-
-    def matches(self, other: "ScheduleAnalysis") -> bool:
-        """True if two sessions fold in identical lifetime pictures."""
-        return (
-            self.ii == other.ii
-            and self.num_clusters == other.num_clusters
-            and self._ring == other._ring
-            and self.reg_cycles == other.reg_cycles
-            and set(self._segments) == set(other._segments)
-        )
-
     def verify(self, values: Optional[Iterable[ValueState]] = None) -> None:
         """Assert the incremental state equals the full recompute.
 

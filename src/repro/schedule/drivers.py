@@ -104,9 +104,8 @@ class BaseScheduler:
     ) -> None:
         self.machine = machine
         self.max_ii_span = max_ii_span
-        #: The paranoid switch: the engine's reference cross-checks plus
-        #: ``validate(full_recheck=True)`` on every modulo schedule
-        #: (otherwise the cached ``validate()``).
+        #: The paranoid switch: the engine's reference cross-checks.
+        #: Every modulo schedule is validated from scratch either way.
         self.verify = verify
 
     # -- per-algorithm hooks ----------------------------------------------
@@ -156,10 +155,9 @@ class BaseScheduler:
             found.stats.partitions_computed = self._partitions_computed
             found.stats.feas_cache_hits = feas_hits
             found.stats.feas_cache_scans = feas_scans
-            # Every returned schedule passes the validator: the cached
-            # sessions the engine attached, or under ``verify`` a rebuild
-            # from the raw ledger cross-checked against them.
-            found.validate(full_recheck=self.verify)
+            # Every returned schedule passes the validator, which checks
+            # the raw placements and value ledger, not the engine's state.
+            found.validate()
             schedule = found
         else:
             schedule = list_schedule(loop, self.machine)

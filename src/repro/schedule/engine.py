@@ -37,12 +37,10 @@ the engine keeps two implementations of the register accounting:
 * The **reference** path — the pure functions ``value_segments`` /
   ``register_cycles`` / ``max_live`` in :mod:`~repro.schedule.values` and
   :mod:`~repro.schedule.lifetimes` — recomputes the full lifetime picture
-  from the value states.  It stays the validator's source of truth and is
-  what the independent schedule validation uses.
-* The **incremental** path — the shared
-  :class:`~repro.schedule.analysis_core.ScheduleAnalysis` session (which
-  the finished :class:`~repro.schedule.result.ModuloSchedule` then carries
-  for its validator and the eval metrics) — mirrors the committed values
+  from the value states.
+* The **incremental** path — a
+  :class:`~repro.schedule.analysis_core.ScheduleAnalysis` session that
+  lives and dies with the attempt — mirrors the committed values
   with a per-cluster pressure ring (``counts[cluster][m]`` over the II
   kernel cycles) and running register-cycle totals.  A route only adds
   reads, transfers or a store to a value, so its segments only grow: a
@@ -56,13 +54,18 @@ the engine keeps two implementations of the register accounting:
   ledger (:meth:`~repro.schedule.analysis_core.ScheduleAnalysis.update`),
   so the tracked state always equals the reference recompute.
 
+The finished :class:`~repro.schedule.result.ModuloSchedule` carries
+none of this state: its validator re-derives registers, dependences and
+resource use from the raw placements and value ledger.
+
 ``verify=True`` is the paranoid switch: the engine then cross-checks the
 tracker against the reference functions after every commit and spill
 (:meth:`~repro.schedule.analysis_core.ScheduleAnalysis.verify`), every
 candidate preview against a full re-derivation of the touched values
-(``_reference_register_effect``), and the structural handover against
-the reference sweeps.  The equivalence tests run whole schedules in this
-mode.
+(``_reference_register_effect``), and the reservation table's final
+occupancy rows against the
+:mod:`~repro.schedule.structural_core` sweeps.  The equivalence tests
+run whole schedules in this mode.
 """
 
 from __future__ import annotations
@@ -81,7 +84,7 @@ from .merit import MeritVector, compare, consumption
 from .mrt import FUSlot, Overlay, ReservationTable
 from .ordering import sms_order
 from .result import AuxOp, ModuloSchedule, Placed, ScheduleStats
-from .structural_core import StructuralAnalysis, count_edges
+from .structural_core import bus_usage_rows, fu_usage_rows
 from .values import (
     LOAD_LATENCY,
     STORE_LATENCY,
@@ -240,9 +243,9 @@ class SchedulingEngine:
         self.ii = ii
         self.policy = policy
         #: Cross-check the incremental pressure tracker after every commit
-        #: and spill, every register preview, and the structural handover
-        #: against their reference recomputes (slow; see the module
-        #: docstring).
+        #: and spill, every register preview, and the reservation table's
+        #: final rows against their reference recomputes (slow; see the
+        #: module docstring).
         self.verify = verify
         self.ddg = loop.ddg
         self.table = ReservationTable(machine, ii)
@@ -263,9 +266,7 @@ class SchedulingEngine:
         self._failure_reasons: Dict[int, Set[str]] = {}
         # Incremental register accounting (see the module docstring) plus
         # per-cluster constants the hot path would otherwise re-derive.
-        # The analysis session owns the value ledger; on success the very
-        # same session is attached to the ModuloSchedule so the validator
-        # and the evaluation metrics reuse its segments and rings.
+        # The analysis session owns the value ledger.
         self.pressure = ScheduleAnalysis(ii, machine.num_clusters)
         self.values: Dict[int, ValueState] = self.pressure.values
         self._registers = [
@@ -303,23 +304,31 @@ class SchedulingEngine:
             aux_ops=list(self.aux_ops),
             stats=self.stats,
         )
-        # Hand the maintained lifetime analysis over: validate() and the
-        # eval metrics read its cached segments/rings instead of
-        # re-deriving every lifetime from the ledger.
-        schedule.attach_analysis(self.pressure)
-        # Same handover for the structural side: the reservation table's
-        # live occupancy rows and bus ledger become the session the
-        # dependence/FU/bus validator passes read, retiring their
-        # full-sweep rechecks on engine-produced schedules.
-        structural = StructuralAnalysis.from_table(
-            self.table,
-            dep_edges=count_edges(schedule),
-            placements=schedule.placements,
-        )
         if self.verify:
-            structural.verify(schedule)
-        schedule.attach_structural(structural)
+            self._verify_table(schedule)
         return schedule
+
+    def _verify_table(self, schedule: ModuloSchedule) -> None:
+        """Assert the reservation table's rows equal the reference sweeps.
+
+        The validator sees only the use the raw schedule makes, so a
+        table that over-counts (and wastes slots) passes it; this
+        comparison catches that as well as an under-count.
+        """
+        table_rows = self.table.fu_occupancy_rows()
+        fu_rows = fu_usage_rows(schedule)
+        if table_rows != fu_rows:
+            raise AssertionError(
+                f"FU occupancy rows diverged: table {table_rows} "
+                f"!= reference {fu_rows}"
+            )
+        table_rows = self.table.bus_occupancy_rows()
+        bus_rows, _error = bus_usage_rows(schedule)
+        if table_rows != bus_rows:
+            raise AssertionError(
+                f"bus ledger diverged: table {table_rows} "
+                f"!= reference {bus_rows}"
+            )
 
     def _schedule_node(self, uid: int) -> bool:
         # The dependence window and the routed-dependence lists are functions

@@ -56,8 +56,9 @@ class ReservationTable:
       reserve/release so the figure of merit never scans the ledgers.
 
     :class:`Overlay` keys are the same flat indexes.  The from-scratch
-    reference is :mod:`~repro.schedule.structural_core`'s sweeps, which the
-    handed-over occupancy rows must equal.
+    reference is :mod:`~repro.schedule.structural_core`'s sweeps, which
+    the occupancy rows must equal (the engine compares them under
+    ``verify``).
     """
 
     def __init__(self, machine: MachineConfig, ii: int) -> None:
@@ -192,14 +193,14 @@ class ReservationTable:
                 bus[idx] = 0
                 self._bus_cycles_in_use -= 1
 
-    # -- structural handover (for the StructuralAnalysis session) ---------
+    # -- occupancy rows (for the engine's ``verify`` cross-check) ---------
     def fu_occupancy_rows(self) -> Dict[Tuple[int, OpClass], List[int]]:
         """Copies of the nonzero per-(cluster, class) occupancy rows.
 
         Normalized exactly like the reference sweep
         (:func:`~repro.schedule.structural_core.fu_usage_rows`): untouched
-        rows are omitted, so the engine's handed-over session compares
-        equal to a from-scratch rebuild of the same schedule.
+        rows are omitted, so a correct table compares equal to the sweep
+        of the schedule it produced.
         """
         rows: Dict[Tuple[int, OpClass], List[int]] = {}
         ii = self.ii
@@ -212,7 +213,8 @@ class ReservationTable:
         return rows
 
     def bus_occupancy_rows(self) -> Dict[int, List[int]]:
-        """Per-bus occupancy counts over the kernel cycles (copies)."""
+        """Per-bus occupancy counts over the kernel cycles (copies),
+        normalized like :func:`~repro.schedule.structural_core.bus_usage_rows`."""
         rows: Dict[int, List[int]] = {}
         ii = self.ii
         for bus in range(self._num_buses):

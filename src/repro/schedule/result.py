@@ -14,25 +14,15 @@ MaxLives register bound — raising
 :class:`~repro.errors.ValidationError` on any violation.  The test suite
 property-tests that every scheduler's output validates.
 
-Both halves of the check read engine-attached sessions instead of
-re-deriving from the raw schedule:
-
-* register lifetimes come from the schedule's
-  :class:`~repro.schedule.analysis_core.ScheduleAnalysis` session, so
-  ``validate()`` reads cached peaks instead of re-deriving every
-  lifetime;
-* the dependence/functional-unit/bus passes read the schedule's
-  :class:`~repro.schedule.structural_core.StructuralAnalysis` session —
-  the reservation-table occupancy rows and dependence evidence the
-  engine maintained while scheduling — instead of sweeping every edge
-  and placement per schedule.
-
-Schedules without sessions (deserialized, hand-built) derive both
-lazily from the raw schedule, reproducing the seed's from-scratch
-verdicts.  ``validate(full_recheck=True)`` is the paranoid mode: it
-rebuilds both sessions from the raw schedule, raises if a cached
-session diverged from its rebuild, and validates against the rebuilds —
-the default for the property-test suite, opt-in for sweeps.
+The check reads nothing the scheduling engine built.  The structural
+passes are :func:`~repro.schedule.structural_core.check_structure`'s
+sweeps over the raw placements, aux ops and value ledger; the register
+bound comes from a
+:class:`~repro.schedule.analysis_core.ScheduleAnalysis` rebuilt from the
+ledger (:meth:`~repro.schedule.analysis_core.ScheduleAnalysis.from_values`).
+That rebuild becomes the schedule's :attr:`~ModuloSchedule.analysis`
+cache, which :meth:`~ModuloSchedule.register_peaks`,
+:meth:`~ModuloSchedule.register_cycles` and the service codec read.
 """
 
 from __future__ import annotations
@@ -44,7 +34,7 @@ from ..errors import ValidationError
 from ..ir.loop import Loop
 from ..machine.config import MachineConfig
 from .analysis_core import ScheduleAnalysis
-from .structural_core import StructuralAnalysis
+from .structural_core import check_structure
 from .values import (
     LOAD_LATENCY,
     STORE_LATENCY,
@@ -113,20 +103,18 @@ class ModuloSchedule:
 
     def __post_init__(self) -> None:
         self._analysis: Optional[ScheduleAnalysis] = None
-        self._structural: Optional[StructuralAnalysis] = None
 
     # ------------------------------------------------------------------
-    # Shared lifetime analysis
+    # Lifetime analysis
     # ------------------------------------------------------------------
     @property
     def analysis(self) -> ScheduleAnalysis:
         """The schedule's lifetime-analysis session (built once, cached).
 
-        The engine attaches the session it maintained during scheduling;
-        schedules without one (deserialized, hand-built) derive it lazily
-        from the raw value ledger.  Everything register-shaped — the
-        validator, :meth:`register_peaks`, the evaluation metrics and
-        exports — reads off this one session.
+        Derived from the raw value ledger, on first use or by
+        :meth:`validate`, which rebuilds it.  Everything register-shaped
+        — :meth:`register_peaks`, the evaluation metrics and exports —
+        reads off this one session.
         """
         if self._analysis is None:
             self._analysis = ScheduleAnalysis.from_values(
@@ -134,47 +122,12 @@ class ModuloSchedule:
             )
         return self._analysis
 
-    def attach_analysis(self, analysis: ScheduleAnalysis) -> None:
-        """Adopt an engine-maintained analysis session as the cache."""
-        if analysis.ii != self.ii:
-            raise ValueError(
-                f"analysis computed at II {analysis.ii}, schedule has {self.ii}"
-            )
-        self._analysis = analysis
-
-    # ------------------------------------------------------------------
-    # Shared structural analysis
-    # ------------------------------------------------------------------
-    @property
-    def structural(self) -> StructuralAnalysis:
-        """The schedule's structural-analysis session (built once, cached).
-
-        The engine hands over its reservation table's occupancy rows and
-        dependence evidence; schedules without a session (deserialized,
-        hand-built) derive it lazily from the raw schedule via the
-        reference sweeps.  The dependence/FU/bus validator passes read
-        off this one session.
-        """
-        if self._structural is None:
-            self._structural = StructuralAnalysis.from_schedule(self)
-        return self._structural
-
-    def attach_structural(self, structural: StructuralAnalysis) -> None:
-        """Adopt an engine-maintained structural session as the cache."""
-        if structural.ii != self.ii:
-            raise ValueError(
-                f"structural analysis computed at II {structural.ii}, "
-                f"schedule has {self.ii}"
-            )
-        self._structural = structural
-
     def __getstate__(self) -> Dict[str, Any]:
-        # Both sessions are derived state: drop them so pickled schedules
+        # The analysis is derived state: drop it so pickled schedules
         # (worker -> parent transfers in the parallel runner) stay small;
-        # the receiver rebuilds them lazily and bit-identically.
+        # the receiver rebuilds it lazily and bit-identically.
         state = dict(self.__dict__)
         state["_analysis"] = None
-        state["_structural"] = None
         return state
 
     # ------------------------------------------------------------------
@@ -268,52 +221,18 @@ class ModuloSchedule:
     def validate(self, full_recheck: bool = False) -> None:
         """Re-verify placements, dependences, resources and registers.
 
-        Every pass reads the cached sessions: the placement and
-        dependence/functional-unit/bus checks come off the
-        :attr:`structural` session (the placement pass reads a
-        per-cluster count/uid-range summary in O(clusters) — no pass
-        sweeps every uid, edge or placement any more) and the register
-        bound reads the cached :attr:`analysis` session.  With
-        ``full_recheck=True`` both sessions are rebuilt from the raw
-        schedule instead, and a cached session that diverged from its
-        rebuild is itself a validation failure (stale or corrupted
-        session).  Property tests run the paranoid mode; big sweeps use
-        the cached default.
+        Every pass works from the raw schedule: the structural sweeps of
+        :func:`~repro.schedule.structural_core.check_structure`, then
+        the MaxLives bound off a lifetime analysis rebuilt from the value
+        ledger, which replaces the :attr:`analysis` cache.
+        ``full_recheck`` is accepted and ignored: every check is already
+        from scratch, and the keyword stays only for callers that still
+        pass it (perfbench's suites).
         """
-        structural = self._checked_structural(full_recheck)
-        structural.check_placements(self.machine, self.loop.num_operations)
-        structural.check(self.machine)
-        self._validate_registers(full_recheck)
-
-    def _checked_structural(self, full_recheck: bool = False) -> StructuralAnalysis:
-        """The structural session to validate against (rebuilt if asked)."""
-        structural = self._structural
-        if full_recheck or structural is None:
-            reference = StructuralAnalysis.from_schedule(self)
-            if (
-                full_recheck
-                and structural is not None
-                and not structural.matches(reference)
-            ):
-                raise ValidationError(
-                    "cached structural analysis diverged from the raw "
-                    "schedule (stale or corrupted StructuralAnalysis session)"
-                )
-            structural = self._structural = reference
-        return structural
-
-    def _validate_registers(self, full_recheck: bool = False) -> None:
-        analysis = self._analysis
-        if full_recheck or analysis is None:
-            reference = ScheduleAnalysis.from_values(
-                self.values, self.ii, self.machine.num_clusters
-            )
-            if full_recheck and analysis is not None and not analysis.matches(reference):
-                raise ValidationError(
-                    "cached lifetime analysis diverged from the raw value "
-                    "ledger (stale or corrupted ScheduleAnalysis session)"
-                )
-            analysis = self._analysis = reference
+        check_structure(self)
+        analysis = self._analysis = ScheduleAnalysis.from_values(
+            self.values, self.ii, self.machine.num_clusters
+        )
         peaks = analysis.peaks()
         for cluster in range(self.machine.num_clusters):
             limit = self.machine.cluster(cluster).registers

@@ -30,8 +30,9 @@ evaluation artifacts print renders byte-identically from a decoded
 response; re-deriving a kernel listing requires rescheduling.
 
 Malformed, truncated or wrong-schema payloads raise
-:class:`~repro.errors.CodecError`; the store converts that into a cache
-miss, never an error.
+:class:`~repro.errors.CodecError` (an intact payload of another schema
+raises its subclass :class:`~repro.errors.StaleSchemaError`); the store
+converts that into a cache miss, never an error.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import json
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Tuple, Union
 
-from ..errors import CodecError
+from ..errors import CodecError, StaleSchemaError
 from ..eval.metrics import outcome_shape
 from ..eval.parallel import BatchTelemetry
 from ..eval.runner import BenchmarkResult, SuiteResult
@@ -70,9 +71,11 @@ def dumps(payload: Dict[str, Any]) -> str:
 def _expect(payload: Any, kind: str) -> Dict[str, Any]:
     if not isinstance(payload, dict):
         raise CodecError(f"encoded {kind} must be an object, got {type(payload).__name__}")
-    if payload.get("schema") != CODEC_SCHEMA:
-        raise CodecError(
-            f"unsupported {kind} schema {payload.get('schema')!r}; "
+    schema = payload.get("schema")
+    if schema != CODEC_SCHEMA:
+        error = StaleSchemaError if isinstance(schema, str) else CodecError
+        raise error(
+            f"unsupported {kind} schema {schema!r}; "
             f"this build speaks {CODEC_SCHEMA}"
         )
     return payload

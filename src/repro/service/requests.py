@@ -134,9 +134,9 @@ class ScheduleRequest(_RequestBase):
     :data:`repro.workloads.kernels.KERNELS`) or ``loop`` (an explicit
     :class:`~repro.ir.loop.Loop`, e.g. loaded from JSON) must be given.
 
-    Every produced modulo schedule is validated; ``verify`` is the
-    paranoid switch (the engine's reference cross-checks plus a
-    ``full_recheck`` validation of the produced schedule).
+    Every produced modulo schedule is validated from its raw placements
+    and value ledger; ``verify`` is the paranoid switch that adds the
+    engine's reference cross-checks.
     """
 
     machine: MachineLike

@@ -282,6 +282,65 @@ class TestStoreAndCacheCommands:
         assert main(["cache", "verify", "--store", store]) == 0
         assert "verified 3 entries" in capsys.readouterr().out
 
+    def test_cache_verify_reports_older_schema_entries_as_stale(
+        self, tmp_path, capsys
+    ):
+        import json
+        import os
+
+        store = self._store(tmp_path)
+        assert main([
+            "evaluate", "--clusters", "2", "--registers", "32",
+            "--programs", "1", "--store", store,
+        ]) == 0
+        capsys.readouterr()
+        objects = os.path.join(store, "objects")
+        good = sorted(
+            os.path.join(objects, shard, name)
+            for shard in os.listdir(objects)
+            for name in os.listdir(os.path.join(objects, shard))
+        )
+        # An intact entry of the previous codec schema, as a build from
+        # before the bump would have left it.
+        stale_fp = "ab" + "0" * 62
+        os.makedirs(os.path.join(objects, "ab"), exist_ok=True)
+        with open(os.path.join(objects, "ab", stale_fp + ".json"), "w") as handle:
+            json.dump({"schema": "repro-codec/3", "kind": "evaluation"}, handle)
+
+        assert main(["cache", "stats", "--store", store]) == 0
+        out = capsys.readouterr().out
+        assert "entries:   5" in out and "stale:     1" in out
+        # Stale alone does not fail verify.
+        assert main(["cache", "verify", "--store", store]) == 0
+        captured = capsys.readouterr()
+        assert "verified 4 entries" in captured.out
+        assert f"stale: {stale_fp}" in captured.err
+        assert "corrupt" not in captured.err
+
+        # Next to a truncated entry, only the truncated one fails it.
+        with open(good[0]) as handle:
+            text = handle.read()
+        with open(good[0], "w") as handle:
+            handle.write(text[: len(text) // 2])
+        assert main(["cache", "verify", "--store", store]) == 1
+        captured = capsys.readouterr()
+        assert "verified 3 entries" in captured.out
+        assert f"stale: {stale_fp}" in captured.err
+        assert "corrupt: " in captured.err
+        assert "1 stale entry" in captured.err
+        assert "1 corrupt entry" in captured.err
+
+        # --purge drops both; what remains verifies clean.
+        assert main(["cache", "verify", "--purge", "--store", store]) == 0
+        assert capsys.readouterr().err.count("purged: ") == 2
+        assert main(["cache", "stats", "--store", store]) == 0
+        out = capsys.readouterr().out
+        assert "entries:   3" in out and "stale:     0" in out
+        assert main(["cache", "verify", "--store", store]) == 0
+        captured = capsys.readouterr()
+        assert "verified 3 entries" in captured.out
+        assert captured.err == ""
+
     def test_evaluate_recomputes_over_non_utf8_entry(self, tmp_path, capsys):
         import os
 

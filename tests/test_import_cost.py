@@ -33,7 +33,7 @@ SCRIPT = textwrap.dedent(
             ScheduleRequest(loop=loop, machine=four_cluster(32), scheduler="gp")
         )
     assert response.outcome.is_modulo, "expected a modulo schedule"
-    response.outcome.schedule.validate(full_recheck=True)
+    response.outcome.schedule.validate()
 
     try:
         exact_matching([("a", "b", 1.0)])

@@ -25,7 +25,7 @@ from repro.eval.parallel import (
     start_method,
 )
 from repro.eval.runner import run_suite
-from repro.errors import ReproError
+from repro.errors import ReproError, ValidationError
 from repro.machine.presets import two_cluster
 from repro.schedule import drivers
 from repro.schedule.drivers import BaseScheduler, GPScheduler, UracamScheduler
@@ -66,30 +66,32 @@ class _DyingScheduler(BaseScheduler):
         os._exit(13)
 
 
-class _SessionCorruptingEngine(SchedulingEngine):
-    """Poisons the structural session of every schedule it produces."""
+class _DependenceBreakingEngine(SchedulingEngine):
+    """Breaks a dependence in every schedule it produces: the consumer
+    of the first DDG edge moves onto its producer's cluster and cycle."""
 
     def attempt(self):
         found = super().attempt()
         if found is not None:
-            found.structural.dep_error = "injected session corruption"
+            dep = next(iter(found.loop.ddg.edges()))
+            found.placements[dep.dst] = found.placements[dep.src]
         return found
 
 
-class _SessionCorruptingScheduler(BaseScheduler):
-    """Schedules its victim loop with an engine that poisons the
-    structural session *before* the scheduler validates the schedule —
-    the corruption the default validation must catch, in-process and in
-    pool workers alike."""
+class _DependenceBreakingScheduler(BaseScheduler):
+    """Schedules its victim loop with an engine that breaks the raw
+    schedule *before* the scheduler validates it — the defect the
+    default validation must catch, in-process and in pool workers
+    alike."""
 
-    name = "session-corrupting"
+    name = "dependence-breaking"
     victim = daxpy().name
 
     def schedule(self, loop):
         if loop.name != self.victim:
             return super().schedule(loop)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(drivers, "SchedulingEngine", _SessionCorruptingEngine)
+            patch.setattr(drivers, "SchedulingEngine", _DependenceBreakingEngine)
             return super().schedule(loop)
 
     def _policy(self, loop, ii):
@@ -285,11 +287,12 @@ class TestFailureSurfacing:
         loop whose schedule fails validation."""
         with pytest.raises(LoopTaskError) as excinfo:
             _evaluate(
-                _SessionCorruptingScheduler(two_cluster(32)), mini_suite(),
+                _DependenceBreakingScheduler(two_cluster(32)), mini_suite(),
                 jobs=jobs,
             )
-        assert excinfo.value.loop_name == _SessionCorruptingScheduler.victim
-        assert "injected session corruption" in str(excinfo.value)
+        assert excinfo.value.loop_name == _DependenceBreakingScheduler.victim
+        assert isinstance(excinfo.value.cause, ValidationError)
+        assert "violated: separation 0" in str(excinfo.value)
 
     def test_pool_broken_before_submit_is_a_loop_error(self):
         """Submitting to an already broken executor raises BrokenProcessPool."""

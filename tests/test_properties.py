@@ -195,7 +195,7 @@ def test_gp_schedules_always_validate(shape, seed):
     loop = make_loop(shape, seed)
     outcome = GPScheduler(two_cluster(32)).schedule(loop)
     if outcome.is_modulo:
-        outcome.schedule.validate(full_recheck=True)
+        outcome.schedule.validate()
 
 
 @settings(max_examples=15, deadline=None)
@@ -204,7 +204,7 @@ def test_uracam_schedules_always_validate(shape, seed):
     loop = make_loop(shape, seed)
     outcome = UracamScheduler(four_cluster(32)).schedule(loop)
     if outcome.is_modulo:
-        outcome.schedule.validate(full_recheck=True)
+        outcome.schedule.validate()
 
 
 @settings(max_examples=10, deadline=None)

@@ -245,10 +245,8 @@ class TestValidatorCatchesCorruption:
                 moved = True
                 break
         assert moved
-        # A session-less schedule derives its structural analysis from the
-        # (broken) raw schedule and must reject; on the original, whose
-        # cached sessions predate the mutation, the paranoid full recheck
-        # must catch the divergence.
+        # The validator checks the raw schedule, so both a fresh copy and
+        # the original (validated before the mutation) must reject.
         corrupt = ModuloSchedule(
             loop=sched.loop,
             machine=sched.machine,
@@ -260,7 +258,7 @@ class TestValidatorCatchesCorruption:
         with pytest.raises(ValidationError):
             corrupt.validate()
         with pytest.raises(ValidationError):
-            sched.validate(full_recheck=True)
+            sched.validate()
 
     def test_register_overflow_detected(self):
         sched = scheduled_daxpy()

@@ -1,18 +1,17 @@
-"""Property tests for the shared structural-analysis core.
+"""Property tests for the structural checks.
 
 Mirror of ``tests/test_analysis_core.py`` for the structural side.  The
 contracts enforced here:
 
-* the engine's handed-over :class:`StructuralAnalysis` session (the
-  reservation table's occupancy rows plus dependence evidence) is
-  *bit-equal* to the reference sweep rebuilt from the raw schedule, for
-  every scheduler on every machine shape tried;
-* ``validate()`` — which reads the cached session — accepts and rejects
-  exactly like ``validate(full_recheck=True)`` on cache-less schedules,
-  including under injected structural corruption of FU reservations,
-  bus slots and dependence placements;
-* a cached session that went stale against the raw schedule is caught
-  by the full recheck (and by ``StructuralAnalysis.verify``);
+* ``validate()`` checks the raw schedule, not the engine's reservation
+  table: a table that forgets reservations produces oversubscribed
+  schedules, and the drivers' validation rejects them;
+* the engine's ``verify=True`` cross-check holds the table's occupancy
+  rows to the reference sweeps and names the quantity that diverged;
+* ``validate()`` rejects injected structural corruption of FU
+  reservations, bus slots, placements and dependence evidence, and gives
+  the same verdict on a schedule it already validated as on a fresh
+  copy;
 * the candidate-feasibility cache is behaviour-preserving: schedules
   produced with the cache pruning and with pruning disabled are
   bit-identical.
@@ -26,6 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ValidationError
+from repro.ir.opcodes import OpClass
 from repro.machine.presets import four_cluster, two_cluster
 from repro.schedule.drivers import (
     FixedPartitionScheduler,
@@ -33,11 +33,11 @@ from repro.schedule.drivers import (
     UracamScheduler,
 )
 from repro.schedule.engine import SchedulingEngine
-from repro.schedule.mrt import BusSlot
+from repro.schedule.mrt import BusSlot, ReservationTable
 from repro.schedule.result import AuxOp, ModuloSchedule, Placed
-from repro.schedule.structural_core import StructuralAnalysis, placement_rows
 from repro.schedule.values import BusTransfer
 from repro.workloads.generator import LoopShape, generate_loop
+from repro.workloads.spec import spec_suite
 
 loop_shapes = st.builds(
     LoopShape,
@@ -51,7 +51,7 @@ seeds = st.integers(min_value=0, max_value=10_000)
 
 
 def _clone(sched: ModuloSchedule) -> ModuloSchedule:
-    """A structurally identical schedule with *no* cached sessions."""
+    """A structurally identical schedule with no cached analysis."""
     return ModuloSchedule(
         loop=sched.loop,
         machine=sched.machine,
@@ -70,21 +70,50 @@ def _outcome(shape, seed, scheduler_cls=GPScheduler, machine=None, verify=False)
 
 
 # ----------------------------------------------------------------------
-# Engine handover == reference sweep
+# A reservation table that forgets use cannot pass its own check
 # ----------------------------------------------------------------------
+def _forget_cluster0_fp(monkeypatch):
+    """Make the reservation table drop every FP reservation on cluster 0:
+    the engine then sees those units as always free."""
+    reserve_fu = ReservationTable.reserve_fu
+
+    def forgetful(table, slot):
+        if slot.cluster == 0 and slot.op_class is OpClass.FP:
+            return
+        reserve_fu(table, slot)
+
+    monkeypatch.setattr(ReservationTable, "reserve_fu", forgetful)
+
+
+def _paper_loops(programs=3):
+    return [loop for benchmark in spec_suite()[:programs]
+            for loop in benchmark.loops]
+
+
+def test_validate_rejects_schedules_of_a_forgetful_table(monkeypatch):
+    _forget_cluster0_fp(monkeypatch)
+    scheduler = UracamScheduler(four_cluster(32))
+    with pytest.raises(ValidationError, match="cluster 0 fp oversubscribed"):
+        for loop in _paper_loops():
+            scheduler.schedule(loop)
+
+
+def test_verify_names_the_diverging_quantity(monkeypatch):
+    """The engine's ``verify`` cross-check catches the same table defect
+    at the end of the attempt, naming the rows that diverged."""
+    _forget_cluster0_fp(monkeypatch)
+    scheduler = UracamScheduler(four_cluster(32), verify=True)
+    with pytest.raises(AssertionError, match="FU occupancy rows diverged"):
+        for loop in _paper_loops():
+            scheduler.schedule(loop)
+
+
 @settings(max_examples=12, deadline=None)
 @given(shape=loop_shapes, seed=seeds)
 def test_engine_session_matches_reference_sweep(shape, seed):
-    outcome = _outcome(shape, seed)
-    if not outcome.is_modulo:
-        return
-    sched = outcome.schedule
-    session = sched._structural
-    assert session is not None  # the engine attached its table's rows
-    reference = StructuralAnalysis.from_schedule(sched)
-    assert session.matches(reference)
-    session.verify(sched)
-    assert session.dep_error is None and session.bus_error is None
+    """Under ``verify`` the engine asserts its table's rows equal the
+    sweeps; the driver then validates the raw schedule."""
+    _outcome(shape, seed, verify=True)
 
 
 @pytest.mark.parametrize(
@@ -97,28 +126,13 @@ def test_engine_session_matches_on_four_cluster(scheduler_cls):
         seed=11,
         scheduler_cls=scheduler_cls,
         machine=four_cluster(32),
+        verify=True,
     )
     assert outcome.is_modulo
-    sched = outcome.schedule
-    sched.structural.verify(sched)
-    sched.validate()
-    sched.validate(full_recheck=True)
-
-
-def test_attach_structural_rejects_mismatched_ii():
-    outcome = _outcome(
-        LoopShape(12, mem_ratio=0.3, depth_bias=0.3, trip_count=50), seed=3
-    )
-    assert outcome.is_modulo
-    sched = outcome.schedule
-    with pytest.raises(ValueError):
-        sched.attach_structural(
-            StructuralAnalysis(sched.ii + 1, {}, {}, dep_edges=0)
-        )
 
 
 # ----------------------------------------------------------------------
-# Injected structural corruption: cached == full_recheck verdicts
+# Injected structural corruption, rejected by validate()
 # ----------------------------------------------------------------------
 def _corrupt(rng: random.Random, sched: ModuloSchedule) -> str:
     """Apply one random structural corruption in place; returns its name."""
@@ -177,159 +191,79 @@ def _corrupt(rng: random.Random, sched: ModuloSchedule) -> str:
 @settings(max_examples=15, deadline=None)
 @given(shape=loop_shapes, seed=seeds)
 def test_cached_rejects_corruption_like_full_recheck(shape, seed):
+    """``validate()`` on a schedule the driver already validated (its
+    analysis cache predates the corruption) gives the same verdict as on
+    a cache-less copy, and always catches the resource corruptions."""
     outcome = _outcome(shape, seed)
     if not outcome.is_modulo:
         return
-    rng = random.Random(seed)
-    # Corrupt a cache-less clone so both paths analyze the same (broken)
-    # raw schedule, then compare their verdicts.
-    broken = _clone(outcome.schedule)
-    what = _corrupt(rng, broken)
+    sched = outcome.schedule
+    what = _corrupt(random.Random(seed), sched)
     if what == "noop":
         return
-    cached_error = full_error = None
-    try:
-        _clone(broken).validate()
-    except ValidationError as error:
-        cached_error = error
-    try:
-        _clone(broken).validate(full_recheck=True)
-    except ValidationError as error:
-        full_error = error
-    assert (cached_error is None) == (full_error is None), (
-        f"divergent verdicts after {what!r}: cached={cached_error} "
-        f"full={full_error}"
-    )
-    # The targeted resource corruptions must be *caught* by both paths
-    # (dependence corruptions are only violations when the mutated node
-    # actually had tight predecessors/evidence — the verdict-equivalence
-    # assertion above still covers those).
+    verdicts = []
+    for target in (sched, _clone(sched)):
+        try:
+            target.validate()
+            verdicts.append(None)
+        except ValidationError as error:
+            verdicts.append(str(error))
+    assert verdicts[0] == verdicts[1], f"divergent verdicts after {what!r}"
+    # Dependence corruptions are only violations when the mutated node
+    # actually had tight predecessors/evidence; the resource ones always
+    # are.
     if what in (
         "oversubscribe memory ports",
         "double-book a bus slot",
         "self-overlapping transfer",
     ):
-        assert cached_error is not None and full_error is not None
+        assert verdicts[0] is not None
 
 
 @settings(max_examples=10, deadline=None)
 @given(shape=loop_shapes, seed=seeds)
 def test_full_recheck_catches_stale_structural_cache(shape, seed):
+    """A schedule mutated after the driver validated it is re-checked
+    from the raw schedule, not from what its first validation saw."""
     outcome = _outcome(shape, seed)
     if not outcome.is_modulo:
         return
     sched = outcome.schedule
-    assert sched._structural is not None
-    # Mutate the raw schedule *behind* the cached session: an extra aux
-    # op changes the FU picture without (necessarily) breaking a bound.
     cluster = random.Random(seed).randrange(sched.machine.num_clusters)
-    sched.aux_ops.append(AuxOp("comm_store", -1, cluster, 1))
-    with pytest.raises(ValidationError):
-        sched.validate(full_recheck=True)
-    with pytest.raises(AssertionError):
-        sched._structural.verify(sched)
+    for _ in range(sched.machine.cluster(cluster).mem_units + 1):
+        sched.aux_ops.append(AuxOp("comm_store", -1, cluster, 1))
+    with pytest.raises(ValidationError, match="oversubscribed"):
+        sched.validate()
 
 
 # ----------------------------------------------------------------------
-# Placement summary: count + per-cluster uid ranges
+# The placement pass over the raw placements
 # ----------------------------------------------------------------------
-@settings(max_examples=10, deadline=None)
-@given(shape=loop_shapes, seed=seeds)
-def test_engine_placement_summary_matches_reference(shape, seed):
-    outcome = _outcome(shape, seed)
-    if not outcome.is_modulo:
-        return
-    sched = outcome.schedule
-    session = sched._structural
-    assert session.placements == placement_rows(sched.placements)
-    total = sum(count for count, _lo, _hi in session.placements.values())
-    assert total == sched.loop.num_operations
-
-
 def test_cached_placement_pass_rejects_missing_and_bogus_raw_placements():
     outcome = _outcome(
         LoopShape(14, mem_ratio=0.3, depth_bias=0.3, trip_count=60), seed=3
     )
     assert outcome.is_modulo
     sched = outcome.schedule
-    # Session-less schedule with a dropped placement: the lazily derived
-    # summary comes up one operation short.
+    # A dropped placement: one operation short.
     broken = _clone(sched)
     del broken.placements[max(broken.placements)]
     with pytest.raises(ValidationError, match="operations are scheduled"):
         broken.validate()
-    # Session-less schedule with an out-of-range cluster.
+    # An out-of-range cluster.
     broken = _clone(sched)
     uid = min(broken.placements)
     broken.placements[uid] = Placed(97, broken.placements[uid].time)
     with pytest.raises(ValidationError, match="bogus cluster"):
         broken.validate()
-
-
-def test_corrupted_placement_summary_rejected_by_cached_pass():
-    outcome = _outcome(
-        LoopShape(14, mem_ratio=0.3, depth_bias=0.3, trip_count=60), seed=5
-    )
-    assert outcome.is_modulo
-    sched = outcome.schedule
-    session = sched._structural
-    pristine = dict(session.placements)
-    # A summary entry on a nonexistent cluster.
-    session.placements = dict(pristine)
-    session.placements[42] = (1, 0, 0)
-    with pytest.raises(ValidationError, match="bogus cluster"):
-        sched.validate()
-    # A uid range outside the loop's dense [0, n) uid space.
-    session.placements = {
-        cluster: (count, lo, hi + 1000)
-        for cluster, (count, lo, hi) in pristine.items()
-    }
-    with pytest.raises(ValidationError, match="uids outside"):
-        sched.validate()
-    # An inflated count (total no longer matches the operation count).
-    cluster, (count, lo, hi) = next(iter(pristine.items()))
-    session.placements = dict(pristine)
-    session.placements[cluster] = (count + 1, lo, hi)
-    with pytest.raises(ValidationError, match="operations are scheduled"):
-        sched.validate()
-    session.placements = pristine
+    # A uid outside the loop's dense [0, n) uid space, with the count
+    # still balanced.
+    broken = _clone(sched)
+    placed = broken.placements.pop(max(broken.placements))
+    broken.placements[sched.loop.num_operations + 1000] = placed
+    with pytest.raises(ValidationError, match="outside"):
+        broken.validate()
     sched.validate()
-
-
-@settings(max_examples=10, deadline=None)
-@given(shape=loop_shapes, seed=seeds)
-def test_full_recheck_catches_stale_placement_summary(shape, seed):
-    outcome = _outcome(shape, seed, machine=four_cluster(64))
-    if not outcome.is_modulo:
-        return
-    sched = outcome.schedule
-    assert sched._structural is not None
-    # Move one placement to another (valid) cluster behind the cached
-    # session: the stale summary still balances, but the paranoid
-    # rebuild must notice the divergence.
-    uid = min(sched.placements)
-    placed = sched.placements[uid]
-    sched.placements[uid] = Placed(
-        (placed.cluster + 1) % sched.machine.num_clusters, placed.time
-    )
-    with pytest.raises(ValidationError):
-        sched.validate(full_recheck=True)
-    with pytest.raises(AssertionError, match="placement summary"):
-        sched._structural.verify(sched)
-
-
-def test_verify_names_the_diverging_quantity():
-    outcome = _outcome(
-        LoopShape(12, mem_ratio=0.4, depth_bias=0.3, trip_count=50), seed=7
-    )
-    assert outcome.is_modulo
-    sched = outcome.schedule
-    session = sched.structural
-    reference = StructuralAnalysis.from_schedule(sched)
-    assert session.matches(reference)
-    session.dep_edges += 1
-    with pytest.raises(AssertionError, match="dependence evidence"):
-        session.verify(sched)
 
 
 # ----------------------------------------------------------------------
@@ -393,7 +327,6 @@ def test_feasibility_cache_is_behaviour_preserving(
     assert _fingerprint(cached.schedule) == _fingerprint(plain.schedule)
     # The unpruned engine never consults the cache.
     assert plain.schedule.stats.feas_cache_hits == 0
-    cached.schedule.validate(full_recheck=True)
 
 
 def test_feasibility_cache_prunes_on_spill_heavy_loops():

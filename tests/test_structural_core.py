@@ -266,6 +266,40 @@ def test_cached_placement_pass_rejects_missing_and_bogus_raw_placements():
     sched.validate()
 
 
+def test_corrupted_placement_summary_rejected_by_cached_pass():
+    # The per-cluster verdicts of the placement pass, each raised from
+    # the raw placements of a schedule the engine produced.
+    outcome = _outcome(
+        LoopShape(14, mem_ratio=0.3, depth_bias=0.3, trip_count=60), seed=5
+    )
+    assert outcome.is_modulo
+    sched = outcome.schedule
+    n = sched.loop.num_operations
+    # A placement on a nonexistent cluster.
+    broken = _clone(sched)
+    uid = max(broken.placements)
+    broken.placements[uid] = Placed(42, broken.placements[uid].time)
+    with pytest.raises(ValidationError, match="bogus cluster"):
+        broken.validate()
+    # Every uid shifted outside the loop's dense [0, n) uid space.
+    broken = _clone(sched)
+    broken.placements = {
+        uid + 1000: placed for uid, placed in sched.placements.items()
+    }
+    with pytest.raises(ValidationError, match=r"outside \[0, %d\)" % n):
+        broken.validate()
+    # A short count: every cluster but one still fully placed.
+    broken = _clone(sched)
+    cluster = broken.placements[min(broken.placements)].cluster
+    broken.placements = {
+        uid: placed for uid, placed in sched.placements.items()
+        if placed.cluster != cluster
+    }
+    with pytest.raises(ValidationError, match="operations are scheduled"):
+        broken.validate()
+    sched.validate()
+
+
 # ----------------------------------------------------------------------
 # Candidate-feasibility cache: behaviour-preserving by construction
 # ----------------------------------------------------------------------
